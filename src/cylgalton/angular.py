@@ -72,28 +72,33 @@ class AngularPMF:
         return TWO_PI * k / self.M, TWO_PI * (k + 1) / self.M
 
 
-def pmf_to_csv(pmf: AngularPMF) -> str:
-    """Render as CSV with full round-trip float precision."""
+def _slot_rows(pmf: AngularPMF, bounds) -> list[tuple[int, float, float, float]]:
+    """(slot, theta_lo, theta_hi, prob) rows; bounds default to slot_bounds."""
+    if bounds is None:
+        bounds = [pmf.slot_bounds(k) for k in range(pmf.M)]
+    elif len(bounds) != pmf.M:
+        raise ValueError(f"expected {pmf.M} slot bounds, got {len(bounds)}")
+    return [(k, lo, hi, q) for k, ((lo, hi), q) in enumerate(zip(bounds, pmf.probs))]
+
+
+def pmf_to_csv(pmf: AngularPMF, bounds=None) -> str:
+    """Render as CSV with full round-trip float precision.
+
+    bounds, one (theta_lo, theta_hi) pair per slot, relabels the slot
+    arcs (e.g. centered ones); the default is slot_bounds.
+    """
     lines = [PMF_CSV_HEADER]
-    for k, q in enumerate(pmf.probs):
-        lo, hi = pmf.slot_bounds(k)
-        lines.append(f"{k},{lo!r},{hi!r},{q!r}")
+    lines.extend(f"{k},{lo!r},{hi!r},{q!r}" for k, lo, hi, q in _slot_rows(pmf, bounds))
     return "\n".join(lines) + "\n"
 
 
-def pmf_to_json_dict(pmf: AngularPMF) -> dict:
+def pmf_to_json_dict(pmf: AngularPMF, bounds=None) -> dict:
+    """JSON document of the PMF; bounds as in pmf_to_csv."""
     return {
         "kind": "angular_pmf",
         "M": pmf.M,
-        "slots": [
-            {
-                "slot": k,
-                "theta_lo": pmf.slot_bounds(k)[0],
-                "theta_hi": pmf.slot_bounds(k)[1],
-                "prob": q,
-            }
-            for k, q in enumerate(pmf.probs)
-        ],
+        "slots": [{"slot": k, "theta_lo": lo, "theta_hi": hi, "prob": q}
+                  for k, lo, hi, q in _slot_rows(pmf, bounds)],
     }
 
 

@@ -22,7 +22,8 @@ from pathlib import Path
 from . import __version__
 from .angular import (TWO_PI, AngularPMF, ParseError, pmf_from_csv,
                       pmf_from_json, pmf_to_csv, pmf_to_json_dict, wrap_to_pi)
-from .diagnostics import compare, sweep_to_csv, sweep_uniformity, wb_wn_tv
+from .diagnostics import (compare, normal_limit_pmf, sweep_to_csv,
+                          sweep_uniformity)
 from .geometry import (LatticeSpec, build_lattice, export_pegs, preset,
                        preset_names)
 from .svgplot import cylinder_svg, ring_svg
@@ -30,7 +31,7 @@ from .walk_sim import (DEFAULT_CHUNK, WalkConfig, histogram_to_csv, simulate,
                        unwrapped_stats)
 from .wrapped_binomial import (WrappedBinomial, centered_angle, full_pmf,
                                trig_moments)
-from .wrapped_normal import WrappedNormal, bin_probs, density, limit_params
+from .wrapped_normal import WrappedNormal, bin_probs, density
 
 DENSITY_CSV_HEADER = "theta,f"
 
@@ -68,20 +69,10 @@ def _manifest(command: str, args: argparse.Namespace, outputs: list[Path],
     return _write_json(path, doc)
 
 
-def _pmf_payload(pmf: AngularPMF, fmt: str) -> str:
+def _pmf_payload(pmf: AngularPMF, fmt: str, bounds=None) -> str:
     if fmt == "json":
-        return json.dumps(pmf_to_json_dict(pmf), indent=2) + "\n"
-    return pmf_to_csv(pmf)
-
-
-def _centered_pmf_csv(wb: WrappedBinomial, pmf: AngularPMF) -> str:
-    """PMF CSV with slot angles relabelled to the centered frame (-pi, pi]."""
-    half = math.pi / wb.M
-    lines = ["slot,theta_lo,theta_hi,prob"]
-    for k, q in enumerate(pmf.probs):
-        atom = centered_angle(wb, k)
-        lines.append(f"{k},{atom - half!r},{atom + half!r},{q!r}")
-    return "\n".join(lines) + "\n"
+        return json.dumps(pmf_to_json_dict(pmf, bounds), indent=2) + "\n"
+    return pmf_to_csv(pmf, bounds)
 
 
 def cmd_lattice(args) -> int:
@@ -109,18 +100,13 @@ def cmd_lattice(args) -> int:
 def cmd_pmf(args) -> int:
     wb = WrappedBinomial(n=args.n, M=args.M, p=args.p)
     pmf = full_pmf(wb)
-    out = Path(args.out)
-    if args.centered and args.format == "csv":
-        _write_text(out, _centered_pmf_csv(wb, pmf))
-    elif args.centered:
-        doc = pmf_to_json_dict(pmf)
+    bounds = None
+    if args.centered:
+        # slot arcs around each landing atom, in the centered frame (-pi, pi]
         half = math.pi / wb.M
-        for k, slot in enumerate(doc["slots"]):
-            atom = centered_angle(wb, k)
-            slot["theta_lo"], slot["theta_hi"] = atom - half, atom + half
-        _write_text(out, json.dumps(doc, indent=2) + "\n")
-    else:
-        _write_text(out, _pmf_payload(pmf, args.format))
+        bounds = [(atom - half, atom + half)
+                  for atom in (centered_angle(wb, k) for k in range(wb.M))]
+    out = _write_text(Path(args.out), _pmf_payload(pmf, args.format, bounds))
     outputs = [out]
     if args.moments:
         tm = trig_moments(wb)
@@ -156,31 +142,26 @@ def _comparison_target(args, config: WalkConfig) -> AngularPMF:
         return full_pmf(WrappedBinomial(n=config.n, M=m, p=config.p))
     if config.planar:
         raise ValueError("--compare wn needs a wrapped board (drop --planar)")
-    lp = limit_params(config.n, config.M, config.p)
-    dtheta = TWO_PI / config.M
-    shifted = WrappedNormal(lp.mu + (config.n + 1) * dtheta / 2.0, lp.sigma2)
-    return bin_probs(shifted, config.M)
+    return normal_limit_pmf(config.n, config.M, config.p)
 
 
 def cmd_simulate(args) -> int:
     config = WalkConfig(n=args.n, M=None if args.planar else args.M, p=args.p,
-                        balls=args.balls, seed=args.seed,
-                        record_traces=args.traces)
+                        balls=args.balls, seed=args.seed)
     result = simulate(config, chunk=args.chunk)
     hist = result.histogram
     out = Path(args.out)
     outputs = [out]
-
-    stats = None
-    if result.traces and not config.planar:
-        mean, var = unwrapped_stats(result.traces, config.M)
-        stats = {"mean": mean, "variance": var}
 
     report = None
     if args.compare is not None:
         report = compare(hist, _comparison_target(args, config))
 
     if args.format == "json":
+        stats = None
+        if not config.planar:
+            mean, var = unwrapped_stats(result.rights, config.M)
+            stats = {"mean": mean, "variance": var}
         doc = {
             "command": "simulate",
             "config": {"n": config.n, "M": config.M, "p": config.p,
@@ -302,8 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--seed", type=int, default=0, help="64-bit seed")
     sim.add_argument("--compare", choices=("exact", "wn"),
                      help="append a comparison against the stated law")
-    sim.add_argument("--traces", action="store_true",
-                     help="record per-ball traces (memory per ball)")
     sim.add_argument("--chunk", type=int, default=DEFAULT_CHUNK,
                      help="balls per processing block (result-invariant)")
     sim.add_argument("--format", choices=("csv", "json"), default="csv")

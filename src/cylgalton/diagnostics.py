@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from scipy.special import gammaincc
 
 from .angular import TWO_PI, AngularPMF
-from .walk_sim import BallTrace, BinHistogram, WalkConfig, unwrapped_stats
+from .walk_sim import BinHistogram, WalkConfig, unwrapped_stats
 from .wrapped_binomial import WrappedBinomial, full_pmf, tv_to_uniform
 from .wrapped_normal import WrappedNormal, bin_probs, limit_params
 
@@ -101,8 +101,8 @@ def compare(empirical: BinHistogram, theoretical: AngularPMF) -> ComparisonRepor
     return ComparisonReport(tv=tv, kl=kl, chi2=chi2, dof=dof, p_value=p_value)
 
 
-def wb_wn_tv(n: int, M: int, p: float) -> float:
-    """TV between the exact slot law and its discretised normal limit.
+def normal_limit_pmf(n: int, M: int, p: float) -> AngularPMF:
+    """The normal limit of the slot law, binned in the slot-index frame.
 
     Slot k's landing atom sits at centered angle (2k - n)*dtheta/2, so
     the normal limit is integrated over atom-centered intervals.  In the
@@ -112,10 +112,13 @@ def wb_wn_tv(n: int, M: int, p: float) -> float:
     """
     lp = limit_params(n, M, p)
     dtheta = TWO_PI / M
-    shifted = WrappedNormal(lp.mu + (n + 1) * dtheta / 2.0, lp.sigma2)
-    wn = bin_probs(shifted, M)
+    return bin_probs(WrappedNormal(lp.mu + (n + 1) * dtheta / 2.0, lp.sigma2), M)
+
+
+def wb_wn_tv(n: int, M: int, p: float) -> float:
+    """TV between the exact slot law and its discretised normal limit."""
     wb = full_pmf(WrappedBinomial(n, M, p))
-    return tv_distance(wb.probs, wn.probs)
+    return tv_distance(wb.probs, normal_limit_pmf(n, M, p).probs)
 
 
 @dataclass(frozen=True)
@@ -166,9 +169,10 @@ class DriftReport:
     balls: int
 
 
-def drift_check(config: WalkConfig, traces: tuple[BallTrace, ...]) -> DriftReport:
+def drift_check(config: WalkConfig, rights) -> DriftReport:
     """z-scores of the sample drift and spread against the walk's moments.
 
+    rights is the run's rightward-count histogram (SimulationResult.rights).
     The displacement per ball is S_n * dtheta / 2 with mean
     n(2p-1)*dtheta/2 and variance n*p*(1-p)*dtheta^2; the variance
     z-score uses the exact fourth central moment of the binomial step
@@ -176,12 +180,12 @@ def drift_check(config: WalkConfig, traces: tuple[BallTrace, ...]) -> DriftRepor
     """
     if config.planar:
         raise ValueError("drift_check needs a wrapped config (M set)")
-    if not traces:
-        raise ValueError("no traces to check")
+    if len(rights) != config.n + 1:
+        raise ValueError(f"expected {config.n + 1} rightward counts, got {len(rights)}")
     n, p, m_slots = config.n, config.p, config.M
-    balls = len(traces)
+    balls = sum(int(c) for c in rights)
     dtheta = TWO_PI / m_slots
-    mean, var = unwrapped_stats(traces, m_slots)
+    mean, var = unwrapped_stats(rights, m_slots)
 
     exp_mean = n * (2.0 * p - 1.0) * dtheta / 2.0
     exp_var = n * p * (1.0 - p) * dtheta**2

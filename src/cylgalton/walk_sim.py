@@ -3,13 +3,18 @@
 Each ball takes n independent left/right deflections with rightward
 probability p.  On a cylinder with M slots the angle advances half a
 slot per deflection, the net angle after n rows is S_n * dtheta / 2 with
-S_n the signed step sum, and the landing slot is the rightward count
-X mod M.  In flat mode (M = None) the bin is X itself, over n+1 bins.
+S_n = 2X - n the signed step sum, and the landing slot is the rightward
+count X mod M.  In flat mode (M = None) the bin is X itself, over n+1 bins.
+
+A run therefore needs only the histogram of X over 0..n, ``rights``: it
+folds mod M into the wrapped histogram, is the planar histogram as it
+stands, and gives the unwrapped mean and variance exactly.
 
 Randomness is counter-based: draw (b, k) for ball b, step k is a pure
 64-bit hash of (seed, b, k) (SplitMix64 finaliser over a Weyl counter).
 Histograms are therefore bit-identical for any chunk size or execution
-order, and any single ball can be replayed in isolation.
+order, and simulate_ball replays any single ball in isolation, with
+exactly the deflections it had in the full run.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX_A = np.uint64(0xBF58476D1CE4E5B9)
 _MIX_B = np.uint64(0x94D049BB133111EB)
 
-_U64_MASK = 0xFFFFFFFFFFFFFFFF
+_SEED_LIMIT = 1 << 64
 
 HISTOGRAM_CSV_HEADER = "slot,count,frequency"
 
@@ -44,7 +49,7 @@ def _step_uniforms(seed: int, lo: int, hi: int, n: int) -> np.ndarray:
     """Uniforms in [0, 1) for balls lo..hi-1, shape (hi-lo, n)."""
     with np.errstate(over="ignore"):
         balls = np.arange(lo, hi, dtype=np.uint64)
-        keys = _mix64(np.uint64(seed & _U64_MASK) + (balls + np.uint64(1)) * _GOLDEN)
+        keys = _mix64(np.uint64(seed) + (balls + np.uint64(1)) * _GOLDEN)
         steps = (np.arange(n, dtype=np.uint64) + np.uint64(1)) * _GOLDEN
         bits = _mix64(keys[:, None] + steps[None, :])
     return (bits >> np.uint64(11)).astype(np.float64) * 2.0**-53
@@ -59,9 +64,14 @@ class WalkConfig:
     p: float
     balls: int
     seed: int = 0
-    record_traces: bool = False
 
     def __post_init__(self):
+        for name in ("n", "balls", "seed") + (() if self.M is None else ("M",)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an int, got {value!r}")
+        if not 0 <= self.seed < _SEED_LIMIT:
+            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
         if self.n < 0:
             raise ValueError(f"n must be >= 0, got {self.n}")
         if self.M is not None and self.M < 1:
@@ -113,70 +123,69 @@ class BinHistogram:
 @dataclass(frozen=True)
 class SimulationResult:
     histogram: BinHistogram
-    traces: tuple[BallTrace, ...] | None
+    rights: tuple[int, ...]   # rights[x]: balls with x rightward deflections
 
 
-def _trace_from_rights(config: WalkConfig, rights: np.ndarray) -> BallTrace:
+def simulate_ball(config: WalkConfig, ball_index: int) -> BallTrace:
+    """Replay one ball of simulate(config): its deflections, and nothing else."""
+    if not 0 <= ball_index < config.balls:
+        raise ValueError(f"ball_index {ball_index} out of range [0, {config.balls})")
+    u = _step_uniforms(config.seed, ball_index, ball_index + 1, config.n)
+    rights = u[0] < config.p
     x = int(rights.sum())
     s = 2 * x - config.n
-    steps = tuple(1 if r else -1 for r in rights)
     if config.planar:
         theta, landing = 0.0, x
     else:
         theta = wrap_angle(s * (TWO_PI / config.M) / 2.0)
         landing = x % config.M
-    return BallTrace(steps=steps, final_s=s, final_theta=theta,
-                     final_z=-float(config.n), bin=landing)
-
-
-def simulate_ball(config: WalkConfig, ball_index: int) -> BallTrace:
-    """Replay a single ball; identical to its row in a full simulation."""
-    if not 0 <= ball_index < config.balls:
-        raise ValueError(f"ball_index {ball_index} out of range [0, {config.balls})")
-    u = _step_uniforms(config.seed, ball_index, ball_index + 1, config.n)
-    return _trace_from_rights(config, u[0] < config.p)
+    return BallTrace(steps=tuple(1 if r else -1 for r in rights), final_s=s,
+                     final_theta=theta, final_z=-float(config.n), bin=landing)
 
 
 def simulate(config: WalkConfig, chunk: int = DEFAULT_CHUNK) -> SimulationResult:
-    """Run all balls and bin the landings.
+    """Run all balls and count them by rightward deflections, x = 0..n.
 
-    chunk bounds working memory only; the histogram (and traces) are a
-    pure function of (seed, config) regardless of chunking.
+    The landing histogram is that count, ``rights``, in flat mode and
+    ``rights`` folded mod M on a cylinder.  chunk bounds working memory
+    only; the result is a pure function of (seed, config), and ball b
+    is simulate_ball(config, b).
     """
     if chunk < 1:
         raise ValueError(f"chunk must be >= 1, got {chunk}")
-    nbins = config.bins
-    counts = np.zeros(nbins, dtype=np.int64)
-    traces: list[BallTrace] = []
+    n = config.n
+    rights = np.zeros(n + 1, dtype=np.int64)
     for lo in range(0, config.balls, chunk):
         hi = min(config.balls, lo + chunk)
-        rights = _step_uniforms(config.seed, lo, hi, config.n) < config.p
-        x = rights.sum(axis=1).astype(np.int64)
-        landings = x if config.planar else x % config.M
-        counts += np.bincount(landings, minlength=nbins)
-        if config.record_traces:
-            traces.extend(_trace_from_rights(config, row) for row in rights)
-    hist = BinHistogram(M=nbins, counts=tuple(int(c) for c in counts),
-                        total=config.balls)
-    return SimulationResult(histogram=hist,
-                            traces=tuple(traces) if config.record_traces else None)
-
-
-def planar_histogram(config: WalkConfig, chunk: int = DEFAULT_CHUNK) -> BinHistogram:
-    """Flat-mode landing counts over bins 0..n (no wrapping)."""
+        x = (_step_uniforms(config.seed, lo, hi, n) < config.p).sum(axis=1)
+        rights += np.bincount(x, minlength=n + 1)
+    counts = rights
     if not config.planar:
-        raise ValueError("planar_histogram needs a flat config (M=None)")
-    return simulate(config, chunk=chunk).histogram
+        counts = np.zeros(config.M, dtype=np.int64)
+        np.add.at(counts, np.arange(n + 1) % config.M, rights)
+    hist = BinHistogram(M=config.bins, counts=tuple(int(c) for c in counts),
+                        total=config.balls)
+    return SimulationResult(histogram=hist, rights=tuple(int(c) for c in rights))
 
 
-def unwrapped_stats(traces, m_slots: int) -> tuple[float, float]:
-    """Sample mean and variance of the unwrapped angle S_n * dtheta / 2."""
-    if not traces:
-        raise ValueError("no traces to summarise")
+def unwrapped_stats(rights, m_slots: int) -> tuple[float, float]:
+    """Sample mean and variance (ddof=1) of the unwrapped angle S_n * dtheta / 2.
+
+    rights[x], x = 0..n, counts the balls with x rightward deflections
+    (S_n = 2x - n).
+    Both moments come from exact integer sums; only the final ratios round.
+    """
+    counts = [int(c) for c in rights]
+    balls = sum(counts)
+    if balls < 1:
+        raise ValueError("no balls to summarise")
+    n = len(counts) - 1
+    s1 = sum(c * (2 * x - n) for x, c in enumerate(counts))
+    s2 = sum(c * (2 * x - n) ** 2 for x, c in enumerate(counts))
     half_step = math.pi / m_slots
-    vals = np.array([t.final_s for t in traces], dtype=float) * half_step
-    mean = float(vals.mean())
-    var = float(vals.var(ddof=1)) if len(vals) > 1 else 0.0
+    mean = s1 / balls * half_step
+    var = ((balls * s2 - s1 * s1) / (balls * (balls - 1)) * half_step**2
+           if balls > 1 else 0.0)
     return mean, var
 
 

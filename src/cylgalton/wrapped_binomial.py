@@ -84,20 +84,27 @@ def full_pmf(wb: WrappedBinomial) -> AngularPMF:
     return AngularPMF(wb.M, wb._slot_probs)
 
 
+def _cf_polar(wb: WrappedBinomial, t: int) -> tuple[float, float]:
+    """Modulus and unreduced argument of cf(t) = w**n, from the polar form
+    of the one-step factor w = 1 - p + p*exp(i*t*2*pi/M)."""
+    angle = t * TWO_PI / wb.M
+    w = complex(1.0 - wb.p + wb.p * math.cos(angle), wb.p * math.sin(angle))
+    r, phase = cmath.polar(w)
+    if wb.n == 0:
+        return 1.0, 0.0
+    if r == 0.0:
+        return 0.0, 0.0
+    return r**wb.n, wb.n * phase
+
+
 def characteristic_function(wb: WrappedBinomial, t: int) -> complex:
     """E[exp(i*t*Theta)] at integer frequency t.
 
     Closed form (1 - p + p*exp(i*t*2*pi/M))**n, evaluated in polar form
     so the modulus and argument stay accurate for large n.
     """
-    angle = t * TWO_PI / wb.M
-    w = complex(1.0 - wb.p + wb.p * math.cos(angle), wb.p * math.sin(angle))
-    r, phase = cmath.polar(w)
-    if wb.n == 0:
-        return complex(1.0, 0.0)
-    if r == 0.0:
-        return complex(0.0, 0.0)
-    return cmath.rect(r**wb.n, math.fmod(wb.n * phase, TWO_PI))
+    rho, arg = _cf_polar(wb, t)
+    return cmath.rect(rho, math.fmod(arg, TWO_PI))
 
 
 @dataclass(frozen=True)
@@ -118,15 +125,8 @@ def trig_moments(wb: WrappedBinomial) -> TrigMoments:
     naive complex power would lose the winding.  For p = 1/2 this gives
     mu = pi*n/M mod 2*pi and rho = cos(pi/M)**n.
     """
-    angle = TWO_PI / wb.M
-    w = complex(1.0 - wb.p + wb.p * math.cos(angle), wb.p * math.sin(angle))
-    r, phase = cmath.polar(w)
-    if wb.n == 0:
-        return TrigMoments(alpha1=1.0, beta1=0.0, rho=1.0, mu=0.0)
-    if r == 0.0:
-        return TrigMoments(alpha1=0.0, beta1=0.0, rho=0.0, mu=0.0)
-    rho = r**wb.n
-    mu = wrap_angle(wb.n * phase)
+    rho, arg = _cf_polar(wb, 1)
+    mu = wrap_angle(arg)
     return TrigMoments(alpha1=rho * math.cos(mu), beta1=rho * math.sin(mu),
                        rho=rho, mu=mu)
 

@@ -1,12 +1,16 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import cylgalton
 from cylgalton import __version__
-from cylgalton.angular import pmf_from_csv
+from cylgalton.angular import (AngularPMF, pmf_from_csv, pmf_to_csv,
+                               pmf_to_json_dict)
 from cylgalton.cli import main
 
 
@@ -111,6 +115,20 @@ def test_pmf_centered_labels(tmp_path):
     # slot 4 holds the drop line: atom angle 0
     assert los[4] == pytest.approx(-math.pi / 24)
     assert his[4] == pytest.approx(math.pi / 24)
+    # the JSON format carries the same centered arcs and masses
+    doc_path = tmp_path / "centered.json"
+    assert run(["pmf", "--n", 8, "--M", 24, "--centered", "--format", "json",
+                "--out", doc_path]) == 0
+    slots = json.loads(doc_path.read_text())["slots"]
+    assert [(s["slot"], s["theta_lo"], s["theta_hi"], s["prob"]) for s in slots] == [
+        (int(r[0]), float(r[1]), float(r[2]), float(r[3])) for r in rows]
+
+
+def test_pmf_serialisers_reject_mismatched_bounds():
+    pmf = AngularPMF(2, (0.5, 0.5))
+    for serialise in (pmf_to_csv, pmf_to_json_dict):
+        with pytest.raises(ValueError, match="expected 2 slot bounds"):
+            serialise(pmf, [(0.0, 1.0)])
 
 
 # --- wn ---------------------------------------------------------------------
@@ -190,14 +208,24 @@ def test_simulate_byte_identical_reruns_across_chunking(tmp_path):
 def test_simulate_json_report(tmp_path):
     out = tmp_path / "run.json"
     assert run(["simulate", "--n", 8, "--M", 24, "--balls", 500, "--seed", 3,
-                "--traces", "--compare", "wn", "--format", "json",
-                "--out", out]) == 0
+                "--compare", "wn", "--format", "json", "--out", out]) == 0
     doc = json.loads(out.read_text())
     assert doc["seed"] == 3
     assert doc["total"] == 500
     assert sum(doc["histogram"]["counts"]) == 500
     assert doc["unwrapped"] is not None
     assert 0.0 <= doc["comparison"]["tv"] <= 1.0
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, -2**64])
+def test_simulate_rejects_out_of_range_seed(tmp_path, capsys, seed):
+    out = tmp_path / "x.csv"
+    assert run(["simulate", "--n", 4, "--balls", 10, "--seed", seed,
+                "--out", out]) != 0
+    err = capsys.readouterr().err
+    assert err.startswith("error: ValueError: seed must be in [0, 2**64)")
+    assert len(err.strip().splitlines()) == 1
+    assert not out.exists()
 
 
 def test_simulate_wn_compare_needs_wrapping(tmp_path, capsys):
@@ -309,21 +337,24 @@ def test_every_command_writes_a_manifest(tmp_path):
             assert (tmp_path / path).exists() or (tmp_path / path).is_absolute()
 
 
+def run_module(args):
+    """Run ``python -m cylgalton`` with this package's source root importable."""
+    src = str(Path(cylgalton.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "cylgalton", *map(str, args)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+
+
 def test_module_entry_point(tmp_path):
     out = tmp_path / "pmf.csv"
-    proc = subprocess.run(
-        [sys.executable, "-m", "cylgalton", "pmf", "--n", "8", "--M", "24",
-         "--out", str(out)],
-        capture_output=True, text=True)
+    proc = run_module(["pmf", "--n", 8, "--M", 24, "--out", out])
     assert proc.returncode == 0
     assert out.exists()
 
 
 def test_module_entry_point_error_is_single_line(tmp_path):
-    proc = subprocess.run(
-        [sys.executable, "-m", "cylgalton", "wn", "--mu", "0", "--sigma",
-         "-1", "--out", str(tmp_path / "x.csv")],
-        capture_output=True, text=True)
+    proc = run_module(["wn", "--mu", 0, "--sigma", -1, "--out", tmp_path / "x.csv"])
     assert proc.returncode == 1
     assert proc.stderr.startswith("error:")
     assert len(proc.stderr.strip().splitlines()) == 1

@@ -167,18 +167,16 @@ def test_wb_wn_distance_shrinks_with_depth():
 
 
 def test_drift_check_symmetric():
-    config = WalkConfig(n=8, M=24, p=0.5, balls=100_000, seed=11,
-                        record_traces=True)
-    report = drift_check(config, simulate(config).traces)
+    config = WalkConfig(n=8, M=24, p=0.5, balls=100_000, seed=11)
+    report = drift_check(config, simulate(config).rights)
     assert abs(report.z_mean) < 4.0
     assert abs(report.z_var) < 4.0
     assert report.expected_mean == 0.0
 
 
 def test_drift_check_biased():
-    config = WalkConfig(n=8, M=24, p=0.75, balls=100_000, seed=11,
-                        record_traces=True)
-    report = drift_check(config, simulate(config).traces)
+    config = WalkConfig(n=8, M=24, p=0.75, balls=100_000, seed=11)
+    report = drift_check(config, simulate(config).rights)
     assert report.expected_mean == pytest.approx(math.pi / 6, rel=1e-14)
     assert report.expected_variance == pytest.approx(
         8 * 0.1875 * (TWO_PI / 24) ** 2, rel=1e-14)
@@ -187,10 +185,12 @@ def test_drift_check_biased():
     assert report.variance == pytest.approx(report.expected_variance, rel=0.05)
 
 
-def test_drift_check_requires_traces_and_wrapping():
+def test_drift_check_requires_balls_and_wrapping():
     config = WalkConfig(n=8, M=24, p=0.5, balls=10, seed=0)
-    with pytest.raises(ValueError, match="no traces"):
-        drift_check(config, ())
+    with pytest.raises(ValueError, match="no balls"):
+        drift_check(config, (0,) * 9)
+    with pytest.raises(ValueError, match="expected 9 rightward counts"):
+        drift_check(config, (10,))
     flat = WalkConfig(n=8, M=None, p=0.5, balls=10, seed=0)
     with pytest.raises(ValueError, match="wrapped"):
-        drift_check(flat, (object(),))
+        drift_check(flat, simulate(flat).rights)
