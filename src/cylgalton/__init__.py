@@ -8,10 +8,10 @@ output.
 
 __version__ = "0.1.0"
 
-from .angular import AngularPMF, wrap_angle, wrap_to_pi
+from .angular import AngularPMF, tv_distance, wrap_angle, wrap_to_pi
 from .diagnostics import (ComparisonReport, DriftReport, SweepResult, compare,
                           drift_check, normal_limit_pmf, sweep_uniformity,
-                          tv_distance, wb_wn_tv)
+                          wb_wn_tv)
 from .geometry import (BoardPreset, LatticeSpec, Peg, build_lattice,
                        export_pegs, planar_board, preset, preset_names)
 from .walk_sim import (BallTrace, BinHistogram, WalkConfig, simulate,

@@ -41,6 +41,13 @@ def wrap_to_pi(theta: float) -> float:
     return out if out <= math.pi else out - TWO_PI
 
 
+def tv_distance(a, b) -> float:
+    """Total variation: half the L1 distance between probability vectors."""
+    if len(a) != len(b):
+        raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
+    return 0.5 * math.fsum(abs(x - y) for x, y in zip(a, b))
+
+
 @dataclass(frozen=True)
 class AngularPMF:
     """Probability vector over M equal angular slots.

@@ -1,10 +1,13 @@
 """Command-line front end.
 
-Subcommands: lattice, pmf, wn, simulate, sweep, plot.  Every run writes
-its data files plus a manifest (<out stem>.manifest.json) echoing the
-command, parameters, seed, output paths, and tool version.  Data files
-are UTF-8 with LF line endings and full round-trip float precision, so
-identical invocations produce byte-identical files.
+Subcommands: lattice, pmf, wn, simulate, sweep, plot.  Each command only
+computes: it returns its files as an ordered list of (path, payload)
+pairs and does no I/O of its own.  main() then writes every payload and
+a manifest (<out stem>.manifest.json) built from the same list, echoing
+the command, parameters, seed, output paths, and tool version.  A
+command that fails writes nothing.  Data files are UTF-8 with LF line
+endings and full round-trip float precision, so identical invocations
+produce byte-identical files.
 
 Errors exit nonzero with a single line on stderr:
 ``error: <kind>: <message>``.
@@ -19,9 +22,11 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .angular import (TWO_PI, AngularPMF, ParseError, pmf_from_csv,
-                      pmf_from_json, pmf_to_csv, pmf_to_json_dict, wrap_to_pi)
+                      pmf_from_json, pmf_to_csv, pmf_to_json_dict)
 from .diagnostics import (compare, normal_limit_pmf, sweep_to_csv,
                           sweep_uniformity)
 from .geometry import (LatticeSpec, build_lattice, export_pegs, preset,
@@ -35,16 +40,12 @@ from .wrapped_normal import WrappedNormal, bin_probs, density
 
 DENSITY_CSV_HEADER = "theta,f"
 
-
-def _write_text(path: Path, text: str) -> Path:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-    return path
+# What a command returns: the files to write, in order.
+Outputs = list[tuple[Path, str | bytes]]
 
 
-def _write_json(path: Path, doc) -> Path:
-    return _write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+def _json(doc, sort_keys: bool = True) -> str:
+    return json.dumps(doc, indent=2, sort_keys=sort_keys) + "\n"
 
 
 def _sidecar(out: Path, tag: str, suffix: str | None = None) -> Path:
@@ -52,52 +53,37 @@ def _sidecar(out: Path, tag: str, suffix: str | None = None) -> Path:
     return out.with_suffix("").with_name(out.with_suffix("").name + f".{tag}{ext}")
 
 
-def _manifest(command: str, args: argparse.Namespace, outputs: list[Path],
-              seed: int | None = None) -> Path:
-    out = Path(args.out)
+def _manifest(args: argparse.Namespace, outputs: Outputs) -> tuple[Path, str]:
     config = {k: v for k, v in sorted(vars(args).items())
               if k not in ("func", "command") and not k.startswith("_")}
-    config = {k: (str(v) if isinstance(v, Path) else v) for k, v in config.items()}
-    path = out.with_suffix("").with_name(out.with_suffix("").name + ".manifest.json")
     doc = {
-        "command": command,
+        "command": args.command,
         "config": config,
-        "seed": seed,
-        "outputs": [str(p) for p in outputs],
+        "seed": getattr(args, "seed", None),
+        "outputs": [str(path) for path, _ in outputs],
         "tool_version": __version__,
     }
-    return _write_json(path, doc)
+    return _sidecar(Path(args.out), "manifest", ".json"), _json(doc)
 
 
 def _pmf_payload(pmf: AngularPMF, fmt: str, bounds=None) -> str:
     if fmt == "json":
-        return json.dumps(pmf_to_json_dict(pmf, bounds), indent=2) + "\n"
+        return _json(pmf_to_json_dict(pmf, bounds), sort_keys=False)
     return pmf_to_csv(pmf, bounds)
 
 
-def cmd_lattice(args) -> int:
+def cmd_lattice(args) -> Outputs:
     if args.preset:
         spec = preset(args.preset).spec
+    elif args.M is None or args.n is None:
+        raise ValueError("either --preset or both --M and --n are required")
     else:
-        if args.M is None or args.n is None:
-            raise ValueError("either --preset or both --M and --n are required")
-        if args.d is None:
-            spec = LatticeSpec.from_angular(R=args.R, M=args.M, n=args.n,
-                                            h=args.h, r_peg=args.r_peg,
-                                            r_ball=args.r_ball)
-        else:
-            spec = LatticeSpec(R=args.R, M=args.M, delta_theta=TWO_PI / args.M,
-                               d=args.d, h=args.h, n=args.n, H=args.n * args.h,
-                               r_peg=args.r_peg, r_ball=args.r_ball)
-    pegs = build_lattice(spec)
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_bytes(export_pegs(pegs, args.format))
-    _manifest("lattice", args, [out])
-    return 0
+        spec = LatticeSpec.from_angular(R=args.R, M=args.M, n=args.n, h=args.h,
+                                        r_peg=args.r_peg, r_ball=args.r_ball)
+    return [(Path(args.out), export_pegs(build_lattice(spec), args.format))]
 
 
-def cmd_pmf(args) -> int:
+def cmd_pmf(args) -> Outputs:
     wb = WrappedBinomial(n=args.n, M=args.M, p=args.p)
     pmf = full_pmf(wb)
     bounds = None
@@ -106,34 +92,32 @@ def cmd_pmf(args) -> int:
         half = math.pi / wb.M
         bounds = [(atom - half, atom + half)
                   for atom in (centered_angle(wb, k) for k in range(wb.M))]
-    out = _write_text(Path(args.out), _pmf_payload(pmf, args.format, bounds))
-    outputs = [out]
+    out = Path(args.out)
+    outputs = [(out, _pmf_payload(pmf, args.format, bounds))]
     if args.moments:
-        tm = trig_moments(wb)
-        outputs.append(_write_json(_sidecar(out, "moments", ".json"), asdict(tm)))
-    _manifest("pmf", args, outputs)
-    return 0
+        outputs.append((_sidecar(out, "moments", ".json"),
+                        _json(asdict(trig_moments(wb)))))
+    return outputs
 
 
-def cmd_wn(args) -> int:
+def cmd_wn(args) -> Outputs:
     if args.sigma <= 0.0:
         raise ValueError(f"sigma must be > 0, got {args.sigma!r}")
+    if args.samples < 1:
+        raise ValueError(f"samples must be >= 1, got {args.samples}")
     wn = WrappedNormal(mu=args.mu, sigma2=args.sigma**2)
     thetas = [TWO_PI * i / args.samples for i in range(args.samples)]
-    values = [float(density(wn, th)) for th in thetas]
-    out = Path(args.out)
+    values = density(wn, np.array(thetas)).tolist()
     if args.format == "json":
-        _write_text(out, json.dumps(
-            {"samples": [{"theta": t, "f": f} for t, f in zip(thetas, values)]},
-            indent=2) + "\n")
+        samples = [{"theta": t, "f": f} for t, f in zip(thetas, values)]
+        text = _json({"samples": samples}, sort_keys=False)
     else:
         lines = [DENSITY_CSV_HEADER]
         lines.extend(f"{t!r},{f!r}" for t, f in zip(thetas, values))
-        _write_text(out, "\n".join(lines) + "\n")
-    bins_path = _sidecar(out, "bins")
-    _write_text(bins_path, _pmf_payload(bin_probs(wn, args.M), args.format))
-    _manifest("wn", args, [out, bins_path])
-    return 0
+        text = "\n".join(lines) + "\n"
+    out = Path(args.out)
+    return [(out, text),
+            (_sidecar(out, "bins"), _pmf_payload(bin_probs(wn, args.M), args.format))]
 
 
 def _comparison_target(args, config: WalkConfig) -> AngularPMF:
@@ -145,60 +129,64 @@ def _comparison_target(args, config: WalkConfig) -> AngularPMF:
     return normal_limit_pmf(config.n, config.M, config.p)
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> Outputs:
     config = WalkConfig(n=args.n, M=None if args.planar else args.M, p=args.p,
                         balls=args.balls, seed=args.seed)
     result = simulate(config, chunk=args.chunk)
     hist = result.histogram
     out = Path(args.out)
-    outputs = [out]
 
     report = None
     if args.compare is not None:
         report = compare(hist, _comparison_target(args, config))
 
-    if args.format == "json":
-        stats = None
-        if not config.planar:
-            mean, var = unwrapped_stats(result.rights, config.M)
-            stats = {"mean": mean, "variance": var}
-        doc = {
-            "command": "simulate",
-            "config": {"n": config.n, "M": config.M, "p": config.p,
-                       "balls": config.balls, "planar": config.planar},
-            "seed": config.seed,
-            "total": hist.total,
-            "histogram": {"M": hist.M, "counts": list(hist.counts)},
-            "unwrapped": stats,
-            "comparison": asdict(report) if report else None,
-        }
-        _write_text(out, json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    else:
-        _write_text(out, histogram_to_csv(hist))
+    if args.format == "csv":
+        outputs = [(out, histogram_to_csv(hist))]
         if report is not None:
-            outputs.append(_write_json(_sidecar(out, "compare", ".json"),
-                                       asdict(report)))
-    _manifest("simulate", args, outputs, seed=config.seed)
-    return 0
+            outputs.append((_sidecar(out, "compare", ".json"), _json(asdict(report))))
+        return outputs
+    stats = None
+    if not config.planar:
+        mean, var = unwrapped_stats(result.rights, config.M)
+        stats = {"mean": mean, "variance": var}
+    doc = {
+        "command": "simulate",
+        "config": {"n": config.n, "M": config.M, "p": config.p,
+                   "balls": config.balls, "planar": config.planar},
+        "seed": config.seed,
+        "total": hist.total,
+        "histogram": {"M": hist.M, "counts": list(hist.counts)},
+        "unwrapped": stats,
+        "comparison": asdict(report) if report else None,
+    }
+    return [(out, _json(doc))]
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args) -> Outputs:
     ns = [int(part) for part in args.n.split(",") if part.strip()]
-    result = sweep_uniformity(args.M, args.p, ns)
-    out = _write_text(Path(args.out), sweep_to_csv(result))
-    _manifest("sweep", args, [out])
-    return 0
+    return [(Path(args.out), sweep_to_csv(sweep_uniformity(args.M, args.p, ns)))]
 
 
-def _load_pmf(path: Path) -> AngularPMF:
+def _load(path: Path, from_json, from_csv):
+    """Parse a file with from_json if it is a JSON document, else from_csv."""
     text = path.read_text(encoding="utf-8")
-    if path.suffix == ".json" or text.lstrip().startswith("{"):
-        return pmf_from_json(text)
-    return pmf_from_csv(text)
+    is_json = path.suffix == ".json" or text.lstrip().startswith("{")
+    return (from_json if is_json else from_csv)(text)
 
 
-def _load_density_samples(path: Path) -> list[tuple[float, float]]:
-    lines = path.read_text(encoding="utf-8").splitlines()
+def _density_from_json(text: str) -> list[tuple[float, float]]:
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(exc.msg, exc.lineno) from None
+    try:
+        return [(float(s["theta"]), float(s["f"])) for s in doc["samples"]]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"not a density document: {exc}", 1) from None
+
+
+def _density_from_csv(text: str) -> list[tuple[float, float]]:
+    lines = text.splitlines()
     if not lines or lines[0].strip() != DENSITY_CSV_HEADER:
         raise ParseError(f"expected header {DENSITY_CSV_HEADER!r}", 1)
     samples = []
@@ -217,16 +205,16 @@ def _load_density_samples(path: Path) -> list[tuple[float, float]]:
     return samples
 
 
-def cmd_plot(args) -> int:
+def cmd_plot(args) -> Outputs:
     if args.style == "ring":
-        svg = ring_svg([_load_pmf(Path(p)) for p in args.inputs])
+        svg = ring_svg([_load(Path(p), pmf_from_json, pmf_from_csv)
+                        for p in args.inputs])
     else:
         if len(args.inputs) != 1:
             raise ValueError("cylinder style takes exactly one density file")
-        svg = cylinder_svg(_load_density_samples(Path(args.inputs[0])))
-    out = _write_text(Path(args.out), svg)
-    _manifest("plot", args, [out])
-    return 0
+        svg = cylinder_svg(_load(Path(args.inputs[0]), _density_from_json,
+                                 _density_from_csv))
+    return [(Path(args.out), svg)]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -243,7 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
     lat.add_argument("--M", type=int, help="angular slots (custom board)")
     lat.add_argument("--n", type=int, help="peg rows (custom board)")
     lat.add_argument("--R", type=float, default=5.7, help="cylinder radius, cm")
-    lat.add_argument("--d", type=float, help="peg arc spacing, cm (default 2*pi*R/M)")
     lat.add_argument("--h", type=float, default=1.02, help="row spacing, cm")
     lat.add_argument("--r-peg", dest="r_peg", type=float, default=0.1)
     lat.add_argument("--r-ball", dest="r_ball", type=float, default=0.4)
@@ -310,11 +297,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        outputs = args.func(args)
+        for path, payload in [*outputs, _manifest(args, outputs)]:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            if isinstance(payload, str):
+                payload = payload.encode("utf-8")
+            path.write_bytes(payload)
     except ParseError as exc:
         print(f"error: parse: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, LookupError) as exc:
+    except (ValueError, LookupError, ArithmeticError) as exc:
         kind = type(exc).__name__
         message = str(exc).splitlines()[0] if str(exc) else kind
         print(f"error: {kind}: {message}", file=sys.stderr)
@@ -322,6 +314,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: OSError: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -12,20 +12,13 @@ from dataclasses import dataclass
 
 from scipy.special import gammaincc
 
-from .angular import TWO_PI, AngularPMF
+from .angular import TWO_PI, AngularPMF, tv_distance
 from .walk_sim import BinHistogram, WalkConfig, unwrapped_stats
 from .wrapped_binomial import WrappedBinomial, full_pmf, tv_to_uniform
 from .wrapped_normal import WrappedNormal, bin_probs, limit_params
 
 # Minimum expected count per retained chi-square cell.
 MIN_EXPECTED = 5.0
-
-
-def tv_distance(a, b) -> float:
-    """Total variation: half the L1 distance between probability vectors."""
-    if len(a) != len(b):
-        raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
-    return 0.5 * math.fsum(abs(x - y) for x, y in zip(a, b))
 
 
 @dataclass(frozen=True)
@@ -115,10 +108,9 @@ def normal_limit_pmf(n: int, M: int, p: float) -> AngularPMF:
     return bin_probs(WrappedNormal(lp.mu + (n + 1) * dtheta / 2.0, lp.sigma2), M)
 
 
-def wb_wn_tv(n: int, M: int, p: float) -> float:
+def wb_wn_tv(wb: WrappedBinomial) -> float:
     """TV between the exact slot law and its discretised normal limit."""
-    wb = full_pmf(WrappedBinomial(n, M, p))
-    return tv_distance(wb.probs, normal_limit_pmf(n, M, p).probs)
+    return tv_distance(full_pmf(wb).probs, normal_limit_pmf(wb.n, wb.M, wb.p).probs)
 
 
 @dataclass(frozen=True)
@@ -142,11 +134,12 @@ def sweep_uniformity(M: int, p: float, n_list) -> SweepResult:
     ns = sorted(set(int(n) for n in n_list))
     if not ns:
         raise ValueError("n_list must be nonempty")
-    rows = tuple(
-        SweepRow(n=n,
-                 tv_uniform=tv_to_uniform(WrappedBinomial(n, M, p)),
-                 tv_wn=wb_wn_tv(n, M, p))
-        for n in ns)
+    if ns[0] < 1:
+        raise ValueError(f"tv_wn needs every n >= 1, where the normal limit "
+                         f"is not degenerate; got n={ns[0]}")
+    laws = (WrappedBinomial(n, M, p) for n in ns)
+    rows = tuple(SweepRow(n=wb.n, tv_uniform=tv_to_uniform(wb), tv_wn=wb_wn_tv(wb))
+                 for wb in laws)
     return SweepResult(M=M, p=p, rows=rows)
 
 

@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .angular import TWO_PI, AngularPMF, wrap_angle, wrap_to_pi
+from .angular import TWO_PI, AngularPMF, tv_distance, wrap_angle, wrap_to_pi
 
 # Largest n for which comb() * p**k * q**(n-k) in doubles is preferable
 # to log-space evaluation.
@@ -145,8 +145,7 @@ def kernel_step(pmf_in: AngularPMF, p: float) -> AngularPMF:
 
 def tv_to_uniform(wb: WrappedBinomial) -> float:
     """Total variation distance between the slot law and uniform on M slots."""
-    u = 1.0 / wb.M
-    return 0.5 * math.fsum(abs(q - u) for q in wb._slot_probs)
+    return tv_distance(wb._slot_probs, [1.0 / wb.M] * wb.M)
 
 
 def support_size(wb: WrappedBinomial) -> int:

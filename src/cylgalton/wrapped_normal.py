@@ -34,8 +34,10 @@ class WrappedNormal:
     sigma2: float
 
     def __post_init__(self):
-        if not self.sigma2 > 0.0:
-            raise ValueError(f"sigma2 must be > 0, got {self.sigma2!r}")
+        if not math.isfinite(self.mu):
+            raise ValueError(f"mu must be finite, got {self.mu!r}")
+        if not 0.0 < self.sigma2 < math.inf:
+            raise ValueError(f"sigma2 must be finite and > 0, got {self.sigma2!r}")
         object.__setattr__(self, "mu", wrap_angle(float(self.mu)))
 
     @property

@@ -22,6 +22,12 @@ def read_lines(path):
     return path.read_text(encoding="utf-8").splitlines()
 
 
+def assert_single_line_error(capsys, prefix):
+    err = capsys.readouterr().err
+    assert err.startswith(prefix)
+    assert len(err.strip().splitlines()) == 1
+
+
 # --- lattice ----------------------------------------------------------------
 
 def test_lattice_five_module_preset(tmp_path):
@@ -44,18 +50,6 @@ def test_lattice_custom_single_peg(tmp_path):
     out = tmp_path / "one.csv"
     assert run(["lattice", "--M", 24, "--n", 1, "--out", out]) == 0
     assert len(read_lines(out)) == 2
-
-
-def test_lattice_rejects_inconsistent_spacing(tmp_path, capsys):
-    out = tmp_path / "bad.csv"
-    code = run(["lattice", "--M", 24, "--n", 2, "--R", 5.7, "--d", 2.0,
-                "--out", out])
-    assert code != 0
-    err = capsys.readouterr().err
-    assert err.startswith("error:")
-    assert len(err.strip().splitlines()) == 1
-    assert "delta_theta" in err
-    assert not out.exists()
 
 
 def test_lattice_requires_shape_arguments(tmp_path, capsys):
@@ -164,6 +158,28 @@ def test_wn_rejects_bad_sigma(tmp_path, capsys):
     assert "sigma" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("samples", [0, -3])
+def test_wn_rejects_nonpositive_samples(tmp_path, capsys, samples):
+    assert run(["wn", "--mu", 0.0, "--sigma", 1.0, "--samples", samples,
+                "--out", tmp_path / "x.csv"]) == 1
+    assert_single_line_error(capsys, "error: ValueError: samples must be >= 1")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("option, value, prefix", [
+    ("--mu", "nan", "error: ValueError: mu must be finite"),
+    ("--mu", "inf", "error: ValueError: mu must be finite"),
+    ("--sigma", "inf", "error: ValueError: sigma2 must be finite"),
+    ("--sigma", "1e200", "error: OverflowError:"),
+])
+def test_wn_rejects_non_finite_parameters(tmp_path, capsys, option, value, prefix):
+    # argparse keeps the last of a repeated option
+    assert run(["wn", "--mu", 0.0, "--sigma", 1.0, option, value,
+                "--out", tmp_path / "x.csv"]) == 1
+    assert_single_line_error(capsys, prefix)
+    assert list(tmp_path.iterdir()) == []
+
+
 # --- simulate ----------------------------------------------------------------
 
 def test_simulate_demo_run_matches_exact_law(tmp_path):
@@ -253,6 +269,12 @@ def test_sweep_single_point(tmp_path):
     assert len(read_lines(out)) == 2
 
 
+def test_sweep_rejects_zero_rows(tmp_path, capsys):
+    assert run(["sweep", "--M", 7, "--n", "0,1,5,50", "--out", tmp_path / "s.csv"]) == 1
+    assert_single_line_error(capsys, "error: ValueError: tv_wn needs every n >= 1")
+    assert list(tmp_path.iterdir()) == []
+
+
 # --- plot ---------------------------------------------------------------------
 
 def test_plot_ring_uniform_bars_equal(tmp_path):
@@ -307,6 +329,19 @@ def test_plot_cylinder_from_density(tmp_path):
     assert "<ellipse" in svg
 
 
+def test_plot_cylinder_reads_json_density(tmp_path, capsys):
+    for fmt in ("csv", "json"):
+        run(["wn", "--mu", 1.0, "--sigma", 0.7, "--samples", 90, "--format", fmt,
+             "--out", tmp_path / f"d.{fmt}"])
+        assert run(["plot", "--style", "cylinder", tmp_path / f"d.{fmt}",
+                    "--out", tmp_path / f"{fmt}.svg"]) == 0
+    assert (tmp_path / "json.svg").read_bytes() == (tmp_path / "csv.svg").read_bytes()
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"slots": []}\n')
+    assert run(["plot", "--style", "cylinder", bad, "--out", tmp_path / "x.svg"]) == 1
+    assert_single_line_error(capsys, "error: parse: line 1: not a density document")
+
+
 def test_plot_malformed_input_reports_line(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("slot,theta_lo,theta_hi,prob\n0,0.0,0.1,oops\n")
@@ -335,6 +370,39 @@ def test_every_command_writes_a_manifest(tmp_path):
         assert manifest["tool_version"] == __version__
         for path in manifest["outputs"]:
             assert (tmp_path / path).exists() or (tmp_path / path).is_absolute()
+
+
+WRITE_CASES = {
+    "lattice": ["lattice", "--preset", "modules-1", "--format", "json"],
+    "pmf": ["pmf", "--n", 8, "--M", 24, "--moments", "--centered"],
+    "wn": ["wn", "--mu", 0.5, "--sigma", 0.7, "--samples", 36],
+    "simulate": ["simulate", "--n", 8, "--balls", 200, "--seed", 5, "--compare", "exact"],
+    "sweep": ["sweep", "--M", 24, "--n", "8,16"],
+    "plot": ["plot", "--style", "ring", "in.csv"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(WRITE_CASES))
+def test_output_dir_holds_exactly_the_manifest_outputs(tmp_path, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    assert run(["pmf", "--n", 8, "--M", 24, "--out", "in.csv"]) == 0  # plot's input
+    assert run([*WRITE_CASES[command], "--out", "out/result.dat"]) == 0
+    manifest = json.loads(Path("out/result.manifest.json").read_text())
+    assert manifest["command"] == command
+    assert manifest["outputs"][0] == "out/result.dat"
+    written = {str(p) for p in Path("out").iterdir()}
+    assert written == {*manifest["outputs"], "out/result.manifest.json"}
+
+
+@pytest.mark.parametrize("bad", [["--M", 0], ["--sigma", "inf"]])
+def test_failed_command_leaves_output_dir_as_found(tmp_path, capsys, bad):
+    before = tmp_path / "keep.txt"
+    before.write_text("untouched\n")
+    assert run(["wn", "--mu", 0.0, "--sigma", 1.0, *bad,
+                "--out", tmp_path / "sub" / "wn.csv"]) == 1
+    assert_single_line_error(capsys, "error: ValueError:")
+    assert list(tmp_path.iterdir()) == [before]
+    assert before.read_text() == "untouched\n"
 
 
 def run_module(args):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cylgalton import wrapped_binomial
 from cylgalton.angular import TWO_PI, AngularPMF
 from cylgalton.diagnostics import (MIN_EXPECTED, _pool_cyclic, compare,
                                    drift_check, sweep_to_csv,
@@ -132,6 +133,21 @@ def test_sweep_rows_sorted_and_deduplicated():
         sweep_uniformity(24, 0.5, [])
 
 
+def test_sweep_folds_each_law_once(monkeypatch):
+    folds = []
+    real = wrapped_binomial._binomial_terms
+    monkeypatch.setattr(wrapped_binomial, "_binomial_terms",
+                        lambda n, p: folds.append(n) or real(n, p))
+    sweep_uniformity(24, 0.5, [8, 24, 100])
+    assert folds == [8, 24, 100]
+
+
+def test_sweep_rejects_zero_rows_before_any_fold(monkeypatch):
+    monkeypatch.setattr(wrapped_binomial, "_binomial_terms", None)
+    with pytest.raises(ValueError, match="tv_wn needs every n >= 1"):
+        sweep_uniformity(7, 0.5, [5, 1, 0, 50])
+
+
 def test_sweep_csv_round_trip_precision():
     result = sweep_uniformity(24, 0.5, [8, 24])
     text = sweep_to_csv(result)
@@ -157,11 +173,11 @@ def test_wb_wn_distance_against_reference():
             ref = wn_interval_prob_ref(0.0, sigma2, atom - dtheta / 2,
                                        atom + dtheta / 2)
             acc += abs(wb[k] - ref)
-        assert wb_wn_tv(n, m, 0.5) == pytest.approx(acc / 2.0, abs=1e-10)
+        assert wb_wn_tv(WrappedBinomial(n, m, 0.5)) == pytest.approx(acc / 2.0, abs=1e-10)
 
 
 def test_wb_wn_distance_shrinks_with_depth():
-    vals = [wb_wn_tv(n, 24, 0.5) for n in (8, 16, 24)]
+    vals = [wb_wn_tv(WrappedBinomial(n, 24, 0.5)) for n in (8, 16, 24)]
     assert vals[0] > vals[1] > vals[2]
     assert vals[2] < 0.02
 

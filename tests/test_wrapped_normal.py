@@ -37,10 +37,22 @@ def test_density_peaks_at_the_mean():
 
 
 def test_rejects_nonpositive_variance():
-    with pytest.raises(ValueError, match="sigma2"):
-        WrappedNormal(0.0, 0.0)
-    with pytest.raises(ValueError, match="sigma2"):
-        WrappedNormal(0.0, -1.0)
+    for sigma2 in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="sigma2"):
+            WrappedNormal(0.0, sigma2)
+
+
+@pytest.mark.parametrize("mu", [math.nan, math.inf, -math.inf])
+def test_rejects_non_finite_mean(mu):
+    with pytest.raises(ValueError, match="mu must be finite"):
+        WrappedNormal(mu, 1.0)
+
+
+@pytest.mark.parametrize("sigma2", [0.01, 1.0, 3.99, 4.0, 4.01, 25.0])
+def test_array_density_equals_scalar_calls(sigma2):
+    wn = WrappedNormal(2.5, sigma2)
+    grid = [TWO_PI * i / 720 for i in range(720)]
+    assert density(wn, np.array(grid)).tolist() == [density(wn, t) for t in grid]
 
 
 @pytest.mark.parametrize("sigma", [0.2, 0.5, 1.0, 1.7, 2.4, 3.0])
