@@ -28,6 +28,8 @@ class ParseError(ValueError):
 
 def wrap_angle(theta: float) -> float:
     """Reduce an angle to the canonical range [0, 2*pi)."""
+    if not math.isfinite(theta):
+        raise ValueError(f"angle must be finite, got {theta!r}")
     out = math.fmod(theta, TWO_PI)
     if out < 0.0:
         out += TWO_PI

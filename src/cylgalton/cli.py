@@ -40,6 +40,9 @@ from .wrapped_normal import WrappedNormal, bin_probs, density
 
 DENSITY_CSV_HEADER = "theta,f"
 
+# Largest --sigma whose square is a finite float.
+_SIGMA_MAX = math.sqrt(sys.float_info.max)
+
 # What a command returns: the files to write, in order.
 Outputs = list[tuple[Path, str | bytes]]
 
@@ -101,8 +104,10 @@ def cmd_pmf(args) -> Outputs:
 
 
 def cmd_wn(args) -> Outputs:
-    if args.sigma <= 0.0:
-        raise ValueError(f"sigma must be > 0, got {args.sigma!r}")
+    # also rejects nan and inf, and a sigma whose square over- or underflows
+    if not (0.0 < args.sigma < _SIGMA_MAX and args.sigma**2 > 0.0):
+        raise ValueError(f"--sigma must be > 0 with a finite, nonzero square, "
+                         f"got {args.sigma!r}")
     if args.samples < 1:
         raise ValueError(f"samples must be >= 1, got {args.samples}")
     wn = WrappedNormal(mu=args.mu, sigma2=args.sigma**2)

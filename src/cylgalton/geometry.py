@@ -85,13 +85,15 @@ class LatticeSpec:
             raise LatticeError(f"n must be >= 1, got {self.n}")
         if not self.wrap and self.n < 0:
             raise LatticeError(f"n must be >= 0 for a flat board, got {self.n}")
-        for name in ("d", "h", "r_peg", "r_ball"):
-            value = getattr(self, name)
-            if not value > 0.0:
-                raise LatticeError(f"{name} must be > 0, got {value!r}")
+        lengths = ("d", "h", "r_peg", "r_ball")
         if self.wrap:
-            if not self.R > 0.0:
-                raise LatticeError(f"R must be > 0, got {self.R!r}")
+            # d is derived from R on a wrapped board, so R is checked first
+            lengths = ("R", *lengths)
+        for name in lengths:
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise LatticeError(f"{name} must be finite and > 0, got {value!r}")
+        if self.wrap:
             if not self.H > 0.0:
                 raise LatticeError(f"H must be > 0, got {self.H!r}")
             if abs(self.delta_theta - self.d / self.R) > REL_TOL * abs(self.delta_theta):

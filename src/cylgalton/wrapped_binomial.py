@@ -7,10 +7,32 @@ physically centered angle of slot k's landing point is
 (2k - n) * delta_theta / 2, a fixed relabelling handled by
 centered_angle().
 
-Slot probabilities are exact binomial products for n <= 64 (integer
-binomial coefficients, so each term is correct to a unit in the last
-place) and compensated log-space sums above that, renormalised so the
-vector sums to 1 at machine precision.
+Slot probabilities come from one of two routes, a pure function of
+(n, M, p).  Write cf(t) = (1 - p + p*exp(2*pi*i*t/M))**n for the
+characteristic function at integer frequency t, and
+B = sum_{t=1}^{M-1} |cf(t)|.
+
+* Spectral, when n > 64 and B <= 1/2.  Slot k's mass is the inverse
+  DFT (1/M) * sum_t cf(t) * exp(-2*pi*i*t*k/M) (the wrapped-distribution
+  identity of Mardia & Jupp, Directional Statistics, 2000, sections 3.5
+  and 4.3), evaluated by one length-M FFT: O(M log M) time and O(M)
+  memory, whatever n is.  The cf moduli are relative-accurate down to
+  underflow; each argument n*arg(w) carries an absolute error of about
+  n*|arg(w)|*eps, which reaches the masses scaled by |cf(t)|/M.  Every
+  mass is at least (1 - B)/M >= 1/(2M), so the FFT's absolute error, a
+  few eps/M, is a relative error of a few eps on each slot (about 1e-15
+  against exact rational folds).  tv_to_uniform is taken from the
+  t != 0 coefficients alone, so a tiny distance keeps its relative
+  accuracy instead of being the rounding noise of subtracting numbers
+  near 1/M.
+* Direct, otherwise: small n, near-degenerate p, or a board too wide
+  for the law to have spread round it (a slot of mass 0, as when n < M,
+  forces B >= 1).  The binomial terms are folded into the M
+  orbits {k, k+M, ...} with compensated sums.  For n <= 64 each term is
+  an integer binomial coefficient times powers of p and 1 - p, correct
+  to a few units in the last place; above that the terms come from
+  log-space lgamma sums, renormalised to sum to 1, and each carries a
+  relative error of about n*eps.  O(n) time and memory.
 """
 
 from __future__ import annotations
@@ -25,8 +47,13 @@ import numpy as np
 from .angular import TWO_PI, AngularPMF, tv_distance, wrap_angle, wrap_to_pi
 
 # Largest n for which comb() * p**k * q**(n-k) in doubles is preferable
-# to log-space evaluation.
+# to log-space evaluation; laws with n <= _EXACT_LIMIT always take the
+# direct fold, which keeps them exact to roundoff term by term.
 _EXACT_LIMIT = 64
+
+# The spectral route needs sum_{t>=1} |cf(t)| <= _SPECTRAL_BOUND, which
+# keeps every slot mass at or above (1 - _SPECTRAL_BOUND)/M.
+_SPECTRAL_BOUND = 0.5
 
 
 def _binomial_terms(n: int, p: float) -> list[float]:
@@ -58,6 +85,10 @@ class WrappedBinomial:
     p: float
 
     def __post_init__(self):
+        for name in ("n", "M"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an int, got {value!r}")
         if self.n < 0:
             raise ValueError(f"n must be >= 0, got {self.n}")
         if self.M < 1:
@@ -66,10 +97,29 @@ class WrappedBinomial:
             raise ValueError(f"p must be in [0, 1], got {self.p!r}")
 
     @cached_property
+    def _spectrum(self) -> np.ndarray | None:
+        """cf(t) for t = 0..M-1 when the spectral route applies, else None."""
+        if self.n <= _EXACT_LIMIT:
+            return None
+        cf = _cf_vector(self)
+        return cf if np.abs(cf[1:]).sum() <= _SPECTRAL_BOUND else None
+
+    @cached_property
     def _slot_probs(self) -> tuple[float, ...]:
-        terms = _binomial_terms(self.n, self.p)
-        # terms[k::M] is exactly the orbit {k, k+M, k+2M, ...}
-        return tuple(math.fsum(terms[k::self.M]) for k in range(self.M))
+        cf = self._spectrum
+        return _direct_slots(self) if cf is None else _spectral_slots(cf)
+
+
+def _direct_slots(wb: WrappedBinomial) -> tuple[float, ...]:
+    """Slot masses by folding the binomial terms, O(n)."""
+    terms = _binomial_terms(wb.n, wb.p)
+    # terms[k::M] is exactly the orbit {k, k+M, k+2M, ...}
+    return tuple(math.fsum(terms[k::wb.M]) for k in range(wb.M))
+
+
+def _spectral_slots(cf: np.ndarray) -> tuple[float, ...]:
+    """Slot masses as the inverse DFT of cf(0..M-1), one FFT."""
+    return tuple((np.fft.fft(cf).real / cf.size).tolist())
 
 
 def pmf(wb: WrappedBinomial, k: int) -> float:
@@ -84,17 +134,30 @@ def full_pmf(wb: WrappedBinomial) -> AngularPMF:
     return AngularPMF(wb.M, wb._slot_probs)
 
 
-def _cf_polar(wb: WrappedBinomial, t: int) -> tuple[float, float]:
-    """Modulus and unreduced argument of cf(t) = w**n, from the polar form
-    of the one-step factor w = 1 - p + p*exp(i*t*2*pi/M)."""
-    angle = t * TWO_PI / wb.M
-    w = complex(1.0 - wb.p + wb.p * math.cos(angle), wb.p * math.sin(angle))
-    r, phase = cmath.polar(w)
+def _cf_polar(wb: WrappedBinomial, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Modulus and unreduced argument of cf(t) = w**n for t in 0..M-1,
+    from the polar form of the one-step factor w = 1 - p + p*exp(2*pi*i*t/M).
+
+    t above M/2 is taken as t - M, so cf(M - t) is exactly conj(cf(t)).
+    |w|**2 = 1 - 4pq*sin(pi*t/M)**2, so the modulus
+    exp(n/2 * log1p(-4pq*sin(pi*t/M)**2)) is relative-accurate down to
+    underflow, and exactly 0 where w = 0 (p = 1/2, t = M/2).
+    """
+    t = np.where(2 * t > wb.M, t - wb.M, t)
     if wb.n == 0:
-        return 1.0, 0.0
-    if r == 0.0:
-        return 0.0, 0.0
-    return r**wb.n, wb.n * phase
+        return np.ones(t.shape), np.zeros(t.shape)
+    p, q = wb.p, 1.0 - wb.p
+    half = np.sin(np.pi * t / wb.M)
+    with np.errstate(divide="ignore"):
+        rho = np.exp(0.5 * wb.n * np.log1p(-4.0 * p * q * half * half))
+    angle = t * TWO_PI / wb.M
+    return rho, wb.n * np.arctan2(p * np.sin(angle), q + p * np.cos(angle))
+
+
+def _cf_vector(wb: WrappedBinomial) -> np.ndarray:
+    """cf(t) for t = 0..M-1."""
+    rho, arg = _cf_polar(wb, np.arange(wb.M))
+    return rho * np.exp(1j * arg)
 
 
 def characteristic_function(wb: WrappedBinomial, t: int) -> complex:
@@ -103,8 +166,8 @@ def characteristic_function(wb: WrappedBinomial, t: int) -> complex:
     Closed form (1 - p + p*exp(i*t*2*pi/M))**n, evaluated in polar form
     so the modulus and argument stay accurate for large n.
     """
-    rho, arg = _cf_polar(wb, t)
-    return cmath.rect(rho, math.fmod(arg, TWO_PI))
+    rho, arg = _cf_polar(wb, np.array([t % wb.M]))
+    return cmath.rect(float(rho[0]), math.fmod(float(arg[0]), TWO_PI))
 
 
 @dataclass(frozen=True)
@@ -125,8 +188,8 @@ def trig_moments(wb: WrappedBinomial) -> TrigMoments:
     naive complex power would lose the winding.  For p = 1/2 this gives
     mu = pi*n/M mod 2*pi and rho = cos(pi/M)**n.
     """
-    rho, arg = _cf_polar(wb, 1)
-    mu = wrap_angle(arg)
+    rho, arg = _cf_polar(wb, np.array([1 % wb.M]))
+    rho, mu = float(rho[0]), wrap_angle(float(arg[0]))
     return TrigMoments(alpha1=rho * math.cos(mu), beta1=rho * math.sin(mu),
                        rho=rho, mu=mu)
 
@@ -144,8 +207,17 @@ def kernel_step(pmf_in: AngularPMF, p: float) -> AngularPMF:
 
 
 def tv_to_uniform(wb: WrappedBinomial) -> float:
-    """Total variation distance between the slot law and uniform on M slots."""
-    return tv_distance(wb._slot_probs, [1.0 / wb.M] * wb.M)
+    """Total variation distance between the slot law and uniform on M slots.
+
+    On the spectral route each slot's excess over 1/M is the inverse DFT
+    of the t != 0 coefficients, so no mass near 1/M is subtracted.
+    """
+    cf = wb._spectrum
+    if cf is None:
+        return tv_distance(wb._slot_probs, [1.0 / wb.M] * wb.M)
+    excess = cf.copy()
+    excess[0] = 0.0
+    return 0.5 * math.fsum(np.abs(np.fft.fft(excess).real)) / wb.M
 
 
 def support_size(wb: WrappedBinomial) -> int:

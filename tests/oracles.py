@@ -3,7 +3,8 @@
 Everything here deliberately avoids the library's own code paths: exact
 rational arithmetic for binomial folds, explicit path enumeration for
 small walks, dictionary dynamic programming for the cyclic kernel, and
-mpmath for high-precision wrapped normal values.
+mpmath for high-precision wrapped normal values and for wrapped binomial
+distances too small for a double-precision fold.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ from fractions import Fraction
 
 from mpmath import erf as mp_erf
 from mpmath import exp as mp_exp
+from mpmath import expjpi as mp_expjpi
+from mpmath import fsum as mp_fsum
 from mpmath import mp, mpf
 from mpmath import pi as mp_pi
 from mpmath import sqrt as mp_sqrt
@@ -40,6 +43,37 @@ def binomial_fold_exact(n: int, m: int, p: float) -> list[Fraction]:
     for x in range(n + 1):
         slots[x % m] += math.comb(n, x) * p_frac**x * q_frac**(n - x)
     return slots
+
+
+def tv_to_uniform_ref(n: int, m: int, p: float) -> float:
+    """TV to uniform of the wrapped binomial by an mpmath fold at 60 digits.
+
+    The terms come from the ratio recurrence C(n, x+1)/C(n, x), so the
+    fold needs n multiplications; 60 digits leave about 20 after the
+    cancellation against 1/m even when the distance is near 1e-38.
+    """
+    with mp.workdps(60):
+        p_mp = mpf(p)
+        q_mp = 1 - p_mp
+        slots = [mpf(0)] * m
+        term = q_mp**n
+        for x in range(n + 1):
+            slots[x % m] += term
+            term = term * (n - x) / (x + 1) * p_mp / q_mp
+        return float(mp_fsum(abs(s - mpf(1) / m) for s in slots) / 2)
+
+
+def tv_to_uniform_bound_ref(n: int, m: int, p: float) -> mpf:
+    """(1/2) * sum_{t=1}^{m-1} |1 - p + p*exp(2*pi*i*t/m)|**n in mpmath.
+
+    Each slot's excess over 1/m is bounded by (1/m) * sum_{t != 0} |cf(t)|,
+    so this bounds the TV to uniform; it stays an mpf because at large n
+    it is far below the smallest double.
+    """
+    with mp.workdps(60):
+        p_mp = mpf(p)
+        return mp_fsum(abs(1 - p_mp + p_mp * mp_expjpi(mpf(2 * t) / m))**n
+                       for t in range(1, m)) / 2
 
 
 def path_enum_pmf(n: int, m: int, p: float) -> list[float]:

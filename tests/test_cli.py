@@ -57,6 +57,15 @@ def test_lattice_requires_shape_arguments(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+def test_lattice_rejects_bad_radius_by_name(tmp_path, capsys, value):
+    # d is derived from R, so the message must name R, not d
+    assert run(["lattice", "--M", 24, "--n", 8, "--R", value,
+                "--out", tmp_path / "x.csv"]) == 1
+    assert_single_line_error(capsys, "error: LatticeError: R must be finite and > 0")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_lattice_json_and_manifest(tmp_path):
     out = tmp_path / "pegs.json"
     assert run(["lattice", "--preset", "modules-1", "--format", "json",
@@ -169,8 +178,8 @@ def test_wn_rejects_nonpositive_samples(tmp_path, capsys, samples):
 @pytest.mark.parametrize("option, value, prefix", [
     ("--mu", "nan", "error: ValueError: mu must be finite"),
     ("--mu", "inf", "error: ValueError: mu must be finite"),
-    ("--sigma", "inf", "error: ValueError: sigma2 must be finite"),
-    ("--sigma", "1e200", "error: OverflowError:"),
+    *(pytest.param("--sigma", value, "error: ValueError: --sigma must be > 0",
+                   id=f"--sigma-{value}") for value in ("inf", "nan", "1e200")),
 ])
 def test_wn_rejects_non_finite_parameters(tmp_path, capsys, option, value, prefix):
     # argparse keeps the last of a repeated option

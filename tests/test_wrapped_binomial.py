@@ -1,18 +1,22 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cylgalton.angular import TWO_PI, AngularPMF
+from cylgalton import wrapped_binomial
+from cylgalton.angular import TWO_PI, AngularPMF, wrap_angle, wrap_to_pi
 from cylgalton.wrapped_binomial import (TrigMoments, WrappedBinomial,
-                                        centered_angle,
+                                        _cf_vector, _direct_slots,
+                                        _spectral_slots, centered_angle,
                                         characteristic_function, full_pmf,
                                         kernel_step, pmf, support_size,
                                         trig_moments, tv_to_uniform)
-from oracles import binomial_fold_exact, binomial_fold_pmf, dp_cyclic_walk, tv
+from oracles import (binomial_fold_exact, binomial_fold_pmf, dp_cyclic_walk,
+                     tv, tv_to_uniform_bound_ref, tv_to_uniform_ref)
 
 
 # --- pmf -----------------------------------------------------------------
@@ -98,6 +102,64 @@ def test_reflection_symmetry_at_half(n, m):
         assert probs[k] == probs[(n - k) % m]
 
 
+# --- spectral and direct routes --------------------------------------------
+
+@pytest.mark.parametrize("n,m,p,spectral", [
+    (162, 24, 0.5, False), (163, 24, 0.5, True), (200, 24, 0.5, True),
+    (64, 5, 0.37, False), (65, 5, 0.37, True), (100, 5, 0.37, True)])
+def test_spectral_and_direct_routes_agree(n, m, p, spectral):
+    # the switch: n > 64 and sum_{t>=1} |cf(t)| <= 1/2
+    wb = WrappedBinomial(n, m, p)
+    assert (wb._spectrum is not None) == spectral
+    direct = _direct_slots(wb)
+    fft = _spectral_slots(_cf_vector(wb))
+    exact = binomial_fold_pmf(n, m, p)
+
+    def rel_err(got):
+        return max(abs(a - b) / b for a, b in zip(got, exact))
+
+    # the FFT is good to a few eps per slot; the log-space fold to ~n*eps
+    assert rel_err(fft) < 1e-14
+    assert rel_err(direct) < 4 * n * 2.0**-52
+    assert full_pmf(wb).probs == (fft if spectral else direct)
+
+
+def test_small_laws_compute_no_spectrum(monkeypatch):
+    monkeypatch.setattr(wrapped_binomial, "_cf_vector", None)
+    for n in (0, 1, 24, 64):
+        assert full_pmf(WrappedBinomial(n, 24, 0.5)).M == 24
+        tv_to_uniform(WrappedBinomial(n, 24, 0.5))
+
+
+@pytest.mark.parametrize("n,m,p,want", [
+    (10**4, 24, 0.5, 3.0693855498865736e-38),
+    (10**4, 24, 0.02, 7.9586318014596216e-4)])
+def test_tv_to_uniform_against_mpmath(n, m, p, want):
+    # abs=0: approx's default absolute tolerance would swallow 1e-38
+    ref = tv_to_uniform_ref(n, m, p)
+    assert ref == pytest.approx(want, rel=1e-15, abs=0)
+    got = tv_to_uniform(WrappedBinomial(n, m, p))
+    assert got == pytest.approx(ref, rel=1e-12, abs=0)
+
+
+def test_tv_to_uniform_underflows_to_zero_at_a_million_rows():
+    # the true distance is about 2.3e-3732, far below the smallest double
+    assert float(tv_to_uniform_bound_ref(10**6, 24, 0.5)) == 0.0
+    assert tv_to_uniform(WrappedBinomial(10**6, 24, 0.5)) == 0.0
+
+
+def test_million_row_law_memory_does_not_grow_with_n():
+    wb = WrappedBinomial(10**6, 24, 0.5)
+    tracemalloc.start()
+    try:
+        probs = full_pmf(wb).probs
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert probs == (1.0 / 24,) * 24
+
+
 # --- characteristic function ---------------------------------------------
 
 def test_cf_at_zero_frequency():
@@ -146,6 +208,14 @@ def test_resultant_matches_numerical_moment():
     b = math.fsum(q * math.sin(TWO_PI * k / 24) for k, q in enumerate(probs))
     assert tm.rho == pytest.approx(math.hypot(a, b), abs=1e-12)
     assert tm.rho == pytest.approx(0.9335735299034723, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 100])
+def test_resultant_vanishes_for_the_fair_two_slot_board(n):
+    # w = 1/2 + exp(i*pi)/2 = 0 exactly, so cf(1) = 0
+    tm = trig_moments(WrappedBinomial(n, 2, 0.5))
+    assert tm.rho == 0.0
+    assert tm.alpha1 == 0.0 and tm.beta1 == 0.0
 
 
 def test_point_mass_moments():
@@ -257,6 +327,22 @@ def test_centered_angles_of_the_one_module_board():
     assert angles[0] == pytest.approx(-math.pi / 3)   # -60 degrees
     assert angles[8] == pytest.approx(math.pi / 3)    # +60 degrees
     assert angles[4] == pytest.approx(0.0, abs=1e-15)
+
+
+def test_angles_must_be_finite():
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=f"angle must be finite, got {bad!r}"):
+            wrap_angle(bad)
+        with pytest.raises(ValueError, match=f"angle must be finite, got {bad!r}"):
+            wrap_to_pi(bad)
+
+
+@pytest.mark.parametrize("bad", [True, False, 2.5, 24.0, "24"])
+def test_slot_and_row_counts_must_be_ints(bad):
+    with pytest.raises(ValueError, match=f"n must be an int, got {bad!r}"):
+        WrappedBinomial(bad, 24, 0.5)
+    with pytest.raises(ValueError, match=f"M must be an int, got {bad!r}"):
+        WrappedBinomial(100, bad, 0.5)
 
 
 def test_invalid_parameters_rejected():
