@@ -276,7 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--compare", choices=("exact", "wn"),
                      help="append a comparison against the stated law")
     sim.add_argument("--chunk", type=int, default=DEFAULT_CHUNK,
-                     help="balls per processing block (result-invariant)")
+                     help="upper bound on balls per processing block "
+                          "(result-invariant)")
     sim.add_argument("--format", choices=("csv", "json"), default="csv")
     sim.add_argument("--out", required=True)
     sim.set_defaults(func=cmd_simulate)

@@ -10,16 +10,32 @@ A run therefore needs only the histogram of X over 0..n, ``rights``: it
 folds mod M into the wrapped histogram, is the planar histogram as it
 stands, and gives the unwrapped mean and variance exactly.
 
-Randomness is counter-based: draw (b, k) for ball b, step k is a pure
+Randomness is counter-based: draw z(b, k) for ball b, step k is a pure
 64-bit hash of (seed, b, k) (SplitMix64 finaliser over a Weyl counter).
-Histograms are therefore bit-identical for any chunk size or execution
-order, and simulate_ball replays any single ball in isolation, with
+The step goes right iff z < ceil(p * 2**53) << 11, which is exactly the
+float test (z >> 11) * 2**-53 < p: scaling by 2**53 is exact, and for an
+integer m, m < x iff m < ceil(x).  p = 1 gives the limit 2**64, so every
+ball goes right at every row.
+
+simulate works through the balls in blocks of at most 2**16 // n balls
+(and at most ``chunk``), so each uint64 buffer of draws stays within
+512 KiB and is reused, hashed in place, for every block.  The blocks are
+split into contiguous ranges, one per CPU the process may run on but no
+more than one per 2**18 draws.  Each range runs on its own thread (numpy
+releases the GIL in these loops) with its own buffers and its own
+``rights``, and the integer sums are added at the end; a run of at most
+2**18 draws, such as 2,000 balls on 96 rows, starts no thread.  Because
+every draw depends on (seed, b, k) alone and integer sums do not depend
+on order, histograms are bit-identical for any chunk, block or thread
+split, and simulate_ball replays any single ball in isolation, with
 exactly the deflections it had in the full run.
 """
 
 from __future__ import annotations
 
+import concurrent.futures
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,29 +46,70 @@ _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX_A = np.uint64(0xBF58476D1CE4E5B9)
 _MIX_B = np.uint64(0x94D049BB133111EB)
 
-_SEED_LIMIT = 1 << 64
+_UINT64_LIMIT = 1 << 64
 
 HISTOGRAM_CSV_HEADER = "slot,count,frequency"
 
 DEFAULT_CHUNK = 1 << 16
 
 
-def _mix64(z: np.ndarray) -> np.ndarray:
-    """SplitMix64 output function; uint64 lanes, wrapping arithmetic."""
-    with np.errstate(over="ignore"):
-        z = (z ^ (z >> np.uint64(30))) * _MIX_A
-        z = (z ^ (z >> np.uint64(27))) * _MIX_B
-        return z ^ (z >> np.uint64(31))
+# Balls x rows per block: each uint64 buffer of draws is at most 512 KiB,
+# so a thread's two buffers and its mask stay inside a 2 MiB L2 cache.
+_BLOCK_DRAWS = 1 << 16
+# Least work worth a thread of its own: about a millisecond of hashing,
+# several times what starting the thread costs.
+_THREAD_DRAWS = 1 << 18
 
 
-def _step_uniforms(seed: int, lo: int, hi: int, n: int) -> np.ndarray:
-    """Uniforms in [0, 1) for balls lo..hi-1, shape (hi-lo, n)."""
-    with np.errstate(over="ignore"):
-        balls = np.arange(lo, hi, dtype=np.uint64)
-        keys = _mix64(np.uint64(seed) + (balls + np.uint64(1)) * _GOLDEN)
-        steps = (np.arange(n, dtype=np.uint64) + np.uint64(1)) * _GOLDEN
-        bits = _mix64(keys[:, None] + steps[None, :])
-    return (bits >> np.uint64(11)).astype(np.float64) * 2.0**-53
+def _mix64(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """SplitMix64 output function on z in place; tmp is scratch of z's shape."""
+    for shift, mul in ((30, _MIX_A), (27, _MIX_B)):
+        np.right_shift(z, shift, out=tmp)
+        z ^= tmp
+        z *= mul
+    np.right_shift(z, 31, out=tmp)
+    z ^= tmp
+    return z
+
+
+def _step_bits(seed: int, lo: int, z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """Raw draws of balls lo..lo+len(z)-1, one row each, written into z."""
+    balls, n = z.shape
+    keys = np.arange(lo + 1, lo + balls + 1, dtype=np.uint64) * _GOLDEN
+    keys += np.uint64(seed)
+    keys = _mix64(keys, np.empty_like(keys))
+    steps = np.arange(1, n + 1, dtype=np.uint64) * _GOLDEN
+    np.add(keys[:, None], steps, out=z)
+    return _mix64(z, tmp)
+
+
+def _right_limit(p: float) -> int:
+    """L with z < L iff (z >> 11) * 2**-53 < p for every uint64 z; 2**64 at p = 1."""
+    return math.ceil(p * 2.0**53) << 11
+
+
+def _count_rights(seed: int, lo: int, hi: int, n: int, limit: int,
+                  block: int) -> np.ndarray:
+    """Histogram of rightward counts over balls lo..hi-1, block by block."""
+    rights = np.zeros(n + 1, dtype=np.int64)
+    z = np.empty((min(block, hi - lo), n), dtype=np.uint64)
+    tmp = np.empty_like(z)
+    mask = np.empty(z.shape, dtype=bool)
+    bound = np.uint64(limit)
+    for start in range(lo, hi, block):
+        size = min(block, hi - start)
+        bits = _step_bits(seed, start, z[:size], tmp[:size])
+        np.less(bits, bound, out=mask[:size])
+        rights += np.bincount(np.count_nonzero(mask[:size], axis=1),
+                              minlength=n + 1)
+    return rights
+
+
+def _cpu_count() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:      # no affinity mask on this platform
+        return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -70,7 +127,7 @@ class WalkConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ValueError(f"{name} must be an int, got {value!r}")
-        if not 0 <= self.seed < _SEED_LIMIT:
+        if not 0 <= self.seed < _UINT64_LIMIT:
             raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
         if self.n < 0:
             raise ValueError(f"n must be >= 0, got {self.n}")
@@ -130,16 +187,18 @@ def simulate_ball(config: WalkConfig, ball_index: int) -> BallTrace:
     """Replay one ball of simulate(config): its deflections, and nothing else."""
     if not 0 <= ball_index < config.balls:
         raise ValueError(f"ball_index {ball_index} out of range [0, {config.balls})")
-    u = _step_uniforms(config.seed, ball_index, ball_index + 1, config.n)
-    rights = u[0] < config.p
-    x = int(rights.sum())
+    z = np.empty((1, config.n), dtype=np.uint64)
+    bits = _step_bits(config.seed, ball_index, z, np.empty_like(z))[0]
+    limit = _right_limit(config.p)
+    steps = tuple(1 if b < limit else -1 for b in bits.tolist())
+    x = steps.count(1)
     s = 2 * x - config.n
     if config.planar:
         theta, landing = 0.0, x
     else:
         theta = wrap_angle(s * (TWO_PI / config.M) / 2.0)
         landing = x % config.M
-    return BallTrace(steps=tuple(1 if r else -1 for r in rights), final_s=s,
+    return BallTrace(steps=steps, final_s=s,
                      final_theta=theta, final_z=-float(config.n), bin=landing)
 
 
@@ -147,18 +206,30 @@ def simulate(config: WalkConfig, chunk: int = DEFAULT_CHUNK) -> SimulationResult
     """Run all balls and count them by rightward deflections, x = 0..n.
 
     The landing histogram is that count, ``rights``, in flat mode and
-    ``rights`` folded mod M on a cylinder.  chunk bounds working memory
-    only; the result is a pure function of (seed, config), and ball b
-    is simulate_ball(config, b).
+    ``rights`` folded mod M on a cylinder.  chunk is an upper bound on
+    balls per block; the result is a pure function of (seed, config),
+    and ball b is simulate_ball(config, b).
     """
     if chunk < 1:
         raise ValueError(f"chunk must be >= 1, got {chunk}")
-    n = config.n
-    rights = np.zeros(n + 1, dtype=np.int64)
-    for lo in range(0, config.balls, chunk):
-        hi = min(config.balls, lo + chunk)
-        x = (_step_uniforms(config.seed, lo, hi, n) < config.p).sum(axis=1)
-        rights += np.bincount(x, minlength=n + 1)
+    n, balls = config.n, config.balls
+    limit = _right_limit(config.p)
+    if limit == _UINT64_LIMIT:
+        rights = np.zeros(n + 1, dtype=np.int64)
+        rights[n] = balls
+    else:
+        block = min(chunk, max(1, _BLOCK_DRAWS // max(n, 1)))
+        blocks = -(-balls // block)
+        ranges = min(_cpu_count(), blocks,
+                     -(-balls * max(n, 1) // _THREAD_DRAWS))
+        bounds = [min(balls, i * blocks // ranges * block) for i in range(ranges + 1)]
+        jobs = [(config.seed, lo, hi, n, limit, block)
+                for lo, hi in zip(bounds, bounds[1:])]
+        if ranges == 1:
+            rights = _count_rights(*jobs[0])
+        else:
+            with concurrent.futures.ThreadPoolExecutor(ranges) as pool:
+                rights = sum(pool.map(lambda job: _count_rights(*job), jobs))
     counts = rights
     if not config.planar:
         counts = np.zeros(config.M, dtype=np.int64)

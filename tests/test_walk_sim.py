@@ -1,13 +1,19 @@
+import concurrent.futures
+import hashlib
 import math
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cylgalton import walk_sim
 from cylgalton.angular import TWO_PI
-from cylgalton.walk_sim import (BinHistogram, WalkConfig, simulate,
-                                simulate_ball, unwrapped_stats)
+from cylgalton.walk_sim import (BinHistogram, WalkConfig, _right_limit,
+                                _step_bits, simulate, simulate_ball,
+                                unwrapped_stats)
 from cylgalton.wrapped_binomial import WrappedBinomial, full_pmf
 from oracles import tv
 
@@ -50,6 +56,108 @@ def test_chunking_never_changes_the_result():
     reference = simulate(config).histogram
     for chunk in (1, 7, 997, 10**6):
         assert simulate(config, chunk=chunk).histogram == reference
+
+
+def _affinity(monkeypatch, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
+
+def _replayed_rights(config):
+    rights = [0] * (config.n + 1)
+    for b in range(config.balls):
+        rights[simulate_ball(config, b).steps.count(1)] += 1
+    return tuple(rights)
+
+
+# Golden values of the stream: a change to the hash, the counters or the
+# threshold rule changes them, and with them every seeded output file.
+def test_stream_golden_rights():
+    config = WalkConfig(n=13, M=5, p=0.37, balls=30001, seed=2**64 - 1)
+    assert simulate(config).rights == (72, 547, 1942, 4349, 6305, 6537, 5303,
+                                       3024, 1353, 437, 110, 20, 2, 0)
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_stream_golden_digest(monkeypatch, cpus):
+    _affinity(monkeypatch, cpus)
+    rights = simulate(WalkConfig(n=96, M=24, p=0.5, balls=10**5, seed=12345)).rights
+    assert hashlib.sha256(",".join(map(str, rights)).encode()).hexdigest() == (
+        "66065daf20e5990873c02bac3da41919757d9fce4c5f28afc8c8fa777653cf90")
+
+
+@pytest.mark.parametrize("config", [
+    WalkConfig(n=96, M=24, p=0.37, balls=2001, seed=3),   # not a whole block
+    WalkConfig(n=30, M=None, p=0.9, balls=3000, seed=2**64 - 1),
+    WalkConfig(n=5, M=3, p=0.0, balls=1000, seed=4),
+    WalkConfig(n=5, M=3, p=1.0, balls=1000, seed=4),
+    WalkConfig(n=0, M=None, p=0.5, balls=1000, seed=5),
+], ids=["n96", "planar", "p0", "p1", "n0"])
+def test_rights_do_not_depend_on_the_split(monkeypatch, config):
+    # Let every range of blocks take a thread, however little work it holds.
+    monkeypatch.setattr(walk_sim, "_THREAD_DRAWS", 1)
+    pools = []
+    real_pool = concurrent.futures.ThreadPoolExecutor
+
+    def counted_pool(workers):
+        pools.append(workers)
+        return real_pool(workers)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", counted_pool)
+    seen = set()
+    for cpus in (1, 2, 3):
+        _affinity(monkeypatch, cpus)
+        for chunk in (1, 7, 997, 10**6):
+            seen.add(simulate(config, chunk=chunk).rights)
+    assert seen == {_replayed_rights(config)}
+    # p = 1 draws nothing; every other board ran on 2 and on 3 threads.
+    assert set(pools) == (set() if config.p == 1.0 else {2, 3})
+
+
+def test_small_run_starts_no_thread(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a thread pool was started")
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
+    _affinity(monkeypatch, 4)
+    result = simulate(WalkConfig(n=96, M=24, p=0.5, balls=2000, seed=1))
+    assert sum(result.rights) == 2000
+
+
+def test_working_memory_does_not_grow_with_chunk():
+    tracemalloc.start()
+    try:
+        simulate(WalkConfig(96, 24, 0.5, 10**5, seed=1), chunk=10**6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+
+
+@settings(max_examples=300, deadline=None)
+@given(z=st.integers(0, 2**64 - 1), offset=st.integers(-4096, 4096),
+       p=st.sampled_from([0.0, 5e-324, 2.0**-53, 0.37, 0.5, 1 - 2.0**-53, 1.0])
+       | st.floats(0.0, 1.0))
+def test_integer_threshold_is_the_float_test(z, offset, p):
+    limit = _right_limit(p)
+    for word in (z, limit + offset):
+        if 0 <= word < 2**64:
+            assert (word < limit) == ((word >> 11) * 2.0**-53 < p)
+
+
+def test_a_draw_at_the_threshold_goes_left():
+    # Find a draw whose low 11 bits are 0 and set p so the limit is that draw:
+    # (z >> 11) * 2**-53 == p, so the float test sends it left, as must both
+    # the full run and the replay.
+    n, seed = 40, 7
+    z = np.empty((200, n), dtype=np.uint64)
+    bits = _step_bits(seed, 0, z, np.empty_like(z))
+    ball, step = (int(i[0]) for i in np.nonzero(bits % 2048 == 0))
+    word = int(bits[ball, step])
+    p = (word >> 11) * 2.0**-53
+    assert _right_limit(p) == word
+    config = WalkConfig(n=n, M=24, p=p, balls=ball + 1, seed=seed)
+    assert simulate_ball(config, ball).steps[step] == -1
+    assert simulate(config, chunk=1).rights == _replayed_rights(config)
 
 
 def test_different_seeds_differ():
