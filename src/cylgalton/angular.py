@@ -19,11 +19,10 @@ PMF_CSV_HEADER = "slot,theta_lo,theta_hi,prob"
 
 
 class ParseError(ValueError):
-    """Malformed PMF or sample file; carries the offending line number."""
+    """Malformed PMF or sample file; the message names the offending line, if any."""
 
-    def __init__(self, message: str, line: int):
-        super().__init__(f"line {line}: {message}")
-        self.line = line
+    def __init__(self, message: str, line: int | None):
+        super().__init__(message if line is None else f"line {line}: {message}")
 
 
 def wrap_angle(theta: float) -> float:
@@ -141,14 +140,25 @@ def pmf_from_csv(text: str) -> AngularPMF:
         raise ParseError(str(exc), len(lines)) from None
 
 
+def _json_number(value, name: str, kinds=(int, float)):
+    """value itself if it is a JSON number of the given kinds (not true/false)."""
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        kind = "an integer" if kinds is int else "a number"
+        raise ValueError(f"{name} must be {kind}, got {value!r}")
+    return value
+
+
 def pmf_from_json(text: str) -> AngularPMF:
+    """Parse the JSON schema of pmf_to_json_dict: each slot 0..M-1 exactly once."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, exc.lineno) from None
     try:
-        slots = sorted(doc["slots"], key=lambda s: s["slot"])
-        probs = tuple(float(s["prob"]) for s in slots)
-        return AngularPMF(int(doc["M"]), probs)
+        m = _json_number(doc["M"], "M", int)
+        slots = sorted(doc["slots"], key=lambda s: _json_number(s["slot"], "slot", int))
+        if len(slots) != m or [s["slot"] for s in slots] != list(range(m)):
+            raise ValueError(f"M={m} needs slots 0..M-1, each exactly once")
+        return AngularPMF(m, tuple(_json_number(s["prob"], "prob") for s in slots))
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"not an angular PMF document: {exc}", 1) from None

@@ -137,13 +137,12 @@ def _comparison_target(args, config: WalkConfig) -> AngularPMF:
 def cmd_simulate(args) -> Outputs:
     config = WalkConfig(n=args.n, M=None if args.planar else args.M, p=args.p,
                         balls=args.balls, seed=args.seed)
+    # built first, so a comparison that cannot be made fails before the walk
+    target = None if args.compare is None else _comparison_target(args, config)
     result = simulate(config, chunk=args.chunk)
     hist = result.histogram
     out = Path(args.out)
-
-    report = None
-    if args.compare is not None:
-        report = compare(hist, _comparison_target(args, config))
+    report = None if target is None else compare(hist, target)
 
     if args.format == "csv":
         outputs = [(out, histogram_to_csv(hist))]
@@ -168,7 +167,13 @@ def cmd_simulate(args) -> Outputs:
 
 
 def cmd_sweep(args) -> Outputs:
-    ns = [int(part) for part in args.n.split(",") if part.strip()]
+    ns = []
+    for part in filter(str.strip, args.n.split(",")):
+        try:
+            ns.append(int(part))
+        except ValueError:
+            raise ValueError(f"--n takes comma-separated integers, "
+                             f"got {part.strip()!r}") from None
     return [(Path(args.out), sweep_to_csv(sweep_uniformity(args.M, args.p, ns)))]
 
 
@@ -179,15 +184,32 @@ def _load(path: Path, from_json, from_csv):
     return (from_json if is_json else from_csv)(text)
 
 
+def _density_sample(theta, f) -> tuple[float, float]:
+    """One (theta, f) density sample: theta finite, f finite and >= 0."""
+    theta, f = float(theta), float(f)
+    if not (math.isfinite(theta) and 0.0 <= f < math.inf):
+        raise ValueError(f"need a finite theta and a finite f >= 0, got {theta!r}, {f!r}")
+    return theta, f
+
+
 def _density_from_json(text: str) -> list[tuple[float, float]]:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, exc.lineno) from None
     try:
-        return [(float(s["theta"]), float(s["f"])) for s in doc["samples"]]
-    except (KeyError, TypeError, ValueError) as exc:
+        rows = [(s["theta"], s["f"]) for s in doc["samples"]]
+    except (KeyError, TypeError) as exc:
         raise ParseError(f"not a density document: {exc}", 1) from None
+    samples = []
+    for i, (theta, f) in enumerate(rows):
+        try:
+            samples.append(_density_sample(theta, f))
+        except (TypeError, ValueError) as exc:
+            raise ParseError(f"sample {i}: {exc}", None) from None
+    if not samples:
+        raise ParseError("no samples", None)
+    return samples
 
 
 def _density_from_csv(text: str) -> list[tuple[float, float]]:
@@ -202,7 +224,7 @@ def _density_from_csv(text: str) -> list[tuple[float, float]]:
         if len(fields) != 2:
             raise ParseError(f"expected 2 fields, got {len(fields)}", i)
         try:
-            samples.append((float(fields[0]), float(fields[1])))
+            samples.append(_density_sample(*fields))
         except ValueError as exc:
             raise ParseError(str(exc), i) from None
     if not samples:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from scipy.special import gammaincc
 
 from .angular import TWO_PI, AngularPMF, tv_distance
-from .walk_sim import BinHistogram, WalkConfig, unwrapped_stats
+from .walk_sim import BinHistogram
 from .wrapped_binomial import WrappedBinomial, full_pmf, tv_to_uniform
 from .wrapped_normal import WrappedNormal, bin_probs, limit_params
 
@@ -147,49 +147,3 @@ def sweep_to_csv(result: SweepResult) -> str:
     lines = ["n,tv_uniform,tv_wn"]
     lines.extend(f"{r.n},{r.tv_uniform!r},{r.tv_wn!r}" for r in result.rows)
     return "\n".join(lines) + "\n"
-
-
-@dataclass(frozen=True)
-class DriftReport:
-    """Sample vs predicted moments of the unwrapped displacement."""
-
-    mean: float
-    expected_mean: float
-    z_mean: float
-    variance: float
-    expected_variance: float
-    z_var: float
-    balls: int
-
-
-def drift_check(config: WalkConfig, rights) -> DriftReport:
-    """z-scores of the sample drift and spread against the walk's moments.
-
-    rights is the run's rightward-count histogram (SimulationResult.rights).
-    The displacement per ball is S_n * dtheta / 2 with mean
-    n(2p-1)*dtheta/2 and variance n*p*(1-p)*dtheta^2; the variance
-    z-score uses the exact fourth central moment of the binomial step
-    sum, not a normal approximation.
-    """
-    if config.planar:
-        raise ValueError("drift_check needs a wrapped config (M set)")
-    if len(rights) != config.n + 1:
-        raise ValueError(f"expected {config.n + 1} rightward counts, got {len(rights)}")
-    n, p, m_slots = config.n, config.p, config.M
-    balls = sum(int(c) for c in rights)
-    dtheta = TWO_PI / m_slots
-    mean, var = unwrapped_stats(rights, m_slots)
-
-    exp_mean = n * (2.0 * p - 1.0) * dtheta / 2.0
-    exp_var = n * p * (1.0 - p) * dtheta**2
-    # central moments of theta = (2X - n) * dtheta/2, X ~ Binomial(n, p)
-    pq = p * (1.0 - p)
-    mu4 = dtheta**4 * n * pq * (1.0 + 3.0 * (n - 2) * pq)
-    se_mean = math.sqrt(exp_var / balls)
-    se_var = math.sqrt(max(mu4 - exp_var**2, 0.0) / balls)
-
-    z_mean = (mean - exp_mean) / se_mean if se_mean > 0.0 else 0.0
-    z_var = (var - exp_var) / se_var if se_var > 0.0 else 0.0
-    return DriftReport(mean=mean, expected_mean=exp_mean, z_mean=z_mean,
-                       variance=var, expected_variance=exp_var, z_var=z_var,
-                       balls=balls)

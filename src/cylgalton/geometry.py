@@ -136,21 +136,11 @@ class Peg:
 
 
 @dataclass(frozen=True)
-class DistributionTag:
-    """Which bin law a board realises: family, trial count, slot count."""
-
-    family: str         # "wrapped-binomial" or "binomial"
-    n: int
-    M: int | None       # None when the support is linear (flat board)
-
-
-@dataclass(frozen=True)
 class BoardPreset:
     name: str
     modules: int
     rows_per_module: int
     spec: LatticeSpec
-    expected: DistributionTag
 
 
 def build_lattice(spec: LatticeSpec) -> list[Peg]:
@@ -210,8 +200,7 @@ def _module_preset(name: str, modules: int) -> BoardPreset:
         r_peg=_PEG_RADIUS, r_ball=_BALL_RADIUS,
         H=_MODULE_HEIGHT * modules)
     return BoardPreset(name=name, modules=modules,
-                       rows_per_module=_ROWS_PER_MODULE, spec=spec,
-                       expected=DistributionTag("wrapped-binomial", n, _SLOTS))
+                       rows_per_module=_ROWS_PER_MODULE, spec=spec)
 
 
 def planar_board(n: int = 10) -> BoardPreset:
@@ -222,7 +211,7 @@ def planar_board(n: int = 10) -> BoardPreset:
     """
     spec = LatticeSpec.planar(n=n, d=1.0, h=0.8, r_peg=0.1, r_ball=0.35)
     return BoardPreset(name=PLANAR_PRESET_NAME, modules=0, rows_per_module=0,
-                       spec=spec, expected=DistributionTag("binomial", n, None))
+                       spec=spec)
 
 
 def preset_names() -> list[str]:
@@ -257,13 +246,3 @@ def export_pegs(pegs: list[Peg], fmt: str = "csv") -> bytes:
         }
         return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
     raise ValueError(f"unsupported export format {fmt!r} (use 'csv' or 'json')")
-
-
-def pegs_from_json(data: bytes | str) -> list[Peg]:
-    """Inverse of export_pegs(..., 'json')."""
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    doc = json.loads(data)
-    return [Peg(row=int(p["row"]), col=int(p["col"]), theta=float(p["theta"]),
-                z=float(p["z"]), x=float(p["x"]), y=float(p["y"]))
-            for p in doc["pegs"]]

@@ -154,7 +154,6 @@ class BallTrace:
     steps: tuple[int, ...]   # +-1 per row
     final_s: int             # signed step sum
     final_theta: float       # landing angle in [0, 2*pi); 0.0 in flat mode
-    final_z: float           # vertical drop in row units (starts at 0)
     bin: int
 
 
@@ -198,8 +197,7 @@ def simulate_ball(config: WalkConfig, ball_index: int) -> BallTrace:
     else:
         theta = wrap_angle(s * (TWO_PI / config.M) / 2.0)
         landing = x % config.M
-    return BallTrace(steps=steps, final_s=s,
-                     final_theta=theta, final_z=-float(config.n), bin=landing)
+    return BallTrace(steps=steps, final_s=s, final_theta=theta, bin=landing)
 
 
 def simulate(config: WalkConfig, chunk: int = DEFAULT_CHUNK) -> SimulationResult:

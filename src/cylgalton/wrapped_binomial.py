@@ -37,7 +37,6 @@ B = sum_{t=1}^{M-1} |cf(t)|.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -160,16 +159,6 @@ def _cf_vector(wb: WrappedBinomial) -> np.ndarray:
     return rho * np.exp(1j * arg)
 
 
-def characteristic_function(wb: WrappedBinomial, t: int) -> complex:
-    """E[exp(i*t*Theta)] at integer frequency t.
-
-    Closed form (1 - p + p*exp(i*t*2*pi/M))**n, evaluated in polar form
-    so the modulus and argument stay accurate for large n.
-    """
-    rho, arg = _cf_polar(wb, np.array([t % wb.M]))
-    return cmath.rect(float(rho[0]), math.fmod(float(arg[0]), TWO_PI))
-
-
 @dataclass(frozen=True)
 class TrigMoments:
     """First trigonometric moment: cosine/sine parts, resultant, direction."""
@@ -194,18 +183,6 @@ def trig_moments(wb: WrappedBinomial) -> TrigMoments:
                        rho=rho, mu=mu)
 
 
-def kernel_step(pmf_in: AngularPMF, p: float) -> AngularPMF:
-    """One move of the cyclic two-point walk: +1 slot w.p. p, -1 w.p. 1-p.
-
-    out[x] = p*in[x-1] + (1-p)*in[x+1], indices mod M.
-    """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must be in [0, 1], got {p!r}")
-    v = np.asarray(pmf_in.probs, dtype=float)
-    out = p * np.roll(v, 1) + (1.0 - p) * np.roll(v, -1)
-    return AngularPMF(pmf_in.M, tuple(out))
-
-
 def tv_to_uniform(wb: WrappedBinomial) -> float:
     """Total variation distance between the slot law and uniform on M slots.
 
@@ -218,18 +195,6 @@ def tv_to_uniform(wb: WrappedBinomial) -> float:
     excess = cf.copy()
     excess[0] = 0.0
     return 0.5 * math.fsum(np.abs(np.fft.fft(excess).real)) / wb.M
-
-
-def support_size(wb: WrappedBinomial) -> int:
-    """Number of slots with positive probability, by exact arithmetic.
-
-    For p strictly inside (0, 1) every x in 0..n has positive mass, so
-    the support is {0..n} mod M and its size is min(M, n+1); degenerate
-    p collapses to a single slot.
-    """
-    if wb.n == 0 or wb.p == 0.0 or wb.p == 1.0:
-        return 1
-    return min(wb.M, wb.n + 1)
 
 
 def centered_angle(wb: WrappedBinomial, k: int) -> float:

@@ -83,11 +83,6 @@ def density(wn: WrappedNormal, theta) -> float | np.ndarray:
     return density_wrapped(wn, theta)
 
 
-def mode(wn: WrappedNormal) -> float:
-    """The unique mode: every cosine term peaks at the mean direction."""
-    return wn.mu
-
-
 def bin_probs(wn: WrappedNormal, M: int) -> AngularPMF:
     """Mass of each slot [2*pi*k/M, 2*pi*(k+1)/M) by CDF differences.
 
@@ -117,9 +112,6 @@ class LimitParams:
 
     mu: float
     sigma2: float
-
-    def to_distribution(self) -> WrappedNormal:
-        return WrappedNormal(self.mu, self.sigma2)
 
 
 def limit_params(n: int, M: int, p: float) -> LimitParams:

@@ -8,9 +8,9 @@ from pathlib import Path
 import pytest
 
 import cylgalton
-from cylgalton import __version__
-from cylgalton.angular import (AngularPMF, pmf_from_csv, pmf_to_csv,
-                               pmf_to_json_dict)
+from cylgalton import __version__, cli
+from cylgalton.angular import (AngularPMF, ParseError, pmf_from_csv,
+                               pmf_from_json, pmf_to_csv, pmf_to_json_dict)
 from cylgalton.cli import main
 
 
@@ -259,6 +259,22 @@ def test_simulate_wn_compare_needs_wrapping(tmp_path, capsys):
     assert "wrapped" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("board,message", [
+    (["--planar"], "error: ValueError: --compare wn needs a wrapped board"),
+    (["--p", 0], "error: ValueError: p=0.0 gives a degenerate"),
+], ids=["planar", "p0"])
+def test_simulate_rejects_a_bad_compare_before_the_walk(tmp_path, capsys,
+                                                        monkeypatch, board, message):
+    def walk(*args, **kwargs):
+        raise AssertionError("the walk ran")
+
+    monkeypatch.setattr(cli, "simulate", walk)
+    assert run(["simulate", "--n", 2000, "--balls", 200_000, *board,
+                "--compare", "wn", "--out", tmp_path / "x.csv"]) == 1
+    assert_single_line_error(capsys, message)
+    assert list(tmp_path.iterdir()) == []
+
+
 # --- sweep --------------------------------------------------------------------
 
 def test_sweep_ladder(tmp_path):
@@ -276,6 +292,13 @@ def test_sweep_single_point(tmp_path):
     out = tmp_path / "one.csv"
     assert run(["sweep", "--M", 24, "--p", 0.5, "--n", "24", "--out", out]) == 0
     assert len(read_lines(out)) == 2
+
+
+def test_sweep_names_the_flag_of_a_bad_row_count(tmp_path, capsys):
+    assert run(["sweep", "--M", 24, "--n", "5,abc", "--out", tmp_path / "s.csv"]) == 1
+    assert_single_line_error(
+        capsys, "error: ValueError: --n takes comma-separated integers, got 'abc'")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sweep_rejects_zero_rows(tmp_path, capsys):
@@ -351,6 +374,60 @@ def test_plot_cylinder_reads_json_density(tmp_path, capsys):
     assert_single_line_error(capsys, "error: parse: line 1: not a density document")
 
 
+@pytest.mark.parametrize("fmt,row,where", [
+    ("csv", "{},{}", "line 3: "), ("json", '{{"theta": {}, "f": {}}}', "sample 1: "),
+], ids=["csv", "json"])
+@pytest.mark.parametrize("theta,f", [("0", "nan"), ("0", "inf"), ("nan", "1"),
+                                     ("-inf", "1"), ("0", "-0.5")],
+                         ids=["nan-f", "inf-f", "nan-theta", "inf-theta", "negative-f"])
+def test_plot_rejects_a_bad_density_sample(tmp_path, capsys, fmt, row, where,
+                                           theta, f):
+    if fmt == "json":   # JSON spells the non-finite floats NaN and Infinity
+        theta, f = (v.replace("nan", "NaN").replace("inf", "Infinity") for v in (theta, f))
+    rows = [row.format(1, 1), row.format(theta, f)]
+    text = ("theta,f\n" + "\n".join(rows) + "\n" if fmt == "csv"
+            else '{"samples": [\n' + ",\n".join(rows) + "\n]}\n")
+    bad = tmp_path / f"bad.{fmt}"
+    bad.write_text(text)
+    assert run(["plot", "--style", "cylinder", bad, "--out", tmp_path / "x.svg"]) == 1
+    assert_single_line_error(
+        capsys, f"error: parse: {where}need a finite theta and a finite f >= 0")
+    assert sorted(p.name for p in tmp_path.iterdir()) == [bad.name]
+
+
+@pytest.mark.parametrize("fmt,text,message", [
+    ("csv", "theta,f\n", "error: parse: line 2: no sample rows"),
+    ("json", '{"samples": []}\n', "error: parse: no samples"),
+], ids=["csv", "json"])
+def test_plot_rejects_an_empty_density(tmp_path, capsys, fmt, text, message):
+    bad = tmp_path / f"empty.{fmt}"
+    bad.write_text(text)
+    assert run(["plot", "--style", "cylinder", bad, "--out", tmp_path / "x.svg"]) == 1
+    assert_single_line_error(capsys, message)
+
+
+def _pmf_doc(M=3, slots=(0, 1, 2), probs=(0.25, 0.5, 0.25)):
+    """A valid PMF document by default; each argument spoils one field."""
+    return json.dumps({"kind": "angular_pmf", "M": M, "slots": [
+        {"slot": k, "theta_lo": 0.0, "theta_hi": 1.0, "prob": q}
+        for k, q in zip(slots, probs)]})
+
+
+@pytest.mark.parametrize("doc,message", [
+    (_pmf_doc(slots=(0, 0, 9)), "needs slots 0..M-1, each exactly once"),
+    (_pmf_doc(M=3.9), "M must be an integer, got 3.9"),
+    (_pmf_doc(M=True), "M must be an integer, got True"),
+    (_pmf_doc(slots=("0", "1", "2"), probs=("0.25", "0.5", "0.25")),
+     "slot must be an integer, got '0'"),
+    (_pmf_doc(probs=("0.25", "0.5", "0.25")), "prob must be a number, got '0.25'"),
+    (_pmf_doc(M=4), "needs slots 0..M-1, each exactly once"),
+], ids=["repeated-slot", "float-M", "bool-M", "string-slots", "string-probs",
+        "missing-slot"])
+def test_pmf_from_json_rejects_what_it_used_to_coerce(doc, message):
+    with pytest.raises(ParseError, match=message):
+        pmf_from_json(doc)
+
+
 def test_plot_malformed_input_reports_line(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("slot,theta_lo,theta_hi,prob\n0,0.0,0.1,oops\n")
@@ -412,6 +489,12 @@ def test_failed_command_leaves_output_dir_as_found(tmp_path, capsys, bad):
     assert_single_line_error(capsys, "error: ValueError:")
     assert list(tmp_path.iterdir()) == [before]
     assert before.read_text() == "untouched\n"
+
+
+def test_every_public_name_resolves_once():
+    assert len(set(cylgalton.__all__)) == len(cylgalton.__all__)
+    for name in cylgalton.__all__:
+        assert hasattr(cylgalton, name), name
 
 
 def run_module(args):

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from cylgalton import wrapped_binomial
 from cylgalton.angular import TWO_PI, AngularPMF
 from cylgalton.diagnostics import (MIN_EXPECTED, _pool_cyclic, compare,
-                                   drift_check, sweep_to_csv,
-                                   sweep_uniformity, tv_distance, wb_wn_tv)
+                                   sweep_to_csv, sweep_uniformity,
+                                   tv_distance, wb_wn_tv)
 from cylgalton.walk_sim import BinHistogram, WalkConfig, simulate
 from cylgalton.wrapped_binomial import WrappedBinomial, full_pmf, tv_to_uniform
 from oracles import binomial_fold_pmf, wn_interval_prob_ref
@@ -181,32 +181,3 @@ def test_wb_wn_distance_shrinks_with_depth():
     assert vals[0] > vals[1] > vals[2]
     assert vals[2] < 0.02
 
-
-def test_drift_check_symmetric():
-    config = WalkConfig(n=8, M=24, p=0.5, balls=100_000, seed=11)
-    report = drift_check(config, simulate(config).rights)
-    assert abs(report.z_mean) < 4.0
-    assert abs(report.z_var) < 4.0
-    assert report.expected_mean == 0.0
-
-
-def test_drift_check_biased():
-    config = WalkConfig(n=8, M=24, p=0.75, balls=100_000, seed=11)
-    report = drift_check(config, simulate(config).rights)
-    assert report.expected_mean == pytest.approx(math.pi / 6, rel=1e-14)
-    assert report.expected_variance == pytest.approx(
-        8 * 0.1875 * (TWO_PI / 24) ** 2, rel=1e-14)
-    assert abs(report.z_mean) < 4.0
-    assert abs(report.z_var) < 4.0
-    assert report.variance == pytest.approx(report.expected_variance, rel=0.05)
-
-
-def test_drift_check_requires_balls_and_wrapping():
-    config = WalkConfig(n=8, M=24, p=0.5, balls=10, seed=0)
-    with pytest.raises(ValueError, match="no balls"):
-        drift_check(config, (0,) * 9)
-    with pytest.raises(ValueError, match="expected 9 rightward counts"):
-        drift_check(config, (10,))
-    flat = WalkConfig(n=8, M=None, p=0.5, balls=10, seed=0)
-    with pytest.raises(ValueError, match="wrapped"):
-        drift_check(flat, simulate(flat).rights)

@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -6,8 +7,8 @@ from hypothesis import strategies as st
 
 from cylgalton.angular import TWO_PI
 from cylgalton.geometry import (ClearanceWarning, LatticeError, LatticeSpec,
-                                build_lattice, export_pegs, pegs_from_json,
-                                planar_board, preset, preset_names)
+                                Peg, build_lattice, export_pegs, planar_board,
+                                preset, preset_names)
 
 
 def test_single_peg_board():
@@ -75,20 +76,21 @@ def test_presets_validate_and_build(name):
     board = preset(name)
     pegs = build_lattice(board.spec)
     if board.spec.wrap:
-        assert board.expected.family == "wrapped-binomial"
+        assert board.spec.M == 24
         assert board.spec.n == 8 * board.modules
         assert len(pegs) == sum(min(board.spec.M, i + 1)
                                 for i in range(board.spec.n))
     else:
-        assert board.expected.M is None
+        assert len(pegs) == board.spec.n * (board.spec.n + 1) // 2
 
 
 def test_preset_expected_distributions():
-    assert preset("modules-1-5").expected.n == 40
-    assert preset("modules-1-5").expected.M == 24
-    assert preset("modules-1-3").expected.n == 24
-    assert preset("modules-1-6").expected.n == 48
-    assert preset("modules-1-12").expected.n == 96
+    # each module board realises the wrapped binomial of (spec.n, spec.M)
+    assert preset("modules-1-5").spec.n == 40
+    assert preset("modules-1-5").spec.M == 24
+    assert preset("modules-1-3").spec.n == 24
+    assert preset("modules-1-6").spec.n == 48
+    assert preset("modules-1-12").spec.n == 96
 
 
 def test_unknown_preset():
@@ -153,7 +155,9 @@ def test_csv_export_shapes():
 
 def test_json_export_round_trip():
     pegs = build_lattice(preset("modules-1-2").spec)
-    assert pegs_from_json(export_pegs(pegs, "json")) == pegs
+    doc = json.loads(export_pegs(pegs, "json"))
+    assert doc["unit"] == "cm"
+    assert [Peg(**p) for p in doc["pegs"]] == pegs
 
 
 def test_unsupported_export_format():

@@ -24,7 +24,6 @@ def test_all_right_walk_is_deterministic():
     assert trace.final_s == 5
     assert trace.bin == 5
     assert trace.final_theta == pytest.approx(5 * (TWO_PI / 24) / 2)
-    assert trace.final_z == -5.0
 
 
 def test_all_left_walk_lands_in_slot_zero():

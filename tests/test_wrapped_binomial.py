@@ -8,13 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cylgalton import wrapped_binomial
-from cylgalton.angular import TWO_PI, AngularPMF, wrap_angle, wrap_to_pi
+from cylgalton.angular import TWO_PI, wrap_angle, wrap_to_pi
 from cylgalton.wrapped_binomial import (TrigMoments, WrappedBinomial,
                                         _cf_vector, _direct_slots,
                                         _spectral_slots, centered_angle,
-                                        characteristic_function, full_pmf,
-                                        kernel_step, pmf, support_size,
-                                        trig_moments, tv_to_uniform)
+                                        full_pmf, pmf, trig_moments,
+                                        tv_to_uniform)
 from oracles import (binomial_fold_exact, binomial_fold_pmf, dp_cyclic_walk,
                      tv, tv_to_uniform_bound_ref, tv_to_uniform_ref)
 
@@ -163,21 +162,22 @@ def test_million_row_law_memory_does_not_grow_with_n():
 # --- characteristic function ---------------------------------------------
 
 def test_cf_at_zero_frequency():
-    assert characteristic_function(WrappedBinomial(13, 24, 0.37), 0) == 1.0 + 0.0j
+    assert _cf_vector(WrappedBinomial(13, 24, 0.37))[0] == 1.0 + 0.0j
 
 
 def test_cf_example_modulus_and_argument():
-    cf = characteristic_function(WrappedBinomial(8, 24, 0.5), 1)
+    cf = _cf_vector(WrappedBinomial(8, 24, 0.5))[1]
     assert abs(cf) == pytest.approx(math.cos(math.pi / 24) ** 8, abs=1e-14)
     assert cmath.phase(cf) == pytest.approx(math.pi / 3, abs=1e-13)
 
 
 def test_cf_periodic_in_frequency():
-    wb = WrappedBinomial(24, 24, 0.5)
-    assert characteristic_function(wb, 24) == pytest.approx(1.0 + 0.0j, abs=1e-12)
-    wb2 = WrappedBinomial(10, 8, 0.3)
-    assert characteristic_function(wb2, 3) == pytest.approx(
-        characteristic_function(wb2, 3 + 8), abs=1e-12)
+    # entry t is the closed form (1 - p + p*exp(2*pi*i*t/M))**n at t + M too
+    for wb in (WrappedBinomial(24, 24, 0.5), WrappedBinomial(10, 8, 0.3)):
+        cf = _cf_vector(wb)
+        for t in range(wb.M):
+            w = 1 - wb.p + wb.p * cmath.exp(2j * math.pi * (t + wb.M) / wb.M)
+            assert cf[t] == pytest.approx(w**wb.n, abs=1e-12)
 
 
 @pytest.mark.parametrize("m", [2, 3, 5, 24])
@@ -185,11 +185,11 @@ def test_cf_periodic_in_frequency():
 def test_cf_equals_dft_of_pmf(m, p):
     for n in range(0, 21):
         probs = np.asarray(full_pmf(WrappedBinomial(n, m, p)).probs)
+        cf = _cf_vector(WrappedBinomial(n, m, p))
         k = np.arange(m)
         for t in range(m):
             dft = complex(np.sum(probs * np.exp(2j * np.pi * t * k / m)))
-            assert abs(characteristic_function(WrappedBinomial(n, m, p), t)
-                       - dft) < 1e-10
+            assert abs(cf[t] - dft) < 1e-10
 
 
 # --- trigonometric moments ------------------------------------------------
@@ -235,53 +235,20 @@ def test_moment_identities(n, m, p):
             == pytest.approx(0.0, abs=1e-12)
 
 
-# --- transition kernel -----------------------------------------------------
-
-def _point_mass(m, at=0):
-    return AngularPMF(m, tuple(1.0 if k == at else 0.0 for k in range(m)))
-
-
-def test_kernel_single_step_splits():
-    out = kernel_step(_point_mass(4), 0.5)
-    assert out.probs == (0.0, 0.5, 0.0, 0.5)
-
-
-def test_kernel_full_cycle_is_identity():
-    state = _point_mass(4)
-    for _ in range(4):
-        state = kernel_step(state, 1.0)
-    assert state.probs == (1.0, 0.0, 0.0, 0.0)
-
-
-def test_kernel_single_slot_absorbs():
-    assert kernel_step(_point_mass(1), 0.3).probs == (1.0,)
-
-
-@pytest.mark.parametrize("m,n,p", [(5, 9, 0.5), (7, 12, 0.3), (3, 20, 0.5),
-                                   (8, 11, 0.7)])
-def test_kernel_matches_dp_oracle(m, n, p):
-    state = _point_mass(m)
-    for _ in range(n):
-        state = kernel_step(state, p)
-    want = dp_cyclic_walk(m, n, p)
-    assert max(abs(a - b) for a, b in zip(state.probs, want)) < 1e-12
-
+# --- half-slot walk ----------------------------------------------------
 
 @pytest.mark.parametrize("m,n,p", [(24, 8, 0.5), (24, 30, 0.5), (5, 7, 0.3),
                                    (6, 9, 0.5)])
 def test_kernel_on_half_slots_reproduces_the_slot_law(m, n, p):
-    # each deflection moves half a slot, so run the kernel on 2M cells;
+    # each deflection moves half a slot, so walk on 2M cells;
     # slot k (k right turns mod M) sits at cell (2k - n) mod 2M
-    state = _point_mass(2 * m)
-    for _ in range(n):
-        state = kernel_step(state, p)
+    cells = dp_cyclic_walk(2 * m, n, p)
     slot = full_pmf(WrappedBinomial(n, m, p)).probs
     for k in range(m):
-        assert state.probs[(2 * k - n) % (2 * m)] == pytest.approx(
-            slot[k], abs=1e-12)
+        assert cells[(2 * k - n) % (2 * m)] == pytest.approx(slot[k], abs=1e-12)
     covered = {(2 * k - n) % (2 * m) for k in range(m)}
     for cell in set(range(2 * m)) - covered:
-        assert state.probs[cell] == 0.0
+        assert cells[cell] == 0.0
 
 
 # --- distances and support -------------------------------------------------
@@ -304,13 +271,18 @@ def test_tv_to_uniform_decreases_down_the_module_ladder():
     assert vals[0] > vals[1] > vals[2]
 
 
+def _support_size(wb):
+    return sum(1 for q in full_pmf(wb).probs if q > 0.0)
+
+
 def test_support_sizes():
-    assert support_size(WrappedBinomial(8, 24, 0.5)) == 9
-    assert support_size(WrappedBinomial(23, 24, 0.5)) == 24
-    assert support_size(WrappedBinomial(100, 24, 0.5)) == 24
-    assert support_size(WrappedBinomial(0, 24, 0.5)) == 1
-    assert support_size(WrappedBinomial(9, 24, 0.0)) == 1
-    assert support_size(WrappedBinomial(9, 24, 1.0)) == 1
+    # min(M, n + 1) slots for 0 < p < 1, one slot for a degenerate walk
+    assert _support_size(WrappedBinomial(8, 24, 0.5)) == 9
+    assert _support_size(WrappedBinomial(23, 24, 0.5)) == 24
+    assert _support_size(WrappedBinomial(100, 24, 0.5)) == 24
+    assert _support_size(WrappedBinomial(0, 24, 0.5)) == 1
+    assert _support_size(WrappedBinomial(9, 24, 0.0)) == 1
+    assert _support_size(WrappedBinomial(9, 24, 1.0)) == 1
 
 
 @settings(max_examples=40, deadline=None)
@@ -318,7 +290,7 @@ def test_support_sizes():
        p=st.sampled_from([0.3, 0.5, 0.9]))
 def test_support_size_matches_exact_positivity(n, m, p):
     exact = binomial_fold_exact(n, m, p)
-    assert support_size(WrappedBinomial(n, m, p)) == sum(1 for s in exact if s > 0)
+    assert _support_size(WrappedBinomial(n, m, p)) == sum(1 for s in exact if s > 0)
 
 
 def test_centered_angles_of_the_one_module_board():

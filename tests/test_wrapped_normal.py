@@ -9,7 +9,7 @@ from scipy.integrate import quad, simpson
 from cylgalton.angular import TWO_PI
 from cylgalton.wrapped_normal import (WrappedNormal, bin_probs, density,
                                       density_fourier, density_wrapped,
-                                      limit_params, mode)
+                                      limit_params)
 from oracles import wn_density_ref, wn_interval_prob_ref
 
 
@@ -99,14 +99,6 @@ def test_unimodal_decay_away_from_the_mean(sigma):
     assert np.all(np.diff(left) <= 1e-15)
 
 
-def test_mode_is_the_mean_direction():
-    assert mode(WrappedNormal(1.0, 0.5)) == 1.0
-    assert mode(WrappedNormal(-0.5, 0.5)) == pytest.approx(TWO_PI - 0.5)
-    wn = WrappedNormal(4.0, 0.49)
-    grid = np.linspace(0.0, TWO_PI, 10_000, endpoint=False)
-    assert density(wn, mode(wn)) >= np.max(density(wn, grid))
-
-
 @pytest.mark.parametrize("m", [1, 2, 24, 360])
 @pytest.mark.parametrize("sigma", [0.3, 1.0, 6.0])
 def test_bin_probs_normalised(m, sigma):
@@ -179,9 +171,11 @@ def test_limit_params_rejects_degenerate_bias():
         limit_params(0, 24, 0.5)
 
 
-def test_limit_params_to_distribution_reduces_the_mean():
+def test_wrapped_normal_reduces_the_mean():
+    assert WrappedNormal(1.0, 0.5).mu == 1.0
+    assert WrappedNormal(-0.5, 0.5).mu == pytest.approx(TWO_PI - 0.5)
     lp = limit_params(100, 4, 0.9)   # mu far beyond 2*pi
-    wn = lp.to_distribution()
+    wn = WrappedNormal(lp.mu, lp.sigma2)
     assert 0.0 <= wn.mu < TWO_PI
     assert wn.sigma2 == lp.sigma2
 
