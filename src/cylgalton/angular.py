@@ -15,14 +15,15 @@ TWO_PI = 2.0 * math.pi
 
 SUM_TOL = 1e-12
 
-PMF_CSV_HEADER = "slot,theta_lo,theta_hi,prob"
+# Column name -> type, for the PMF table.
+PMF_COLUMNS = {"slot": int, "theta_lo": float, "theta_hi": float, "prob": float}
 
 
 class ParseError(ValueError):
-    """Malformed PMF or sample file; the message names the offending line, if any."""
+    """Malformed data file; where, if given, names the CSV line or JSON row at fault."""
 
-    def __init__(self, message: str, line: int | None):
-        super().__init__(message if line is None else f"line {line}: {message}")
+    def __init__(self, message: str, where: str | None = None):
+        super().__init__(message if where is None else f"{where}: {message}")
 
 
 def wrap_angle(theta: float) -> float:
@@ -80,6 +81,106 @@ class AngularPMF:
         return TWO_PI * k / self.M, TWO_PI * (k + 1) / self.M
 
 
+# The one table format of every CSV and JSON data file.  Fields are written
+# with repr(), the shortest text that reads back as the same number.
+
+def table_csv(columns, rows) -> str:
+    """A header line of the column names, then one line per row."""
+    lines = [",".join(columns)]
+    lines.extend(",".join(map(repr, row)) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+def table_json(head: dict, key: str, columns, rows) -> str:
+    """head's fields, then key: a list of one {column: value} object per row."""
+    doc = {**head, key: [dict(zip(columns, row)) for row in rows]}
+    return json.dumps(doc, indent=2) + "\n"
+
+
+# Per column kind: its name in messages, and the JSON types it takes: never
+# str or bool, and an integer serves as a float.
+_KINDS = {int: ("an integer", {int}), float: ("a number", {int, float})}
+
+
+def row_locator(text: str, key: str, row: int) -> str:
+    """Where data row `row` (from 0) of a table document is: 'line N' or 'key[row]'."""
+    if text.lstrip().startswith("{"):
+        return f"{key}[{row}]"
+    lines = [i for i, line in enumerate(text.splitlines(), start=1) if line.strip()]
+    return f"line {lines[row + 1]}"     # lines[0] is the header
+
+
+def _typed(values, kind, is_json: bool) -> list:
+    """values as kind, or a ValueError saying what one of them is not."""
+    name, json_types = _KINDS[kind]
+    try:
+        if is_json and not set(map(type, values)) <= json_types:
+            raise ValueError
+        column = list(map(kind, values))
+    except (ValueError, OverflowError):     # OverflowError: JSON int beyond a float
+        raise ValueError(f"must be {name}") from None
+    if kind is float and not all(map(math.isfinite, column)):
+        raise ValueError("must be finite")
+    return column
+
+
+def read_table(text: str, columns: dict, key: str) -> tuple[dict, list[tuple]]:
+    """Parse what table_csv or table_json wrote: (head, rows).
+
+    Text starting with "{" is JSON, else CSV.  columns maps each name to
+    int or float.  CSV fields go through int() or float(); JSON fields
+    must already be numbers of their kind.  Floats must be finite.  An
+    error is a ParseError naming the CSV line or JSON row of the first
+    bad field.  head is a JSON document's other fields, {} for CSV.
+    """
+    is_json = text.lstrip().startswith("{")
+    if is_json:
+        try:
+            head = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ParseError(exc.msg, f"line {exc.lineno}") from None
+        except (ValueError, RecursionError) as exc:   # too long an int, too deep
+            raise ParseError(str(exc)) from None
+        rows = head.pop(key, None)
+        if not isinstance(rows, list):
+            raise ParseError(f"expected a {key!r} list", "line 1")
+    else:
+        head, lines = {}, text.splitlines()
+        if not lines or lines[0].strip() != ",".join(columns):
+            raise ParseError(f"expected header {','.join(columns)!r}", "line 1")
+        rows = [line.split(",") for line in lines[1:] if line.strip()]
+    if not rows:
+        raise ParseError(f"no {key}", None if is_json else "line 2")
+    try:
+        cells = ([[row[name] for row in rows] for name in columns] if is_json
+                 else list(zip(*rows, strict=True)))
+        if len(cells) != len(columns):
+            raise ValueError
+    except (KeyError, TypeError, ValueError):
+        row = next(i for i, row in enumerate(rows) if not (
+            isinstance(row, dict) and row.keys() >= columns.keys() if is_json
+            else len(row) == len(columns)))
+        raise ParseError(f"expected the {len(columns)} fields {', '.join(columns)}",
+                         row_locator(text, key, row)) from None
+    try:
+        # one converter per column: a read is a few loops in C per column
+        typed = [_typed(values, kind, is_json)
+                 for kind, values in zip(columns.values(), cells)]
+    except ValueError:
+        # the slow path: find the first bad field in file order
+        for row in range(len(rows)):
+            for (name, kind), values in zip(columns.items(), cells):
+                try:
+                    _typed(values[row:row + 1], kind, is_json)
+                except ValueError as exc:
+                    raise ParseError(f"{name} {exc}, got {values[row]!r}",
+                                     row_locator(text, key, row)) from None
+    return head, list(zip(*typed))
+
+
+# The PMF table kind, one (slot, theta_lo, theta_hi, prob) row per slot.
+# perfbench's per-layer spans are keyed on these four function names.
+
 def _slot_rows(pmf: AngularPMF, bounds) -> list[tuple[int, float, float, float]]:
     """(slot, theta_lo, theta_hi, prob) rows; bounds default to slot_bounds."""
     if bounds is None:
@@ -90,75 +191,40 @@ def _slot_rows(pmf: AngularPMF, bounds) -> list[tuple[int, float, float, float]]
 
 
 def pmf_to_csv(pmf: AngularPMF, bounds=None) -> str:
-    """Render as CSV with full round-trip float precision.
+    """Render as a CSV table with full round-trip float precision.
 
     bounds, one (theta_lo, theta_hi) pair per slot, relabels the slot
     arcs (e.g. centered ones); the default is slot_bounds.
     """
-    lines = [PMF_CSV_HEADER]
-    lines.extend(f"{k},{lo!r},{hi!r},{q!r}" for k, lo, hi, q in _slot_rows(pmf, bounds))
-    return "\n".join(lines) + "\n"
+    return table_csv(PMF_COLUMNS, _slot_rows(pmf, bounds))
 
 
-def pmf_to_json_dict(pmf: AngularPMF, bounds=None) -> dict:
-    """JSON document of the PMF; bounds as in pmf_to_csv."""
-    return {
-        "kind": "angular_pmf",
-        "M": pmf.M,
-        "slots": [{"slot": k, "theta_lo": lo, "theta_hi": hi, "prob": q}
-                  for k, lo, hi, q in _slot_rows(pmf, bounds)],
-    }
+def pmf_to_json_dict(pmf: AngularPMF, bounds=None) -> str:
+    """The PMF as a JSON table (text), M in its head; bounds as in pmf_to_csv."""
+    head = {"kind": "angular_pmf", "M": pmf.M}
+    return table_json(head, "slots", PMF_COLUMNS, _slot_rows(pmf, bounds))
+
+
+def _slot_pmf(m, rows: list) -> AngularPMF:
+    """The PMF of M = m slots from its rows: slots 0..m-1 each once, in any order."""
+    if type(m) is not int:
+        raise ParseError(f"M must be an integer, got {m!r}")
+    rows.sort()
+    if [row[0] for row in rows] != list(range(m)):
+        raise ParseError(f"M={m} needs slots 0..M-1, each exactly once")
+    try:
+        return AngularPMF(m, tuple(row[3] for row in rows))
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
 
 
 def pmf_from_csv(text: str) -> AngularPMF:
-    """Parse the CSV schema produced by pmf_to_csv."""
-    lines = text.splitlines()
-    if not lines:
-        raise ParseError("empty input", 1)
-    if lines[0].strip() != PMF_CSV_HEADER:
-        raise ParseError(f"expected header {PMF_CSV_HEADER!r}", 1)
-    probs = []
-    for i, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        fields = line.split(",")
-        if len(fields) != 4:
-            raise ParseError(f"expected 4 comma-separated fields, got {len(fields)}", i)
-        try:
-            slot = int(fields[0])
-            prob = float(fields[3])
-        except ValueError as exc:
-            raise ParseError(str(exc), i) from None
-        if slot != len(probs):
-            raise ParseError(f"slot index {slot} out of order", i)
-        probs.append(prob)
-    if not probs:
-        raise ParseError("no slot rows", max(2, len(lines)))
-    try:
-        return AngularPMF(len(probs), tuple(probs))
-    except ValueError as exc:
-        raise ParseError(str(exc), len(lines)) from None
-
-
-def _json_number(value, name: str, kinds=(int, float)):
-    """value itself if it is a JSON number of the given kinds (not true/false)."""
-    if isinstance(value, bool) or not isinstance(value, kinds):
-        kind = "an integer" if kinds is int else "a number"
-        raise ValueError(f"{name} must be {kind}, got {value!r}")
-    return value
+    """Parse what pmf_to_csv wrote."""
+    _, rows = read_table(text, PMF_COLUMNS, "slots")
+    return _slot_pmf(len(rows), rows)
 
 
 def pmf_from_json(text: str) -> AngularPMF:
-    """Parse the JSON schema of pmf_to_json_dict: each slot 0..M-1 exactly once."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(exc.msg, exc.lineno) from None
-    try:
-        m = _json_number(doc["M"], "M", int)
-        slots = sorted(doc["slots"], key=lambda s: _json_number(s["slot"], "slot", int))
-        if len(slots) != m or [s["slot"] for s in slots] != list(range(m)):
-            raise ValueError(f"M={m} needs slots 0..M-1, each exactly once")
-        return AngularPMF(m, tuple(_json_number(s["prob"], "prob") for s in slots))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"not an angular PMF document: {exc}", 1) from None
+    """Parse what pmf_to_json_dict wrote; its M must count the slots."""
+    head, rows = read_table(text, PMF_COLUMNS, "slots")
+    return _slot_pmf(head.get("M"), rows)

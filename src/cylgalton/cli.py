@@ -26,7 +26,8 @@ import numpy as np
 
 from . import __version__
 from .angular import (TWO_PI, AngularPMF, ParseError, pmf_from_csv,
-                      pmf_from_json, pmf_to_csv, pmf_to_json_dict)
+                      pmf_from_json, pmf_to_csv, pmf_to_json_dict, read_table,
+                      row_locator, table_csv, table_json)
 from .diagnostics import (compare, normal_limit_pmf, sweep_to_csv,
                           sweep_uniformity)
 from .geometry import (LatticeSpec, build_lattice, export_pegs, preset,
@@ -38,17 +39,17 @@ from .wrapped_binomial import (WrappedBinomial, centered_angle, full_pmf,
                                trig_moments)
 from .wrapped_normal import WrappedNormal, bin_probs, density
 
-DENSITY_CSV_HEADER = "theta,f"
+DENSITY_COLUMNS = {"theta": float, "f": float}
 
 # Largest --sigma whose square is a finite float.
 _SIGMA_MAX = math.sqrt(sys.float_info.max)
 
 # What a command returns: the files to write, in order.
-Outputs = list[tuple[Path, str | bytes]]
+Outputs = list[tuple[Path, str]]
 
 
-def _json(doc, sort_keys: bool = True) -> str:
-    return json.dumps(doc, indent=2, sort_keys=sort_keys) + "\n"
+def _json(doc) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def _sidecar(out: Path, tag: str, suffix: str | None = None) -> Path:
@@ -69,14 +70,10 @@ def _manifest(args: argparse.Namespace, outputs: Outputs) -> tuple[Path, str]:
     return _sidecar(Path(args.out), "manifest", ".json"), _json(doc)
 
 
-def _pmf_payload(pmf: AngularPMF, fmt: str, bounds=None) -> str:
-    if fmt == "json":
-        return _json(pmf_to_json_dict(pmf, bounds), sort_keys=False)
-    return pmf_to_csv(pmf, bounds)
-
-
 def cmd_lattice(args) -> Outputs:
     if args.preset:
+        if args.M is not None or args.n is not None:
+            raise ValueError("--preset fixes the board; drop --M and --n")
         spec = preset(args.preset).spec
     elif args.M is None or args.n is None:
         raise ValueError("either --preset or both --M and --n are required")
@@ -96,7 +93,8 @@ def cmd_pmf(args) -> Outputs:
         bounds = [(atom - half, atom + half)
                   for atom in (centered_angle(wb, k) for k in range(wb.M))]
     out = Path(args.out)
-    outputs = [(out, _pmf_payload(pmf, args.format, bounds))]
+    write = pmf_to_json_dict if args.format == "json" else pmf_to_csv
+    outputs = [(out, write(pmf, bounds))]
     if args.moments:
         outputs.append((_sidecar(out, "moments", ".json"),
                         _json(asdict(trig_moments(wb)))))
@@ -112,17 +110,16 @@ def cmd_wn(args) -> Outputs:
         raise ValueError(f"samples must be >= 1, got {args.samples}")
     wn = WrappedNormal(mu=args.mu, sigma2=args.sigma**2)
     thetas = [TWO_PI * i / args.samples for i in range(args.samples)]
-    values = density(wn, np.array(thetas)).tolist()
+    rows = zip(thetas, density(wn, np.array(thetas)).tolist())
+    bins = bin_probs(wn, args.M)
     if args.format == "json":
-        samples = [{"theta": t, "f": f} for t, f in zip(thetas, values)]
-        text = _json({"samples": samples}, sort_keys=False)
+        text = table_json({}, "samples", DENSITY_COLUMNS, rows)
+        bins_text = pmf_to_json_dict(bins)
     else:
-        lines = [DENSITY_CSV_HEADER]
-        lines.extend(f"{t!r},{f!r}" for t, f in zip(thetas, values))
-        text = "\n".join(lines) + "\n"
+        text = table_csv(DENSITY_COLUMNS, rows)
+        bins_text = pmf_to_csv(bins)
     out = Path(args.out)
-    return [(out, text),
-            (_sidecar(out, "bins"), _pmf_payload(bin_probs(wn, args.M), args.format))]
+    return [(out, text), (_sidecar(out, "bins"), bins_text)]
 
 
 def _comparison_target(args, config: WalkConfig) -> AngularPMF:
@@ -177,70 +174,26 @@ def cmd_sweep(args) -> Outputs:
     return [(Path(args.out), sweep_to_csv(sweep_uniformity(args.M, args.p, ns)))]
 
 
-def _load(path: Path, from_json, from_csv):
-    """Parse a file with from_json if it is a JSON document, else from_csv."""
+def _read_density(path: Path) -> list[tuple[float, float]]:
+    """(theta, f) samples of a density table; f must be >= 0."""
     text = path.read_text(encoding="utf-8")
-    is_json = path.suffix == ".json" or text.lstrip().startswith("{")
-    return (from_json if is_json else from_csv)(text)
-
-
-def _density_sample(theta, f) -> tuple[float, float]:
-    """One (theta, f) density sample: theta finite, f finite and >= 0."""
-    theta, f = float(theta), float(f)
-    if not (math.isfinite(theta) and 0.0 <= f < math.inf):
-        raise ValueError(f"need a finite theta and a finite f >= 0, got {theta!r}, {f!r}")
-    return theta, f
-
-
-def _density_from_json(text: str) -> list[tuple[float, float]]:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(exc.msg, exc.lineno) from None
-    try:
-        rows = [(s["theta"], s["f"]) for s in doc["samples"]]
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"not a density document: {exc}", 1) from None
-    samples = []
-    for i, (theta, f) in enumerate(rows):
-        try:
-            samples.append(_density_sample(theta, f))
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"sample {i}: {exc}", None) from None
-    if not samples:
-        raise ParseError("no samples", None)
-    return samples
-
-
-def _density_from_csv(text: str) -> list[tuple[float, float]]:
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != DENSITY_CSV_HEADER:
-        raise ParseError(f"expected header {DENSITY_CSV_HEADER!r}", 1)
-    samples = []
-    for i, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        fields = line.split(",")
-        if len(fields) != 2:
-            raise ParseError(f"expected 2 fields, got {len(fields)}", i)
-        try:
-            samples.append(_density_sample(*fields))
-        except ValueError as exc:
-            raise ParseError(str(exc), i) from None
-    if not samples:
-        raise ParseError("no sample rows", max(2, len(lines)))
+    _, samples = read_table(text, DENSITY_COLUMNS, "samples")
+    for row, (_, f) in enumerate(samples):
+        if f < 0.0:
+            raise ParseError(f"f must be >= 0, got {f!r}",
+                             row_locator(text, "samples", row))
     return samples
 
 
 def cmd_plot(args) -> Outputs:
     if args.style == "ring":
-        svg = ring_svg([_load(Path(p), pmf_from_json, pmf_from_csv)
-                        for p in args.inputs])
+        texts = [Path(p).read_text(encoding="utf-8") for p in args.inputs]
+        svg = ring_svg([(pmf_from_json if t.lstrip().startswith("{") else pmf_from_csv)(t)
+                        for t in texts])
     else:
         if len(args.inputs) != 1:
             raise ValueError("cylinder style takes exactly one density file")
-        svg = cylinder_svg(_load(Path(args.inputs[0]), _density_from_json,
-                                 _density_from_csv))
+        svg = cylinder_svg(_read_density(Path(args.inputs[0])))
     return [(Path(args.out), svg)]
 
 
@@ -328,9 +281,7 @@ def main(argv=None) -> int:
         outputs = args.func(args)
         for path, payload in [*outputs, _manifest(args, outputs)]:
             path.parent.mkdir(parents=True, exist_ok=True)
-            if isinstance(payload, str):
-                payload = payload.encode("utf-8")
-            path.write_bytes(payload)
+            path.write_bytes(payload.encode("utf-8"))
     except ParseError as exc:
         print(f"error: parse: {exc}", file=sys.stderr)
         return 1

@@ -12,13 +12,15 @@ from dataclasses import dataclass
 
 from scipy.special import gammaincc
 
-from .angular import TWO_PI, AngularPMF, tv_distance
+from .angular import TWO_PI, AngularPMF, table_csv, tv_distance
 from .walk_sim import BinHistogram
 from .wrapped_binomial import WrappedBinomial, full_pmf, tv_to_uniform
 from .wrapped_normal import WrappedNormal, bin_probs, limit_params
 
 # Minimum expected count per retained chi-square cell.
 MIN_EXPECTED = 5.0
+
+SWEEP_COLUMNS = {"n": int, "tv_uniform": float, "tv_wn": float}
 
 
 @dataclass(frozen=True)
@@ -60,35 +62,25 @@ def compare(empirical: BinHistogram, theoretical: AngularPMF) -> ComparisonRepor
 
     KL is the sample-vs-model divergence sum(e * log(e / q)) over cells
     with q > 0, with empty empirical cells replaced by eps = 1/(10N) so
-    the sum stays finite; a count observed where q = 0 yields inf.
-    Chi-square cells are pooled cyclically until each expects >= 5, and
-    the p-value is the regularised upper incomplete gamma at dof/2.
+    the sum stays finite.  Chi-square cells are pooled cyclically until
+    each expects >= 5, and the p-value is the regularised upper incomplete
+    gamma at dof/2.  A count observed where q = 0 makes kl and chi2 inf
+    and the p-value 0.
     """
     if empirical.M != theoretical.M:
         raise ValueError(
             f"dimension mismatch: histogram has {empirical.M} bins, "
             f"PMF has {theoretical.M}")
-    total = empirical.total
-    freqs = empirical.frequencies()
-    qs = theoretical.probs
+    total, counts, qs = empirical.total, empirical.counts, theoretical.probs
+    tv = tv_distance(empirical.frequencies(), qs)
 
-    tv = tv_distance(freqs, qs)
-
+    impossible = any(c and q <= 0.0 for c, q in zip(counts, qs))
     eps = 1.0 / (10.0 * total)
-    kl_terms = []
-    impossible = False
-    for c, q in zip(empirical.counts, qs):
-        if q <= 0.0:
-            if c:
-                impossible = True
-            continue
-        e = c / total if c else eps
-        kl_terms.append(e * math.log(e / q))
-    kl = math.inf if impossible else math.fsum(kl_terms)
+    smoothed = [(c / total if c else eps, q) for c, q in zip(counts, qs) if q > 0.0]
+    kl = math.inf if impossible else math.fsum(e * math.log(e / q) for e, q in smoothed)
 
-    expected = [total * q for q in qs]
-    groups = _pool_cyclic(empirical.counts, expected)
-    chi2 = math.fsum((o - e) ** 2 / e for o, e in groups if e > 0.0)
+    groups = _pool_cyclic(counts, [total * q for q in qs])
+    chi2 = math.inf if impossible else math.fsum((o - e) ** 2 / e for o, e in groups)
     dof = max(1, len(groups) - 1)
     p_value = float(gammaincc(dof / 2.0, chi2 / 2.0))
     return ComparisonReport(tv=tv, kl=kl, chi2=chi2, dof=dof, p_value=p_value)
@@ -144,6 +136,4 @@ def sweep_uniformity(M: int, p: float, n_list) -> SweepResult:
 
 
 def sweep_to_csv(result: SweepResult) -> str:
-    lines = ["n,tv_uniform,tv_wn"]
-    lines.extend(f"{r.n},{r.tv_uniform!r},{r.tv_wn!r}" for r in result.rows)
-    return "\n".join(lines) + "\n"
+    return table_csv(SWEEP_COLUMNS, [(r.n, r.tv_uniform, r.tv_wn) for r in result.rows])

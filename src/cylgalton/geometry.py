@@ -9,12 +9,11 @@ cylinder surface.  Presets cover the physical modular board (24 slots,
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass
 
-from .angular import TWO_PI, wrap_angle
+from .angular import TWO_PI, table_csv, table_json, wrap_angle
 
 REL_TOL = 1e-12
 
@@ -22,7 +21,8 @@ REL_TOL = 1e-12
 # error; rounded catalogue dimensions land slightly inside the margin.
 CLEARANCE_SLACK = 1.05
 
-PEG_CSV_HEADER = "row,col,theta,z,x,y"
+PEG_COLUMNS = {"row": int, "col": int, "theta": float, "z": float, "x": float,
+               "y": float}
 
 LENGTH_UNIT = "cm"
 
@@ -227,22 +227,12 @@ def preset(name: str) -> BoardPreset:
     raise KeyError(f"unknown preset {name!r}; available: {', '.join(preset_names())}")
 
 
-def export_pegs(pegs: list[Peg], fmt: str = "csv") -> bytes:
-    """Serialise pegs deterministically, row-major, as CSV or JSON bytes."""
-    ordered = sorted(pegs, key=lambda p: (p.row, p.col))
+def export_pegs(pegs: list[Peg], fmt: str = "csv") -> str:
+    """Serialise pegs deterministically, row-major, as a CSV or JSON table."""
+    rows = [(p.row, p.col, p.theta, p.z, p.x, p.y)
+            for p in sorted(pegs, key=lambda p: (p.row, p.col))]
     if fmt == "csv":
-        lines = [PEG_CSV_HEADER]
-        lines.extend(
-            f"{p.row},{p.col},{p.theta!r},{p.z!r},{p.x!r},{p.y!r}" for p in ordered)
-        return ("\n".join(lines) + "\n").encode("utf-8")
+        return table_csv(PEG_COLUMNS, rows)
     if fmt == "json":
-        doc = {
-            "unit": LENGTH_UNIT,
-            "pegs": [
-                {"row": p.row, "col": p.col, "theta": p.theta,
-                 "z": p.z, "x": p.x, "y": p.y}
-                for p in ordered
-            ],
-        }
-        return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
+        return table_json({"unit": LENGTH_UNIT}, "pegs", PEG_COLUMNS, rows)
     raise ValueError(f"unsupported export format {fmt!r} (use 'csv' or 'json')")

@@ -84,8 +84,9 @@ def ring_svg(pmfs: Sequence[AngularPMF]) -> str:
 def cylinder_svg(samples: Sequence[tuple[float, float]]) -> str:
     """Density as vertical segments above a base ellipse, crown joined on top.
 
-    Samples are drawn in input order; rear-half segments (sin theta > 0)
-    are lightened so the drum reads as three-dimensional.
+    Samples are drawn in input order.  Screen y grows toward the viewer, so
+    a foot at base_y + ry*sin(theta) with sin theta < 0 is on the rear half;
+    those segments are lightened so the drum reads as three-dimensional.
     """
     if not samples:
         raise ValueError("cylinder_svg needs at least one sample")

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .angular import TWO_PI, wrap_angle
+from .angular import TWO_PI, table_csv, wrap_angle
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX_A = np.uint64(0xBF58476D1CE4E5B9)
@@ -48,7 +48,7 @@ _MIX_B = np.uint64(0x94D049BB133111EB)
 
 _UINT64_LIMIT = 1 << 64
 
-HISTOGRAM_CSV_HEADER = "slot,count,frequency"
+HISTOGRAM_COLUMNS = {"slot": int, "count": int, "frequency": float}
 
 DEFAULT_CHUNK = 1 << 16
 
@@ -259,7 +259,5 @@ def unwrapped_stats(rights, m_slots: int) -> tuple[float, float]:
 
 
 def histogram_to_csv(hist: BinHistogram) -> str:
-    lines = [HISTOGRAM_CSV_HEADER]
-    for k, (c, f) in enumerate(zip(hist.counts, hist.frequencies())):
-        lines.append(f"{k},{c},{f!r}")
-    return "\n".join(lines) + "\n"
+    rows = zip(range(hist.M), hist.counts, hist.frequencies())
+    return table_csv(HISTOGRAM_COLUMNS, rows)

@@ -12,6 +12,7 @@ from cylgalton import __version__, cli
 from cylgalton.angular import (AngularPMF, ParseError, pmf_from_csv,
                                pmf_from_json, pmf_to_csv, pmf_to_json_dict)
 from cylgalton.cli import main
+from cylgalton.svgplot import cylinder_svg
 
 
 def run(args):
@@ -50,6 +51,17 @@ def test_lattice_custom_single_peg(tmp_path):
     out = tmp_path / "one.csv"
     assert run(["lattice", "--M", 24, "--n", 1, "--out", out]) == 0
     assert len(read_lines(out)) == 2
+
+
+@pytest.mark.parametrize("shape", [["--M", 7], ["--n", 3], ["--M", 7, "--n", 3]],
+                         ids=["M", "n", "M-and-n"])
+def test_lattice_preset_rejects_shape_flags(tmp_path, capsys, shape):
+    # the preset fixes M and n, so a custom shape would be silently dropped
+    assert run(["lattice", "--preset", "modules-1", *shape,
+                "--out", tmp_path / "x.csv"]) == 1
+    assert_single_line_error(
+        capsys, "error: ValueError: --preset fixes the board; drop --M and --n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_lattice_requires_shape_arguments(tmp_path, capsys):
@@ -361,6 +373,15 @@ def test_plot_cylinder_from_density(tmp_path):
     assert "<ellipse" in svg
 
 
+def test_cylinder_lightens_the_rear_half():
+    # a foot sits at base_y + ry*sin(theta) and screen y grows toward the
+    # viewer, so theta = 3*pi/2 stands at the back and theta = pi/2 in front
+    svg = cylinder_svg([(3 * math.pi / 2, 1.0), (math.pi / 2, 1.0)])
+    back, front = (line.split('stroke="')[1].split('"')[0]
+                   for line in svg.splitlines() if line.startswith("<line"))
+    assert (back, front) == ("#b8cce0", "#4878a8")
+
+
 def test_plot_cylinder_reads_json_density(tmp_path, capsys):
     for fmt in ("csv", "json"):
         run(["wn", "--mu", 1.0, "--sigma", 0.7, "--samples", 90, "--format", fmt,
@@ -371,17 +392,22 @@ def test_plot_cylinder_reads_json_density(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"slots": []}\n')
     assert run(["plot", "--style", "cylinder", bad, "--out", tmp_path / "x.svg"]) == 1
-    assert_single_line_error(capsys, "error: parse: line 1: not a density document")
+    assert_single_line_error(capsys, "error: parse: line 1: expected a 'samples' list")
 
 
 @pytest.mark.parametrize("fmt,row,where", [
-    ("csv", "{},{}", "line 3: "), ("json", '{{"theta": {}, "f": {}}}', "sample 1: "),
+    ("csv", "{},{}", "line 3: "), ("json", '{{"theta": {}, "f": {}}}', "samples[1]: "),
 ], ids=["csv", "json"])
-@pytest.mark.parametrize("theta,f", [("0", "nan"), ("0", "inf"), ("nan", "1"),
-                                     ("-inf", "1"), ("0", "-0.5")],
-                         ids=["nan-f", "inf-f", "nan-theta", "inf-theta", "negative-f"])
+@pytest.mark.parametrize("theta,f,message", [
+    ("0", "nan", "f must be finite"), ("0", "inf", "f must be finite"),
+    ("nan", "1", "theta must be finite"), ("-inf", "1", "theta must be finite"),
+    ("0", "-0.5", "f must be >= 0, got -0.5"),
+    ('"0"', "1", "theta must be a number, got '"),
+    ("0", "true", "f must be a number, got "),
+], ids=["nan-f", "inf-f", "nan-theta", "inf-theta", "negative-f", "string-theta",
+        "bool-f"])
 def test_plot_rejects_a_bad_density_sample(tmp_path, capsys, fmt, row, where,
-                                           theta, f):
+                                           theta, f, message):
     if fmt == "json":   # JSON spells the non-finite floats NaN and Infinity
         theta, f = (v.replace("nan", "NaN").replace("inf", "Infinity") for v in (theta, f))
     rows = [row.format(1, 1), row.format(theta, f)]
@@ -390,13 +416,12 @@ def test_plot_rejects_a_bad_density_sample(tmp_path, capsys, fmt, row, where,
     bad = tmp_path / f"bad.{fmt}"
     bad.write_text(text)
     assert run(["plot", "--style", "cylinder", bad, "--out", tmp_path / "x.svg"]) == 1
-    assert_single_line_error(
-        capsys, f"error: parse: {where}need a finite theta and a finite f >= 0")
+    assert_single_line_error(capsys, f"error: parse: {where}{message}")
     assert sorted(p.name for p in tmp_path.iterdir()) == [bad.name]
 
 
 @pytest.mark.parametrize("fmt,text,message", [
-    ("csv", "theta,f\n", "error: parse: line 2: no sample rows"),
+    ("csv", "theta,f\n", "error: parse: line 2: no samples"),
     ("json", '{"samples": []}\n', "error: parse: no samples"),
 ], ids=["csv", "json"])
 def test_plot_rejects_an_empty_density(tmp_path, capsys, fmt, text, message):
@@ -406,11 +431,14 @@ def test_plot_rejects_an_empty_density(tmp_path, capsys, fmt, text, message):
     assert_single_line_error(capsys, message)
 
 
-def _pmf_doc(M=3, slots=(0, 1, 2), probs=(0.25, 0.5, 0.25)):
-    """A valid PMF document by default; each argument spoils one field."""
+def _pmf_doc(M=3, slots=(0, 1, 2), probs=(0.25, 0.5, 0.25), bounds=(0.0, 1.0)):
+    """A valid PMF document by default; each argument spoils one field.
+
+    A bound of None leaves that field out.
+    """
+    arc = {name: b for name, b in zip(("theta_lo", "theta_hi"), bounds) if b is not None}
     return json.dumps({"kind": "angular_pmf", "M": M, "slots": [
-        {"slot": k, "theta_lo": 0.0, "theta_hi": 1.0, "prob": q}
-        for k, q in zip(slots, probs)]})
+        {"slot": k, **arc, "prob": q} for k, q in zip(slots, probs)]})
 
 
 @pytest.mark.parametrize("doc,message", [
@@ -421,20 +449,27 @@ def _pmf_doc(M=3, slots=(0, 1, 2), probs=(0.25, 0.5, 0.25)):
      "slot must be an integer, got '0'"),
     (_pmf_doc(probs=("0.25", "0.5", "0.25")), "prob must be a number, got '0.25'"),
     (_pmf_doc(M=4), "needs slots 0..M-1, each exactly once"),
+    (_pmf_doc(bounds=("0.0", 1.0)), r"slots\[0\]: theta_lo must be a number, got '0.0'"),
+    (_pmf_doc(bounds=(0.0, None)),
+     r"slots\[0\]: expected the 4 fields slot, theta_lo, theta_hi, prob"),
 ], ids=["repeated-slot", "float-M", "bool-M", "string-slots", "string-probs",
-        "missing-slot"])
+        "missing-slot", "string-theta-lo", "missing-theta-hi"])
 def test_pmf_from_json_rejects_what_it_used_to_coerce(doc, message):
     with pytest.raises(ParseError, match=message):
         pmf_from_json(doc)
 
 
-def test_plot_malformed_input_reports_line(tmp_path, capsys):
+@pytest.mark.parametrize("rows,message", [
+    ("0,0.0,0.1,oops", "line 2: prob must be a number, got 'oops'"),
+    ("0,abc,def,0.5\n1,,,0.5", "line 2: theta_lo must be a number, got 'abc'"),
+    ("0,0.0,0.1,0.5\n1,,,0.5", "line 3: theta_lo must be a number, got ''"),
+], ids=["bad-prob", "word-bounds", "empty-bounds"])
+def test_plot_malformed_input_reports_line(tmp_path, capsys, rows, message):
     bad = tmp_path / "bad.csv"
-    bad.write_text("slot,theta_lo,theta_hi,prob\n0,0.0,0.1,oops\n")
+    bad.write_text(f"slot,theta_lo,theta_hi,prob\n{rows}\n")
     code = run(["plot", "--style", "ring", bad, "--out", tmp_path / "x.svg"])
     assert code != 0
-    err = capsys.readouterr().err
-    assert "line 2" in err
+    assert_single_line_error(capsys, f"error: parse: {message}")
 
 
 def test_plot_json_pmf_input(tmp_path):

@@ -81,7 +81,11 @@ def test_compare_flags_impossible_cells():
     # mass observed where the law says zero
     pmf = AngularPMF(4, (0.5, 0.5, 0.0, 0.0))
     hist = BinHistogram(M=4, counts=(40, 40, 20, 0), total=100)
-    assert compare(hist, pmf).kl == math.inf
+    report = compare(hist, pmf)
+    assert report.kl == math.inf
+    # pooled, the impossible cell would read as chi2 = 4.0, p = 0.046
+    assert report.chi2 == math.inf
+    assert report.p_value == 0.0
 
 
 def test_pooling_guarantees_minimum_expected_count():

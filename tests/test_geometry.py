@@ -145,12 +145,12 @@ def test_csv_export_shapes():
     one = build_lattice(LatticeSpec.from_angular(R=5.7, M=24, n=1, h=1.02,
                                                  r_peg=0.1, r_ball=0.4))
     data = export_pegs(one, "csv")
-    lines = data.decode().splitlines()
+    lines = data.splitlines()
     assert lines == ["row,col,theta,z,x,y",
                      f"0,0,{one[0].theta!r},{one[0].z!r},{one[0].x!r},{one[0].y!r}"]
 
     big = build_lattice(preset("modules-1-5").spec)
-    assert len(export_pegs(big, "csv").decode().splitlines()) == 685
+    assert len(export_pegs(big, "csv").splitlines()) == 685
 
 
 def test_json_export_round_trip():

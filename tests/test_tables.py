@@ -1,0 +1,105 @@
+"""The one table codec: what table_csv and table_json write, read_table reads back."""
+
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cylgalton.angular import (PMF_COLUMNS, ParseError, read_table, table_csv,
+                               table_json)
+from cylgalton.cli import DENSITY_COLUMNS
+from cylgalton.diagnostics import SWEEP_COLUMNS
+from cylgalton.geometry import PEG_COLUMNS
+from cylgalton.walk_sim import HISTOGRAM_COLUMNS
+
+# every column set the package writes
+COLUMN_SETS = {"pmf": PMF_COLUMNS, "density": DENSITY_COLUMNS, "pegs": PEG_COLUMNS,
+               "histogram": HISTOGRAM_COLUMNS, "sweep": SWEEP_COLUMNS}
+
+FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 0.0, 5e-324, -5e-324, 2.225073858507201e-308, 1e-310,
+     1e308, -1e308, 1.7976931348623157e308])
+INTS = st.integers(-2**70, 2**70) | st.sampled_from([2**53 + 1, -(2**53 + 1), 2**64])
+KINDS = {int: INTS, float: FLOATS}
+
+
+def exact(rows):
+    """Rows by type and repr, so -0.0 and 0.0 and 1 and 1.0 differ."""
+    return [[(type(v), repr(v)) for v in row] for row in rows]
+
+
+@st.composite
+def tables(draw):
+    name = draw(st.sampled_from(sorted(COLUMN_SETS)))
+    columns = COLUMN_SETS[name]
+    row = st.tuples(*(KINDS[kind] for kind in columns.values()))
+    return columns, draw(st.lists(row, min_size=1, max_size=12))
+
+
+@settings(max_examples=200, deadline=None)
+@given(table=tables())
+def test_tables_round_trip_exactly(table):
+    columns, rows = table
+    head, back = read_table(table_csv(columns, rows), columns, "rows")
+    assert head == {}
+    assert exact(back) == exact(rows)
+    head, back = read_table(table_json({"M": 7}, "rows", columns, rows), columns, "rows")
+    assert head == {"M": 7}
+    assert exact(back) == exact(rows)
+
+
+# JSON spellings that no column accepts, and those only a float column accepts
+NOT_NUMBERS = ["NaN", "Infinity", "-Infinity", "nan", "inf", "true", "false", "null",
+               '"0.5"', '"1"', '"nan"']
+NOT_INTEGERS = ["1.0", "1.5", "1e3"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(table=tables(), data=st.data())
+def test_json_rejects_what_is_not_a_number_of_its_kind(table, data):
+    columns, rows = table
+    row = data.draw(st.integers(0, len(rows) - 1))
+    name = data.draw(st.sampled_from(sorted(columns)))
+    spoiled = NOT_NUMBERS + (NOT_INTEGERS if columns[name] is int else [])
+    token = data.draw(st.sampled_from(spoiled))
+    cells = [list(r) for r in rows]
+    cells[row][list(columns).index(name)] = "@SPOILED@"
+    text = table_json({}, "rows", columns, cells).replace('"@SPOILED@"', token)
+    with pytest.raises(ParseError) as caught:
+        read_table(text, columns, "rows")
+    if token in ("nan", "inf"):     # not JSON at all
+        assert str(caught.value).startswith("line ")
+    else:
+        assert str(caught.value).startswith(f"rows[{row}]: {name} must be ")
+
+
+@pytest.mark.parametrize("field", ["nan", "inf", "-inf", "1e400", "true", "", "0x1p3"])
+def test_csv_rejects_a_non_finite_or_non_numeric_float(field):
+    text = f"theta,f\n0.5,1.0\n0.25,{field}\n"
+    with pytest.raises(ParseError, match=r"^line 3: f must be "):
+        read_table(text, DENSITY_COLUMNS, "samples")
+
+
+def test_json_integer_serves_as_a_float_but_not_beyond_its_range():
+    doc = {"samples": [{"theta": 1, "f": 2}]}
+    assert read_table(json.dumps(doc), DENSITY_COLUMNS, "samples") == ({}, [(1.0, 2.0)])
+    doc["samples"][0]["f"] = 10**400
+    with pytest.raises(ParseError, match=r"^samples\[0\]: f must be a number"):
+        read_table(json.dumps(doc), DENSITY_COLUMNS, "samples")
+
+
+@pytest.mark.parametrize("rows,message", [
+    ('[{"theta": 0, "f": ' + "1" * 5000 + "}]", "digits"),
+    ("[" * 100_000 + "]" * 100_000, "recursion"),
+], ids=["int-too-long", "too-deep"])
+def test_json_that_json_loads_cannot_hold_is_a_parse_error(rows, message):
+    # json.loads raises a plain ValueError or a RecursionError here
+    with pytest.raises(ParseError, match=message):
+        read_table('{"samples": ' + rows + "}", DENSITY_COLUMNS, "samples")
+
+
+def test_the_first_bad_field_in_file_order_is_reported():
+    text = "slot,theta_lo,theta_hi,prob\n0,0.0,0.1,oops\n1,abc,0.2,0.5\n"
+    with pytest.raises(ParseError, match=r"^line 2: prob must be a number, got 'oops'"):
+        read_table(text, PMF_COLUMNS, "slots")
