@@ -17,17 +17,16 @@ from .walk_sim import (BallTrace, BinHistogram, WalkConfig, simulate,
                        simulate_ball, unwrapped_stats)
 from .wrapped_binomial import (TrigMoments, WrappedBinomial, centered_angle,
                                full_pmf, pmf, trig_moments, tv_to_uniform)
-from .wrapped_normal import (LimitParams, WrappedNormal, bin_probs, density,
-                             density_fourier, density_wrapped, limit_params)
+from .wrapped_normal import (WrappedNormal, bin_probs, density, density_fourier,
+                             density_wrapped)
 
 __all__ = [
-    "AngularPMF", "BallTrace", "BinHistogram", "BoardPreset",
-    "ComparisonReport", "LatticeSpec", "LimitParams", "Peg", "SweepResult",
-    "TrigMoments", "WalkConfig", "WrappedBinomial", "WrappedNormal",
-    "bin_probs", "build_lattice", "centered_angle", "compare", "density",
-    "density_fourier", "density_wrapped", "export_pegs", "full_pmf",
-    "limit_params", "normal_limit_pmf", "planar_board", "pmf", "preset",
-    "preset_names", "simulate", "simulate_ball", "sweep_uniformity",
+    "AngularPMF", "BallTrace", "BinHistogram", "BoardPreset", "ComparisonReport",
+    "LatticeSpec", "Peg", "SweepResult", "TrigMoments", "WalkConfig",
+    "WrappedBinomial", "WrappedNormal", "bin_probs", "build_lattice",
+    "centered_angle", "compare", "density", "density_fourier", "density_wrapped",
+    "export_pegs", "full_pmf", "normal_limit_pmf", "planar_board", "pmf",
+    "preset", "preset_names", "simulate", "simulate_ball", "sweep_uniformity",
     "trig_moments", "tv_distance", "tv_to_uniform", "unwrapped_stats",
     "wb_wn_tv", "wrap_angle", "wrap_to_pi",
 ]

@@ -7,7 +7,9 @@ a manifest (<out stem>.manifest.json) built from the same list, echoing
 the command, parameters, seed, output paths, and tool version.  A
 command that fails writes nothing.  Data files are UTF-8 with LF line
 endings and full round-trip float precision, so identical invocations
-produce byte-identical files.
+produce byte-identical files.  ``simulate --planar`` is the cylinder
+walk with M = n + 1.  A board flag that --preset or --planar fixes is
+an error; the manifest records it as null, any other as the value used.
 
 Errors exit nonzero with a single line on stderr:
 ``error: <kind>: <message>``.
@@ -47,6 +49,9 @@ _SIGMA_MAX = math.sqrt(sys.float_info.max)
 # What a command returns: the files to write, in order.
 Outputs = list[tuple[Path, str]]
 
+# Custom-board geometry, cm, for the flags --preset fixes.
+_LATTICE_DEFAULTS = {"R": 5.7, "h": 1.02, "r_peg": 0.1, "r_ball": 0.4}
+
 
 def _json(doc) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
@@ -72,12 +77,15 @@ def _manifest(args: argparse.Namespace, outputs: Outputs) -> tuple[Path, str]:
 
 def cmd_lattice(args) -> Outputs:
     if args.preset:
-        if args.M is not None or args.n is not None:
-            raise ValueError("--preset fixes the board; drop --M and --n")
+        if any(getattr(args, k) is not None for k in ("M", "n", *_LATTICE_DEFAULTS)):
+            raise ValueError("--preset fixes the board; drop --M and --n "
+                             "and --R, --h, --r-peg, --r-ball")
         spec = preset(args.preset).spec
     elif args.M is None or args.n is None:
         raise ValueError("either --preset or both --M and --n are required")
     else:
+        vars(args).update({k: v for k, v in _LATTICE_DEFAULTS.items()
+                           if getattr(args, k) is None})    # for the manifest
         spec = LatticeSpec.from_angular(R=args.R, M=args.M, n=args.n, h=args.h,
                                         r_peg=args.r_peg, r_ball=args.r_ball)
     return [(Path(args.out), export_pegs(build_lattice(spec), args.format))]
@@ -124,16 +132,19 @@ def cmd_wn(args) -> Outputs:
 
 def _comparison_target(args, config: WalkConfig) -> AngularPMF:
     if args.compare == "exact":
-        m = config.n + 1 if config.planar else config.M
-        return full_pmf(WrappedBinomial(n=config.n, M=m, p=config.p))
-    if config.planar:
+        return full_pmf(config.law)
+    if args.planar:
         raise ValueError("--compare wn needs a wrapped board (drop --planar)")
-    return normal_limit_pmf(config.n, config.M, config.p)
+    return normal_limit_pmf(config.law)
 
 
 def cmd_simulate(args) -> Outputs:
-    config = WalkConfig(n=args.n, M=None if args.planar else args.M, p=args.p,
-                        balls=args.balls, seed=args.seed)
+    if args.planar and args.M is not None:
+        raise ValueError("--planar fixes the board at M = n + 1; drop --M")
+    if not args.planar and args.M is None:
+        args.M = 24     # for the manifest
+    config = WalkConfig(n=args.n, M=args.n + 1 if args.planar else args.M,
+                        p=args.p, balls=args.balls, seed=args.seed)
     # built first, so a comparison that cannot be made fails before the walk
     target = None if args.compare is None else _comparison_target(args, config)
     result = simulate(config, chunk=args.chunk)
@@ -147,13 +158,13 @@ def cmd_simulate(args) -> Outputs:
             outputs.append((_sidecar(out, "compare", ".json"), _json(asdict(report))))
         return outputs
     stats = None
-    if not config.planar:
+    if not args.planar:
         mean, var = unwrapped_stats(result.rights, config.M)
         stats = {"mean": mean, "variance": var}
     doc = {
         "command": "simulate",
-        "config": {"n": config.n, "M": config.M, "p": config.p,
-                   "balls": config.balls, "planar": config.planar},
+        "config": {"n": config.n, "M": args.M, "p": config.p,
+                   "balls": config.balls, "planar": args.planar},
         "seed": config.seed,
         "total": hist.total,
         "histogram": {"M": hist.M, "counts": list(hist.counts)},
@@ -210,10 +221,10 @@ def build_parser() -> argparse.ArgumentParser:
                      help="documented board preset")
     lat.add_argument("--M", type=int, help="angular slots (custom board)")
     lat.add_argument("--n", type=int, help="peg rows (custom board)")
-    lat.add_argument("--R", type=float, default=5.7, help="cylinder radius, cm")
-    lat.add_argument("--h", type=float, default=1.02, help="row spacing, cm")
-    lat.add_argument("--r-peg", dest="r_peg", type=float, default=0.1)
-    lat.add_argument("--r-ball", dest="r_ball", type=float, default=0.4)
+    for name, what in (("R", "cylinder radius"), ("h", "row spacing"),
+                       ("r_peg", "peg radius"), ("r_ball", "ball radius")):
+        lat.add_argument("--" + name.replace("_", "-"), type=float,
+                         help=f"{what}, cm (default {_LATTICE_DEFAULTS[name]})")
     lat.add_argument("--format", choices=("csv", "json"), default="csv")
     lat.add_argument("--out", required=True)
     lat.set_defaults(func=cmd_lattice)
@@ -241,9 +252,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", help="seeded Monte Carlo of the ball walk")
     sim.add_argument("--n", type=int, required=True, help="peg rows")
-    sim.add_argument("--M", type=int, default=24, help="angular slots")
+    sim.add_argument("--M", type=int, help="angular slots (default 24)")
     sim.add_argument("--planar", action="store_true",
-                     help="flat board: bins 0..n, no wrapping")
+                     help="flat board: bins 0..n, no wrapping (M = n + 1)")
     sim.add_argument("--p", type=float, default=0.5)
     sim.add_argument("--balls", type=int, default=2000,
                      help="ball count (default matches the demonstration run)")

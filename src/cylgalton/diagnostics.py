@@ -15,7 +15,7 @@ from scipy.special import gammaincc
 from .angular import TWO_PI, AngularPMF, table_csv, tv_distance
 from .walk_sim import BinHistogram
 from .wrapped_binomial import WrappedBinomial, full_pmf, tv_to_uniform
-from .wrapped_normal import WrappedNormal, bin_probs, limit_params
+from .wrapped_normal import WrappedNormal, bin_probs
 
 # Minimum expected count per retained chi-square cell.
 MIN_EXPECTED = 5.0
@@ -86,23 +86,30 @@ def compare(empirical: BinHistogram, theoretical: AngularPMF) -> ComparisonRepor
     return ComparisonReport(tv=tv, kl=kl, chi2=chi2, dof=dof, p_value=p_value)
 
 
-def normal_limit_pmf(n: int, M: int, p: float) -> AngularPMF:
-    """The normal limit of the slot law, binned in the slot-index frame.
+def normal_limit_pmf(wb: WrappedBinomial) -> AngularPMF:
+    """The normal limit of wb's slot law, binned in the slot-index frame.
 
-    Slot k's landing atom sits at centered angle (2k - n)*dtheta/2, so
-    the normal limit is integrated over atom-centered intervals.  In the
-    slot-index frame that is bin_probs of the limit shifted by
-    (n + 1)*dtheta/2: +n*dtheta/2 moves the centered frame onto slot
-    indices and +dtheta/2 turns edge-aligned bins into centered ones.
+    The unwrapped angle has mean n(2p - 1)*dtheta/2 and variance
+    n*p*(1 - p)*dtheta^2, degenerate unless n >= 1 and 0 < p < 1.  Slot
+    k's landing atom sits at centered angle (2k - n)*dtheta/2, so the
+    limit is integrated over atom-centered intervals: bin_probs of the
+    limit shifted by (n + 1)*dtheta/2 (+n*dtheta/2 moves the centered
+    frame onto slot indices, +dtheta/2 centers the bins on the atoms).
     """
-    lp = limit_params(n, M, p)
+    n, M, p = wb.n, wb.M, wb.p
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if not 0.0 < p < 1.0:
+        raise ValueError(
+            f"p={p!r} gives a degenerate (zero-variance) limit; need 0 < p < 1")
     dtheta = TWO_PI / M
-    return bin_probs(WrappedNormal(lp.mu + (n + 1) * dtheta / 2.0, lp.sigma2), M)
+    mu = n * (2.0 * p - 1.0) * dtheta / 2.0 + (n + 1) * dtheta / 2.0
+    return bin_probs(WrappedNormal(mu, n * p * (1.0 - p) * dtheta**2), M)
 
 
 def wb_wn_tv(wb: WrappedBinomial) -> float:
     """TV between the exact slot law and its discretised normal limit."""
-    return tv_distance(full_pmf(wb).probs, normal_limit_pmf(wb.n, wb.M, wb.p).probs)
+    return tv_distance(full_pmf(wb).probs, normal_limit_pmf(wb).probs)
 
 
 @dataclass(frozen=True)

@@ -3,12 +3,12 @@
 Each ball takes n independent left/right deflections with rightward
 probability p.  On a cylinder with M slots the angle advances half a
 slot per deflection, the net angle after n rows is S_n * dtheta / 2 with
-S_n = 2X - n the signed step sum, and the landing slot is the rightward
-count X mod M.  In flat mode (M = None) the bin is X itself, over n+1 bins.
+S_n = 2X - n the signed step sum; with X the rightward count, the landing
+slot X mod M follows WrappedBinomial(n, M, p).  A flat board is M = n + 1.
 
 A run therefore needs only the histogram of X over 0..n, ``rights``: it
-folds mod M into the wrapped histogram, is the planar histogram as it
-stands, and gives the unwrapped mean and variance exactly.
+folds mod M into the slot histogram and gives the unwrapped mean and
+variance exactly.
 
 Randomness is counter-based: draw z(b, k) for ball b, step k is a pure
 64-bit hash of (seed, b, k) (SplitMix64 finaliser over a Weyl counter).
@@ -40,7 +40,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .angular import TWO_PI, table_csv, wrap_angle
+from .angular import table_csv
+from .wrapped_binomial import WrappedBinomial
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX_A = np.uint64(0xBF58476D1CE4E5B9)
@@ -114,46 +115,36 @@ def _cpu_count() -> int:
 
 @dataclass(frozen=True)
 class WalkConfig:
-    """One Monte Carlo experiment: board shape, bias, ball count, seed."""
+    """One Monte Carlo experiment: the law's board and bias, ball count, seed."""
 
     n: int
-    M: int | None       # None selects flat mode (no wrapping)
+    M: int
     p: float
     balls: int
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("n", "balls", "seed") + (() if self.M is None else ("M",)):
+        for name in ("balls", "seed"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ValueError(f"{name} must be an int, got {value!r}")
         if not 0 <= self.seed < _UINT64_LIMIT:
             raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
-        if self.n < 0:
-            raise ValueError(f"n must be >= 0, got {self.n}")
-        if self.M is not None and self.M < 1:
-            raise ValueError(f"M must be >= 1, got {self.M}")
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"p must be in [0, 1], got {self.p!r}")
+        self.law    # validates n, M and p
         if self.balls < 1:
             raise ValueError(f"balls must be >= 1, got {self.balls}")
 
     @property
-    def planar(self) -> bool:
-        return self.M is None
-
-    @property
-    def bins(self) -> int:
-        return self.n + 1 if self.planar else self.M
+    def law(self) -> WrappedBinomial:     # the exact slot law of the walk
+        return WrappedBinomial(self.n, self.M, self.p)
 
 
 @dataclass(frozen=True)
 class BallTrace:
-    """One ball's deflection record and landing state."""
+    """One ball's deflection record and landing slot."""
 
     steps: tuple[int, ...]   # +-1 per row
     final_s: int             # signed step sum
-    final_theta: float       # landing angle in [0, 2*pi); 0.0 in flat mode
     bin: int
 
 
@@ -191,20 +182,14 @@ def simulate_ball(config: WalkConfig, ball_index: int) -> BallTrace:
     limit = _right_limit(config.p)
     steps = tuple(1 if b < limit else -1 for b in bits.tolist())
     x = steps.count(1)
-    s = 2 * x - config.n
-    if config.planar:
-        theta, landing = 0.0, x
-    else:
-        theta = wrap_angle(s * (TWO_PI / config.M) / 2.0)
-        landing = x % config.M
-    return BallTrace(steps=steps, final_s=s, final_theta=theta, bin=landing)
+    return BallTrace(steps=steps, final_s=2 * x - config.n, bin=x % config.M)
 
 
 def simulate(config: WalkConfig, chunk: int = DEFAULT_CHUNK) -> SimulationResult:
     """Run all balls and count them by rightward deflections, x = 0..n.
 
-    The landing histogram is that count, ``rights``, in flat mode and
-    ``rights`` folded mod M on a cylinder.  chunk is an upper bound on
+    The landing histogram is that count, ``rights``, folded mod M (the
+    identity on a flat board, M = n + 1).  chunk is an upper bound on
     balls per block; the result is a pure function of (seed, config),
     and ball b is simulate_ball(config, b).
     """
@@ -228,11 +213,9 @@ def simulate(config: WalkConfig, chunk: int = DEFAULT_CHUNK) -> SimulationResult
         else:
             with concurrent.futures.ThreadPoolExecutor(ranges) as pool:
                 rights = sum(pool.map(lambda job: _count_rights(*job), jobs))
-    counts = rights
-    if not config.planar:
-        counts = np.zeros(config.M, dtype=np.int64)
-        np.add.at(counts, np.arange(n + 1) % config.M, rights)
-    hist = BinHistogram(M=config.bins, counts=tuple(int(c) for c in counts),
+    counts = np.zeros(config.M, dtype=np.int64)
+    np.add.at(counts, np.arange(n + 1) % config.M, rights)
+    hist = BinHistogram(M=config.M, counts=tuple(int(c) for c in counts),
                         total=config.balls)
     return SimulationResult(histogram=hist, rights=tuple(int(c) for c in rights))
 

@@ -101,33 +101,3 @@ def bin_probs(wn: WrappedNormal, M: int) -> AngularPMF:
     probs = np.maximum((cdf[:, 1:] - cdf[:, :-1]).sum(axis=0), 0.0)
     return AngularPMF(M, tuple(probs))
 
-
-@dataclass(frozen=True)
-class LimitParams:
-    """Parameters of the normal limit of the angular walk, unreduced.
-
-    mu may exceed 2*pi for strongly drifting walks; reduction happens
-    when the WrappedNormal is built.
-    """
-
-    mu: float
-    sigma2: float
-
-
-def limit_params(n: int, M: int, p: float) -> LimitParams:
-    """Limiting mean n(2p-1)*dtheta/2 and variance n*p*(1-p)*dtheta^2.
-
-    These are the moments of the unwrapped angular displacement after n
-    half-slot steps; p must be strictly inside (0, 1) for the limit to
-    be nondegenerate.
-    """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if M < 1:
-        raise ValueError(f"M must be >= 1, got {M}")
-    if not 0.0 < p < 1.0:
-        raise ValueError(
-            f"p={p!r} gives a degenerate (zero-variance) limit; need 0 < p < 1")
-    dtheta = TWO_PI / M
-    return LimitParams(mu=n * (2.0 * p - 1.0) * dtheta / 2.0,
-                       sigma2=n * p * (1.0 - p) * dtheta**2)

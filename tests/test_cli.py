@@ -53,15 +53,28 @@ def test_lattice_custom_single_peg(tmp_path):
     assert len(read_lines(out)) == 2
 
 
-@pytest.mark.parametrize("shape", [["--M", 7], ["--n", 3], ["--M", 7, "--n", 3]],
-                         ids=["M", "n", "M-and-n"])
+@pytest.mark.parametrize("shape", [["--M", 7], ["--n", 3], ["--M", 7, "--n", 3],
+                                   ["--R", 3], ["--h", 9], ["--r-peg", 0.2],
+                                   ["--r-ball", 0.01]],
+                         ids=["M", "n", "M-and-n", "R", "h", "r-peg", "r-ball"])
 def test_lattice_preset_rejects_shape_flags(tmp_path, capsys, shape):
-    # the preset fixes M and n, so a custom shape would be silently dropped
+    # the preset fixes the whole board, so a custom value would be silently dropped
     assert run(["lattice", "--preset", "modules-1", *shape,
                 "--out", tmp_path / "x.csv"]) == 1
     assert_single_line_error(
         capsys, "error: ValueError: --preset fixes the board; drop --M and --n")
     assert list(tmp_path.iterdir()) == []
+
+
+def test_lattice_manifest_records_the_geometry_used(tmp_path):
+    def geometry(*flags):
+        assert run(["lattice", *flags, "--out", tmp_path / "pegs.csv"]) == 0
+        config = json.loads((tmp_path / "pegs.manifest.json").read_text())["config"]
+        return [config[k] for k in ("M", "n", "R", "h", "r_peg", "r_ball")]
+
+    assert geometry("--preset", "planar-a4") == [None] * 6
+    assert geometry("--M", 24, "--n", 8) == [24, 8, 5.7, 1.02, 0.1, 0.4]
+    assert geometry("--M", 24, "--n", 8, "--h", 2) == [24, 8, 5.7, 2.0, 0.1, 0.4]
 
 
 def test_lattice_requires_shape_arguments(tmp_path, capsys):
@@ -222,6 +235,20 @@ def test_simulate_planar_eleven_bins(tmp_path):
     assert len(read_lines(out)) == 12
 
 
+@pytest.mark.parametrize("n, p", [(10, 0.9), (0, 0.5)], ids=["n10", "n0"])
+def test_simulate_planar_is_the_walk_with_one_slot_per_outcome(tmp_path, n, p):
+    # a flat board of n rows is the cylinder walk with M = n + 1: X <= n never wraps
+    common = ["simulate", "--n", n, "--p", p, "--balls", 3000, "--seed", 7,
+              "--compare", "exact"]
+    assert run([*common, "--planar", "--out", tmp_path / "flat.csv"]) == 0
+    assert run([*common, "--M", n + 1, "--out", tmp_path / "wrap.csv"]) == 0
+    for suffix in (".csv", ".compare.json"):
+        assert ((tmp_path / f"flat{suffix}").read_bytes()
+                == (tmp_path / f"wrap{suffix}").read_bytes())
+    manifest = json.loads((tmp_path / "flat.manifest.json").read_text())
+    assert manifest["config"]["M"] is None
+
+
 def test_simulate_deterministic_walk(tmp_path):
     out = tmp_path / "det.csv"
     assert run(["simulate", "--n", 5, "--p", 1.0, "--balls", 10,
@@ -274,7 +301,9 @@ def test_simulate_wn_compare_needs_wrapping(tmp_path, capsys):
 @pytest.mark.parametrize("board,message", [
     (["--planar"], "error: ValueError: --compare wn needs a wrapped board"),
     (["--p", 0], "error: ValueError: p=0.0 gives a degenerate"),
-], ids=["planar", "p0"])
+    (["--planar", "--M", 7],
+     "error: ValueError: --planar fixes the board at M = n + 1; drop --M"),
+], ids=["planar", "p0", "planar-M"])
 def test_simulate_rejects_a_bad_compare_before_the_walk(tmp_path, capsys,
                                                         monkeypatch, board, message):
     def walk(*args, **kwargs):

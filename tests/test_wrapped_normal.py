@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 from scipy.integrate import quad, simpson
 
 from cylgalton.angular import TWO_PI
+from cylgalton.diagnostics import normal_limit_pmf
+from cylgalton.wrapped_binomial import WrappedBinomial
 from cylgalton.wrapped_normal import (WrappedNormal, bin_probs, density,
-                                      density_fourier, density_wrapped,
-                                      limit_params)
+                                      density_fourier, density_wrapped)
 from oracles import wn_density_ref, wn_interval_prob_ref
 
 
@@ -149,35 +150,52 @@ def test_uniform_limit_of_the_density(sigma):
     assert np.max(np.abs(density(wn, grid) - 1.0 / TWO_PI)) < 1e-8
 
 
+# The normal limit of WrappedBinomial(n, M, p) is the unwrapped angle's
+# Normal(n(2p - 1)*dtheta/2, n*p*(1 - p)*dtheta^2), its mean moved by
+# (n + 1)*dtheta/2 into the slot frame, binned over the M slots.
+
 def test_limit_params_symmetric_walk():
-    lp = limit_params(24, 24, 0.5)
-    assert lp.mu == 0.0
-    assert lp.sigma2 == pytest.approx(6 * (math.pi / 12) ** 2, rel=1e-14)
-    assert lp.sigma2 == pytest.approx(0.41123351671205655, abs=1e-15)
+    dtheta = TWO_PI / 24
+    mu, sigma2 = 0.0 + 25 * dtheta / 2.0, 24 * 0.5 * 0.5 * dtheta**2
+    assert (normal_limit_pmf(WrappedBinomial(24, 24, 0.5))
+            == bin_probs(WrappedNormal(mu, sigma2), 24))
+    assert mu == pytest.approx(25 * math.pi / 24, rel=1e-14)
+    assert sigma2 == pytest.approx(6 * (math.pi / 12) ** 2, rel=1e-14)
+    assert sigma2 == pytest.approx(0.41123351671205655, abs=1e-15)
 
 
 def test_limit_params_biased_walk():
-    lp = limit_params(8, 24, 0.75)
-    assert lp.mu == pytest.approx(math.pi / 6, rel=1e-14)
-    assert limit_params(100, 360, 0.5).mu == 0.0
+    dtheta = TWO_PI / 24
+    drift = 8 * (2.0 * 0.75 - 1.0) * dtheta / 2.0
+    assert drift == pytest.approx(math.pi / 6, rel=1e-14)
+    assert (normal_limit_pmf(WrappedBinomial(8, 24, 0.75))
+            == bin_probs(WrappedNormal(drift + 9 * dtheta / 2.0,
+                                       8 * 0.75 * 0.25 * dtheta**2), 24))
+    dtheta = TWO_PI / 360           # no drift: only the slot-frame shift
+    assert (normal_limit_pmf(WrappedBinomial(100, 360, 0.5))
+            == bin_probs(WrappedNormal(101 * dtheta / 2.0, 25 * dtheta**2), 360))
 
 
 def test_limit_params_rejects_degenerate_bias():
     with pytest.raises(ValueError, match="degenerate"):
-        limit_params(8, 24, 0.0)
+        normal_limit_pmf(WrappedBinomial(8, 24, 0.0))
     with pytest.raises(ValueError, match="degenerate"):
-        limit_params(8, 24, 1.0)
+        normal_limit_pmf(WrappedBinomial(8, 24, 1.0))
     with pytest.raises(ValueError, match="n must be"):
-        limit_params(0, 24, 0.5)
+        normal_limit_pmf(WrappedBinomial(0, 24, 0.5))
 
 
 def test_wrapped_normal_reduces_the_mean():
     assert WrappedNormal(1.0, 0.5).mu == 1.0
     assert WrappedNormal(-0.5, 0.5).mu == pytest.approx(TWO_PI - 0.5)
-    lp = limit_params(100, 4, 0.9)   # mu far beyond 2*pi
-    wn = WrappedNormal(lp.mu, lp.sigma2)
+    dtheta = TWO_PI / 4
+    mu = 100 * (2.0 * 0.9 - 1.0) * dtheta / 2.0 + 101 * dtheta / 2.0
+    sigma2 = 100 * 0.9 * (1.0 - 0.9) * dtheta**2
+    wn = WrappedNormal(mu, sigma2)
+    assert mu > 10 * TWO_PI         # far beyond 2*pi
     assert 0.0 <= wn.mu < TWO_PI
-    assert wn.sigma2 == lp.sigma2
+    assert wn.sigma2 == sigma2
+    assert normal_limit_pmf(WrappedBinomial(100, 4, 0.9)) == bin_probs(wn, 4)
 
 
 @settings(max_examples=40, deadline=None)
