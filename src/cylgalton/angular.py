@@ -10,6 +10,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain
+
+import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
@@ -48,6 +51,26 @@ def tv_distance(a, b) -> float:
     if len(a) != len(b):
         raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
     return 0.5 * math.fsum(abs(x - y) for x, y in zip(a, b))
+
+
+# A law on M slots is also given by its DFT coefficients c(t), t = 0..M-1:
+# slot k's mass is (1/M) sum_t c(t) e^{-2*pi*i*t*k/M}, and c(0) = 1.
+
+def spectral_masses(coef: np.ndarray) -> np.ndarray:
+    """The slot masses of the coefficients coef, by one FFT."""
+    return np.fft.fft(coef).real / coef.size
+
+
+def spectral_tv(diff: np.ndarray) -> float:
+    """TV between two laws whose coefficients differ by diff.
+
+    diff[0], a difference of two 1s, is left out, so each slot's
+    difference is formed from the t != 0 coefficients alone and a tiny
+    distance keeps its relative accuracy.
+    """
+    diff = diff.copy()
+    diff[0] = 0.0
+    return 0.5 * math.fsum(np.abs(np.fft.fft(diff).real)) / diff.size
 
 
 @dataclass(frozen=True)
@@ -92,9 +115,31 @@ def table_csv(columns, rows) -> str:
 
 
 def table_json(head: dict, key: str, columns, rows) -> str:
-    """head's fields, then key: a list of one {column: value} object per row."""
-    doc = {**head, key: [dict(zip(columns, row)) for row in rows]}
-    return json.dumps(doc, indent=2) + "\n"
+    """head's fields, then key: a list of one {column: value} object per row.
+
+    The text is json.dumps(doc, indent=2) + "\n".  Rows of ints and finite
+    floats, the package's own, are laid out here directly, as json.dumps
+    writes them (int.__repr__, float.__repr__); anything else goes
+    through json.dumps.
+    """
+    rows = [tuple(row) for row in rows]
+    values = list(chain.from_iterable(rows))
+    try:
+        direct = (key not in head and {len(row) for row in rows} <= {len(columns)}
+                  and set(map(type, values)) <= {int, float}
+                  and all(map(math.isfinite, values)))
+    except OverflowError:       # an int beyond a float
+        direct = False
+    if not direct:
+        doc = {**head, key: [dict(zip(columns, row)) for row in rows]}
+        return json.dumps(doc, indent=2) + "\n"
+    text = json.dumps({**head, key: []}, indent=2)
+    if rows:
+        row_format = "    {\n" + ",\n".join(
+            f"      {json.dumps(name).replace('%', '%%')}: %r" for name in columns) + "\n    }"
+        body = ",\n".join([row_format % row for row in rows])
+        text = text[:-len("[]\n}")] + "[\n" + body + "\n  ]\n}"
+    return text + "\n"
 
 
 # Per column kind: its name in messages, and the JSON types it takes: never

@@ -10,12 +10,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.special import gammaincc
-
-from .angular import TWO_PI, AngularPMF, table_csv, tv_distance
+from .angular import TWO_PI, AngularPMF, spectral_tv, table_csv, tv_distance
 from .walk_sim import BinHistogram
 from .wrapped_binomial import WrappedBinomial, full_pmf, tv_to_uniform
-from .wrapped_normal import WrappedNormal, bin_probs
+from .wrapped_normal import WrappedNormal, bin_probs, slot_coefficients
 
 # Minimum expected count per retained chi-square cell.
 MIN_EXPECTED = 5.0
@@ -57,15 +55,42 @@ def _pool_cyclic(observed, expected) -> list[tuple[float, float]]:
     return groups
 
 
+def chi2_tail(x: float, dof: int) -> float:
+    """P(chi^2_dof > x), the regularised upper incomplete gamma Q(dof/2, x/2).
+
+    The closed forms at integer dof (Abramowitz & Stegun 26.4.4-26.4.5),
+    with y = x/2: e^{-y} sum_{j < dof/2} y^j / j! for even dof, and
+    erfc(sqrt y) + sum_{r=1}^{(dof-1)/2} e^{-y} y^{r-1/2} / Gamma(r + 1/2)
+    for odd dof.  Every term is positive, so there is no cancellation;
+    each is taken in log space with lgamma and the sum with fsum, which
+    keeps the result within about 1e-12 relative up to dof 3599.
+    """
+    if dof < 1:
+        raise ValueError(f"dof must be >= 1, got {dof}")
+    if not x > 0.0:
+        return 1.0
+    if x == math.inf:
+        return 0.0
+    y = 0.5 * x
+    log_y = math.log(y)
+    first = dof % 2 / 2.0       # 0 for even dof, 1/2 for odd
+    terms = [math.exp(a * log_y - y - math.lgamma(a + 1.0))
+             for a in (first + i for i in range(dof // 2))]
+    if dof % 2:
+        terms.append(math.erfc(math.sqrt(y)))
+    return math.fsum(terms)
+
+
 def compare(empirical: BinHistogram, theoretical: AngularPMF) -> ComparisonReport:
     """TV, smoothed KL, and pooled chi-square of counts against a slot law.
 
     KL is the sample-vs-model divergence sum(e * log(e / q)) over cells
     with q > 0, with empty empirical cells replaced by eps = 1/(10N) so
     the sum stays finite.  Chi-square cells are pooled cyclically until
-    each expects >= 5, and the p-value is the regularised upper incomplete
-    gamma at dof/2.  A count observed where q = 0 makes kl and chi2 inf
-    and the p-value 0.
+    each expects >= 5, and the p-value is chi2_tail(chi2, dof), the
+    regularised upper incomplete gamma at dof/2 in closed form, within
+    about 1e-12 relative.  A count observed where q = 0 makes kl and chi2
+    inf and the p-value 0.
     """
     if empirical.M != theoretical.M:
         raise ValueError(
@@ -82,19 +107,19 @@ def compare(empirical: BinHistogram, theoretical: AngularPMF) -> ComparisonRepor
     groups = _pool_cyclic(counts, [total * q for q in qs])
     chi2 = math.inf if impossible else math.fsum((o - e) ** 2 / e for o, e in groups)
     dof = max(1, len(groups) - 1)
-    p_value = float(gammaincc(dof / 2.0, chi2 / 2.0))
+    p_value = chi2_tail(chi2, dof)
     return ComparisonReport(tv=tv, kl=kl, chi2=chi2, dof=dof, p_value=p_value)
 
 
-def normal_limit_pmf(wb: WrappedBinomial) -> AngularPMF:
-    """The normal limit of wb's slot law, binned in the slot-index frame.
+def _normal_limit(wb: WrappedBinomial) -> WrappedNormal:
+    """The normal limit of wb's slot law, in the slot-index frame.
 
     The unwrapped angle has mean n(2p - 1)*dtheta/2 and variance
     n*p*(1 - p)*dtheta^2, degenerate unless n >= 1 and 0 < p < 1.  Slot
     k's landing atom sits at centered angle (2k - n)*dtheta/2, so the
-    limit is integrated over atom-centered intervals: bin_probs of the
-    limit shifted by (n + 1)*dtheta/2 (+n*dtheta/2 moves the centered
-    frame onto slot indices, +dtheta/2 centers the bins on the atoms).
+    limit is integrated over atom-centered intervals: its mean is moved
+    by (n + 1)*dtheta/2 (+n*dtheta/2 moves the centered frame onto slot
+    indices, +dtheta/2 centers the bins on the atoms).
     """
     n, M, p = wb.n, wb.M, wb.p
     if n < 1:
@@ -104,12 +129,27 @@ def normal_limit_pmf(wb: WrappedBinomial) -> AngularPMF:
             f"p={p!r} gives a degenerate (zero-variance) limit; need 0 < p < 1")
     dtheta = TWO_PI / M
     mu = n * (2.0 * p - 1.0) * dtheta / 2.0 + (n + 1) * dtheta / 2.0
-    return bin_probs(WrappedNormal(mu, n * p * (1.0 - p) * dtheta**2), M)
+    return WrappedNormal(mu, n * p * (1.0 - p) * dtheta**2)
+
+
+def normal_limit_pmf(wb: WrappedBinomial) -> AngularPMF:
+    """The normal limit of wb's slot law, binned over its M slots."""
+    return bin_probs(_normal_limit(wb), wb.M)
 
 
 def wb_wn_tv(wb: WrappedBinomial) -> float:
-    """TV between the exact slot law and its discretised normal limit."""
-    return tv_distance(full_pmf(wb).probs, normal_limit_pmf(wb).probs)
+    """TV between the exact slot law and its discretised normal limit.
+
+    On the exact law's spectral route the distance comes from the t != 0
+    differences cf(t) - c(t) of the two laws' DFT coefficients, each law's
+    kept down to underflow, so a tiny distance keeps its relative
+    accuracy; otherwise from the slot vectors.
+    """
+    cf = wb._spectrum
+    if cf is None:
+        return tv_distance(full_pmf(wb).probs, normal_limit_pmf(wb).probs)
+    limit = slot_coefficients(_normal_limit(wb), wb.M, floor=math.ulp(0.0))
+    return spectral_tv(cf - limit)
 
 
 @dataclass(frozen=True)
@@ -136,6 +176,9 @@ def sweep_uniformity(M: int, p: float, n_list) -> SweepResult:
     if ns[0] < 1:
         raise ValueError(f"tv_wn needs every n >= 1, where the normal limit "
                          f"is not degenerate; got n={ns[0]}")
+    if not 0.0 < p < 1.0:
+        raise ValueError(f"--p must be in (0, 1) for the tv_wn column, where "
+                         f"the normal limit is not degenerate; got {p!r}")
     laws = (WrappedBinomial(n, M, p) for n in ns)
     rows = tuple(SweepRow(n=wb.n, tv_uniform=tv_to_uniform(wb), tv_wn=wb_wn_tv(wb))
                  for wb in laws)

@@ -43,7 +43,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .angular import TWO_PI, AngularPMF, tv_distance, wrap_angle, wrap_to_pi
+from .angular import (TWO_PI, AngularPMF, spectral_masses, spectral_tv,
+                      tv_distance, wrap_angle, wrap_to_pi)
 
 # Largest n for which comb() * p**k * q**(n-k) in doubles is preferable
 # to log-space evaluation; laws with n <= _EXACT_LIMIT always take the
@@ -106,7 +107,9 @@ class WrappedBinomial:
     @cached_property
     def _slot_probs(self) -> tuple[float, ...]:
         cf = self._spectrum
-        return _direct_slots(self) if cf is None else _spectral_slots(cf)
+        if cf is None:
+            return _direct_slots(self)
+        return tuple(spectral_masses(cf).tolist())
 
 
 def _direct_slots(wb: WrappedBinomial) -> tuple[float, ...]:
@@ -114,11 +117,6 @@ def _direct_slots(wb: WrappedBinomial) -> tuple[float, ...]:
     terms = _binomial_terms(wb.n, wb.p)
     # terms[k::M] is exactly the orbit {k, k+M, k+2M, ...}
     return tuple(math.fsum(terms[k::wb.M]) for k in range(wb.M))
-
-
-def _spectral_slots(cf: np.ndarray) -> tuple[float, ...]:
-    """Slot masses as the inverse DFT of cf(0..M-1), one FFT."""
-    return tuple((np.fft.fft(cf).real / cf.size).tolist())
 
 
 def pmf(wb: WrappedBinomial, k: int) -> float:
@@ -192,9 +190,7 @@ def tv_to_uniform(wb: WrappedBinomial) -> float:
     cf = wb._spectrum
     if cf is None:
         return tv_distance(wb._slot_probs, [1.0 / wb.M] * wb.M)
-    excess = cf.copy()
-    excess[0] = 0.0
-    return 0.5 * math.fsum(np.abs(np.fft.fft(excess).real)) / wb.M
+    return spectral_tv(cf)      # the uniform law's coefficients are 0 at t != 0
 
 
 def centered_angle(wb: WrappedBinomial, k: int) -> float:

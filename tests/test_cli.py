@@ -316,6 +316,15 @@ def test_simulate_rejects_a_bad_compare_before_the_walk(tmp_path, capsys,
     assert list(tmp_path.iterdir()) == []
 
 
+def test_simulate_wn_compare_names_itself_on_a_board_with_no_rows(tmp_path, capsys):
+    assert run(["simulate", "--n", 0, "--balls", 100, "--out", tmp_path / "ok.csv"]) == 0
+    assert run(["simulate", "--n", 0, "--balls", 100, "--compare", "wn",
+                "--out", tmp_path / "x.csv"]) == 1
+    assert_single_line_error(
+        capsys, "error: ValueError: --compare wn needs n >= 1: the normal limit")
+    assert not (tmp_path / "x.csv").exists()
+
+
 # --- sweep --------------------------------------------------------------------
 
 def test_sweep_ladder(tmp_path):
@@ -345,6 +354,15 @@ def test_sweep_names_the_flag_of_a_bad_row_count(tmp_path, capsys):
 def test_sweep_rejects_zero_rows(tmp_path, capsys):
     assert run(["sweep", "--M", 7, "--n", "0,1,5,50", "--out", tmp_path / "s.csv"]) == 1
     assert_single_line_error(capsys, "error: ValueError: tv_wn needs every n >= 1")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("p", [0, 1])
+def test_sweep_rejects_a_degenerate_p(tmp_path, capsys, p):
+    assert run(["sweep", "--M", 24, "--p", p, "--n", "5,50",
+                "--out", tmp_path / "s.csv"]) == 1
+    assert_single_line_error(
+        capsys, "error: ValueError: --p must be in (0, 1) for the tv_wn column")
     assert list(tmp_path.iterdir()) == []
 
 
@@ -582,3 +600,13 @@ def test_module_entry_point_error_is_single_line(tmp_path):
     assert proc.returncode == 1
     assert proc.stderr.startswith("error:")
     assert len(proc.stderr.strip().splitlines()) == 1
+
+
+def test_cold_start_imports_no_scipy():
+    # scipy.special alone took most of a cold start's 0.4 s
+    src = str(Path(cylgalton.__file__).resolve().parents[1])
+    probe = ("import sys, cylgalton.cli; cylgalton.cli.build_parser(); "
+             "print([m for m in sys.modules if m.startswith('scipy')])")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert proc.stdout.strip() == "[]"

@@ -1,17 +1,18 @@
 import math
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cylgalton import wrapped_binomial
 from cylgalton.angular import TWO_PI, AngularPMF
-from cylgalton.diagnostics import (MIN_EXPECTED, _pool_cyclic, compare,
-                                   sweep_to_csv, sweep_uniformity,
+from cylgalton.diagnostics import (MIN_EXPECTED, _pool_cyclic, chi2_tail,
+                                   compare, sweep_to_csv, sweep_uniformity,
                                    tv_distance, wb_wn_tv)
 from cylgalton.walk_sim import BinHistogram, WalkConfig, simulate
 from cylgalton.wrapped_binomial import WrappedBinomial, full_pmf, tv_to_uniform
-from oracles import binomial_fold_pmf, wn_interval_prob_ref
+from oracles import binomial_fold_pmf, wb_wn_tv_ref, wn_interval_prob_ref
 
 
 def _uniform(m):
@@ -152,6 +153,14 @@ def test_sweep_rejects_zero_rows_before_any_fold(monkeypatch):
         sweep_uniformity(7, 0.5, [5, 1, 0, 50])
 
 
+@pytest.mark.parametrize("p", [0.0, 1.0])
+def test_sweep_rejects_a_degenerate_p_before_any_row(monkeypatch, p):
+    monkeypatch.setattr(wrapped_binomial, "_binomial_terms", None)
+    monkeypatch.setattr(wrapped_binomial, "_cf_vector", None)
+    with pytest.raises(ValueError, match=r"^--p must be in \(0, 1\) for the tv_wn column"):
+        sweep_uniformity(24, p, [5, 500])
+
+
 def test_sweep_csv_round_trip_precision():
     result = sweep_uniformity(24, 0.5, [8, 24])
     text = sweep_to_csv(result)
@@ -185,3 +194,29 @@ def test_wb_wn_distance_shrinks_with_depth():
     assert vals[0] > vals[1] > vals[2]
     assert vals[2] < 0.02
 
+
+
+# At n = 200 subtracting the two slot vectors would give the distance to 9
+# digits too; from n = 5623 on they agree to roundoff, and only the
+# difference of their DFT coefficients resolves it.
+@pytest.mark.parametrize("n,pinned", [(200, 2.39651107e-4), (5623, 9.6e-23),
+                                      (20_000, 9.4e-76)])
+def test_wb_wn_distance_pinned_against_reference(n, pinned):
+    want = wb_wn_tv_ref(n, 24, 0.5)
+    assert want == pytest.approx(pinned, rel=0.01 if n > 200 else 1e-8)
+    assert wb_wn_tv(WrappedBinomial(n, 24, 0.5)) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("dof", [*range(1, 41), 359, 3599])
+def test_chi2_tail_against_mpmath(dof):
+    for ratio in (0.05, 0.5, 1.0, 1.5, 3.0):
+        x = ratio * dof
+        want = mpmath.gammainc(dof / 2, x / 2, mpmath.inf, regularized=True)
+        assert chi2_tail(x, dof) == pytest.approx(float(want), rel=1.5e-12, abs=0.0)
+    assert chi2_tail(0.0, dof) == 1.0
+    assert chi2_tail(math.inf, dof) == 0.0
+
+
+def test_chi2_tail_rejects_a_dof_below_one():
+    with pytest.raises(ValueError, match="dof must be >= 1"):
+        chi2_tail(1.0, 0)

@@ -1,17 +1,22 @@
 """The one table codec: what table_csv and table_json write, read_table reads back."""
 
 import json
+import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cylgalton.angular import (PMF_COLUMNS, ParseError, read_table, table_csv,
-                               table_json)
+from cylgalton.angular import (PMF_COLUMNS, ParseError, pmf_to_json_dict,
+                               read_table, table_csv, table_json)
 from cylgalton.cli import DENSITY_COLUMNS
 from cylgalton.diagnostics import SWEEP_COLUMNS
-from cylgalton.geometry import PEG_COLUMNS
+from cylgalton.geometry import (PEG_COLUMNS, build_lattice, export_pegs, preset,
+                                preset_names)
 from cylgalton.walk_sim import HISTOGRAM_COLUMNS
+from cylgalton.wrapped_binomial import WrappedBinomial, centered_angle, full_pmf
+from cylgalton.wrapped_normal import WrappedNormal, density
 
 # every column set the package writes
 COLUMN_SETS = {"pmf": PMF_COLUMNS, "density": DENSITY_COLUMNS, "pegs": PEG_COLUMNS,
@@ -103,3 +108,52 @@ def test_the_first_bad_field_in_file_order_is_reported():
     text = "slot,theta_lo,theta_hi,prob\n0,0.0,0.1,oops\n1,abc,0.2,0.5\n"
     with pytest.raises(ParseError, match=r"^line 2: prob must be a number, got 'oops'"):
         read_table(text, PMF_COLUMNS, "slots")
+
+
+# table_json lays out the rows itself; its text must be json.dumps's, byte for byte.
+
+def dumps(head, key, columns, rows):
+    return json.dumps({**head, key: [dict(zip(columns, row)) for row in rows]},
+                      indent=2) + "\n"
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_table_json_writes_what_json_dumps_writes_for_every_preset(name):
+    pegs = sorted(build_lattice(preset(name).spec), key=lambda p: (p.row, p.col))
+    rows = [(p.row, p.col, p.theta, p.z, p.x, p.y) for p in pegs]
+    assert export_pegs(pegs, "json") == dumps({"unit": "cm"}, "pegs", PEG_COLUMNS, rows)
+
+
+def test_table_json_writes_what_json_dumps_writes_for_a_pmf_and_a_density():
+    wb = WrappedBinomial(24, 24, 0.5)
+    pmf = full_pmf(wb)
+    bounds = [(a - math.pi / 24, a + math.pi / 24)
+              for a in (centered_angle(wb, k) for k in range(24))]
+    rows = [(k, lo, hi, q) for k, ((lo, hi), q) in enumerate(zip(bounds, pmf.probs))]
+    assert pmf_to_json_dict(pmf, bounds) == dumps(
+        {"kind": "angular_pmf", "M": 24}, "slots", PMF_COLUMNS, rows)
+    thetas = [2 * math.pi * i / 720 for i in range(720)]
+    rows = list(zip(thetas, density(WrappedNormal(1.0, 0.5), np.array(thetas)).tolist()))
+    assert table_json({}, "samples", DENSITY_COLUMNS, rows) == dumps(
+        {}, "samples", DENSITY_COLUMNS, rows)
+
+
+@pytest.mark.parametrize("head", [{}, {"M": 3}], ids=["bare", "with-head"])
+def test_table_json_writes_what_json_dumps_writes_for_an_empty_table(head):
+    assert table_json(head, "rows", DENSITY_COLUMNS, []) == dumps(
+        head, "rows", DENSITY_COLUMNS, [])
+
+
+ODD_VALUES = st.sampled_from([math.nan, math.inf, -math.inf, True, None, "x", 10**400,
+                              np.float64(0.5)])
+
+
+@settings(max_examples=25, deadline=None)
+@given(table=tables(), odd=st.none() | ODD_VALUES, data=st.data())
+def test_table_json_writes_what_json_dumps_writes(table, odd, data):
+    columns, rows = table
+    if odd is not None:     # a value the direct layout does not take
+        row = data.draw(st.integers(0, len(rows) - 1))
+        rows[row] = (odd, *rows[row][1:])
+    assert table_json({"M": 7}, "rows", columns, rows) == dumps(
+        {"M": 7}, "rows", columns, rows)

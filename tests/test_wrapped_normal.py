@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,8 +10,10 @@ from scipy.integrate import quad, simpson
 from cylgalton.angular import TWO_PI
 from cylgalton.diagnostics import normal_limit_pmf
 from cylgalton.wrapped_binomial import WrappedBinomial
-from cylgalton.wrapped_normal import (WrappedNormal, bin_probs, density,
-                                      density_fourier, density_wrapped)
+from cylgalton.wrapped_normal import (WrappedNormal, _cdf_bins, _fourier_bins,
+                                      _takes_fourier, bin_probs, density,
+                                      density_fourier, density_wrapped,
+                                      slot_coefficients)
 from oracles import wn_density_ref, wn_interval_prob_ref
 
 
@@ -141,6 +144,80 @@ def test_bin_probs_against_reference_cdf():
         lo, hi = TWO_PI * k / 24, TWO_PI * (k + 1) / 24
         assert probs[k] == pytest.approx(
             wn_interval_prob_ref(2.9, 0.6, lo, hi), abs=1e-13)
+
+
+# The reference takes its slot edges as floats, each within half an ulp
+# (4.4e-16) of 2*pi*k/M; that moves a mass by up to twice this times the
+# density, which is at most 0.4/sigma.
+
+def _mass_tol(sigma2):
+    return 1e-15 + 4e-16 / math.sqrt(sigma2)
+
+
+def _check_slots(wn, M, probs):
+    """Compare the slot of the mean, its two neighbours and the far side."""
+    j = min(int(wn.mu * M / TWO_PI), M - 1)
+    for k in {j, (j - 1) % M, (j + 1) % M, (j + M // 2) % M}:
+        want = wn_interval_prob_ref(wn.mu, wn.sigma2, TWO_PI * k / M, TWO_PI * (k + 1) / M)
+        assert probs[k] == pytest.approx(want, abs=_mass_tol(wn.sigma2)), (k, M)
+
+
+@pytest.mark.parametrize("sigma2", [1e-6, 1e-4, 1e-2, 1.0, 1e2, 1e4, 1e6])
+@pytest.mark.parametrize("mu", [1e-9, TWO_PI - 1e-9], ids=["mu~0", "mu~2pi"])
+def test_bin_probs_against_reference_over_the_domain(sigma2, mu):
+    wn = WrappedNormal(mu, sigma2)
+    for M in (1, 5, 24, 360, 3600):
+        _check_slots(wn, M, bin_probs(wn, M).probs)
+
+
+def _switch_sigma(M):
+    """The sigma where bin_probs turns from the CDF to the Fourier route."""
+    lo, hi = 1e-4, 1e4
+    assert not _takes_fourier(lo, M) and _takes_fourier(hi, M)
+    for _ in range(60):
+        mid = math.sqrt(lo * hi)
+        lo, hi = (lo, mid) if _takes_fourier(mid, M) else (mid, hi)
+    return hi
+
+
+@pytest.mark.parametrize("M", [1, 5, 24, 360, 3600])
+def test_both_routes_on_each_side_of_the_switch(M):
+    switch = _switch_sigma(M)
+    for sigma, fourier in ((switch / 1.01, False), (switch * 1.01, True)):
+        assert _takes_fourier(sigma, M) == fourier
+        wn = WrappedNormal(0.3 + TWO_PI / 3, sigma**2)
+        cdf, fft = _cdf_bins(wn, M), _fourier_bins(wn, M)
+        assert np.max(np.abs(cdf - fft)) < _mass_tol(sigma**2)
+        _check_slots(wn, M, cdf)
+        _check_slots(wn, M, fft)
+        taken = np.maximum(fft if fourier else cdf, 0.0)
+        assert bin_probs(wn, M).probs == tuple(taken.tolist())
+
+
+@pytest.mark.parametrize("sigma2,M", [(1e-12, 24), (1e-12, 3600), (1e10, 24), (1e12, 3600)])
+def test_bin_probs_cost_is_bounded_in_sigma(sigma2, M):
+    # the old translate sum took 0.33 s at sigma^2 = 1e10 and M = 24
+    wn = WrappedNormal(TWO_PI * 7.5 / M, sigma2)
+    tracemalloc.start()
+    probs = bin_probs(wn, M).probs
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 2**20
+    if sigma2 < 1.0:
+        assert probs[7] == 1.0 and sum(probs) == 1.0
+    else:
+        assert probs == pytest.approx([1.0 / M] * M, abs=1e-17)
+
+
+@pytest.mark.parametrize("mu,M", [(1.0, 1), (1.0, 2), (0.0, 7), (3.3, 7),
+                                  (TWO_PI - 1e-12, 24)])
+def test_slot_coefficients_are_the_dft_of_the_bin_masses(mu, M):
+    wn = WrappedNormal(mu, 0.8)
+    masses = np.array([wn_interval_prob_ref(mu, 0.8, TWO_PI * k / M, TWO_PI * (k + 1) / M)
+                       for k in range(M)])
+    roots = np.exp(2j * np.pi * (np.outer(np.arange(M), np.arange(M)) % M) / M)
+    assert np.max(np.abs(slot_coefficients(wn, M) - roots @ masses)) < 1e-15
+    assert slot_coefficients(wn, M)[0] == 1.0
 
 
 @pytest.mark.parametrize("sigma", [8.0, 10.0])
