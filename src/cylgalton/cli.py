@@ -32,8 +32,8 @@ from .angular import (TWO_PI, AngularPMF, ParseError, pmf_from_csv,
                       row_locator, table_csv, table_json)
 from .diagnostics import (compare, normal_limit_pmf, sweep_to_csv,
                           sweep_uniformity)
-from .geometry import (LatticeSpec, build_lattice, export_pegs, preset,
-                       preset_names)
+from .geometry import (BOARD_DIMENSIONS, LatticeSpec, build_lattice,
+                       export_pegs, preset, preset_names)
 from .svgplot import cylinder_svg, ring_svg
 from .walk_sim import (DEFAULT_CHUNK, WalkConfig, histogram_to_csv, simulate,
                        unwrapped_stats)
@@ -48,9 +48,6 @@ _SIGMA_MAX = math.sqrt(sys.float_info.max)
 
 # What a command returns: the files to write, in order.
 Outputs = list[tuple[Path, str]]
-
-# Custom-board geometry, cm, for the flags --preset fixes.
-_LATTICE_DEFAULTS = {"R": 5.7, "h": 1.02, "r_peg": 0.1, "r_ball": 0.4}
 
 
 def _json(doc) -> str:
@@ -77,14 +74,14 @@ def _manifest(args: argparse.Namespace, outputs: Outputs) -> tuple[Path, str]:
 
 def cmd_lattice(args) -> Outputs:
     if args.preset:
-        if any(getattr(args, k) is not None for k in ("M", "n", *_LATTICE_DEFAULTS)):
+        if any(getattr(args, k) is not None for k in ("M", "n", *BOARD_DIMENSIONS)):
             raise ValueError("--preset fixes the board; drop --M and --n "
                              "and --R, --h, --r-peg, --r-ball")
         spec = preset(args.preset).spec
     elif args.M is None or args.n is None:
         raise ValueError("either --preset or both --M and --n are required")
     else:
-        vars(args).update({k: v for k, v in _LATTICE_DEFAULTS.items()
+        vars(args).update({k: v for k, v in BOARD_DIMENSIONS.items()
                            if getattr(args, k) is None})    # for the manifest
         spec = LatticeSpec.from_angular(R=args.R, M=args.M, n=args.n, h=args.h,
                                         r_peg=args.r_peg, r_ball=args.r_ball)
@@ -227,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, what in (("R", "cylinder radius"), ("h", "row spacing"),
                        ("r_peg", "peg radius"), ("r_ball", "ball radius")):
         lat.add_argument("--" + name.replace("_", "-"), type=float,
-                         help=f"{what}, cm (default {_LATTICE_DEFAULTS[name]})")
+                         help=f"{what}, cm (default {BOARD_DIMENSIONS[name]})")
     lat.add_argument("--format", choices=("csv", "json"), default="csv")
     lat.add_argument("--out", required=True)
     lat.set_defaults(func=cmd_lattice)

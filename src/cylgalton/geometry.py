@@ -65,6 +65,8 @@ class LatticeSpec:
         delta_theta and d are derived (2*pi/M and R*2*pi/M), so the
         coupling invariants hold exactly.  H defaults to n*h.
         """
+        if M < 1:       # before 2*pi/M, so M = 0 fails like any other bad M
+            raise LatticeError(f"M must be >= 1, got {M}")
         delta_theta = TWO_PI / M
         return cls(R=R, M=M, delta_theta=delta_theta, d=R * delta_theta,
                    h=h, n=n, H=n * h if H is None else H,
@@ -171,11 +173,9 @@ def build_lattice(spec: LatticeSpec) -> list[Peg]:
 # Physical modular board: 24 slots around an 11.4 cm insertion board,
 # 8 rows per module.  d is derived from R and M so the angular coupling
 # holds exactly; the catalogue's rounded 1.5 cm spacing is nominal.
-_BOARD_RADIUS = 5.7
-_ROW_SPACING = 1.02
+# BOARD_DIMENSIONS: every module preset's lengths, and a custom board's defaults.
+BOARD_DIMENSIONS = {"R": 5.7, "h": 1.02, "r_peg": 0.1, "r_ball": 0.4}
 _MODULE_HEIGHT = 8.3
-_PEG_RADIUS = 0.1
-_BALL_RADIUS = 0.4
 _SLOTS = 24
 _ROWS_PER_MODULE = 8
 
@@ -195,10 +195,8 @@ PLANAR_PRESET_NAME = "planar-a4"
 
 def _module_preset(name: str, modules: int) -> BoardPreset:
     n = _ROWS_PER_MODULE * modules
-    spec = LatticeSpec.from_angular(
-        R=_BOARD_RADIUS, M=_SLOTS, n=n, h=_ROW_SPACING,
-        r_peg=_PEG_RADIUS, r_ball=_BALL_RADIUS,
-        H=_MODULE_HEIGHT * modules)
+    spec = LatticeSpec.from_angular(M=_SLOTS, n=n, H=_MODULE_HEIGHT * modules,
+                                    **BOARD_DIMENSIONS)
     return BoardPreset(name=name, modules=modules,
                        rows_per_module=_ROWS_PER_MODULE, spec=spec)
 

@@ -27,12 +27,14 @@ B = sum_{t=1}^{M-1} |cf(t)|.
   near 1/M.
 * Direct, otherwise: small n, near-degenerate p, or a board too wide
   for the law to have spread round it (a slot of mass 0, as when n < M,
-  forces B >= 1).  The binomial terms are folded into the M
-  orbits {k, k+M, ...} with compensated sums.  For n <= 64 each term is
-  an integer binomial coefficient times powers of p and 1 - p, correct
-  to a few units in the last place; above that the terms come from
-  log-space lgamma sums, renormalised to sum to 1, and each carries a
-  relative error of about n*eps.  O(n) time and memory.
+  forces B >= 1).  With p = a/d exactly, the terms are integers walked up
+  and down from the mode by the ratio (n - x)a / ((x + 1)(d - a)), each
+  step floored, until one is 0.  Scaled by 2**1130, they keep every term
+  whose mass is a positive double: about 80 sigma of them, so O(min(n,
+  80 sigma)) time and memory.  Each slot is its orbit sum over the total,
+  rounded once; the floors move it by under n**2 * 2**-108 of its size.
+  Fair boards with n <= 64 walk exact integers and match the rational
+  fold bit for bit.
 """
 
 from __future__ import annotations
@@ -46,9 +48,8 @@ import numpy as np
 from .angular import (TWO_PI, AngularPMF, spectral_masses, spectral_tv,
                       tv_distance, wrap_angle, wrap_to_pi)
 
-# Largest n for which comb() * p**k * q**(n-k) in doubles is preferable
-# to log-space evaluation; laws with n <= _EXACT_LIMIT always take the
-# direct fold, which keeps them exact to roundoff term by term.
+# Laws with n <= _EXACT_LIMIT always take the direct route, and their walk
+# starts from C(n, m) itself, so at p = 1/2 every term is an exact integer.
 _EXACT_LIMIT = 64
 
 # The spectral route needs sum_{t>=1} |cf(t)| <= _SPECTRAL_BOUND, which
@@ -56,24 +57,25 @@ _EXACT_LIMIT = 64
 _SPECTRAL_BOUND = 0.5
 
 
-def _binomial_terms(n: int, p: float) -> list[float]:
-    """Binomial(n, p) probabilities for x = 0..n."""
-    if p == 0.0:
-        return [1.0] + [0.0] * n
-    if p == 1.0:
-        return [0.0] * n + [1.0]
-    q = 1.0 - p
-    if n <= _EXACT_LIMIT:
-        return [math.comb(n, x) * p**x * q**(n - x) for x in range(n + 1)]
-    log_p, log_q = math.log(p), math.log1p(-p)
-    lg_n = math.lgamma(n + 1)
-    terms = [
-        math.exp(lg_n - math.lgamma(x + 1) - math.lgamma(n - x + 1)
-                 + x * log_p + (n - x) * log_q)
-        for x in range(n + 1)
-    ]
-    total = math.fsum(terms)
-    return [t / total for t in terms]
+def _binomial_terms(n: int, p: float) -> tuple[int, list[int]]:
+    """(lo, terms): integers in proportion to the Binomial(n, p) terms of
+    x = lo, lo + 1, ..., walked from the mode (see the module docstring)."""
+    a, d = p.as_integer_ratio()
+    b = d - a
+    mode = min(n, (n + 1) * a // d)
+    start = (math.comb(n, mode) if n <= _EXACT_LIMIT else 1) << 1130
+    up, down = [start], []
+    x, t = mode, start
+    while t and x < n:
+        t = t * (n - x) * a // ((x + 1) * b)
+        x += 1
+        up.append(t)
+    x, t = mode, start
+    while t and x > 0:
+        t = t * x * b // ((n - x + 1) * a)
+        x -= 1
+        down.append(t)
+    return mode - len(down), down[::-1] + up
 
 
 @dataclass(frozen=True)
@@ -113,10 +115,11 @@ class WrappedBinomial:
 
 
 def _direct_slots(wb: WrappedBinomial) -> tuple[float, ...]:
-    """Slot masses by folding the binomial terms, O(n)."""
-    terms = _binomial_terms(wb.n, wb.p)
-    # terms[k::M] is exactly the orbit {k, k+M, k+2M, ...}
-    return tuple(math.fsum(terms[k::wb.M]) for k in range(wb.M))
+    """Slot masses by folding the binomial terms in the window."""
+    lo, terms = _binomial_terms(wb.n, wb.p)
+    total = sum(terms)
+    # terms[(k - lo) % M::M] is exactly the orbit {k, k+M, ...}; int / int rounds once
+    return tuple(sum(terms[(k - lo) % wb.M::wb.M]) / total for k in range(wb.M))
 
 
 def pmf(wb: WrappedBinomial, k: int) -> float:

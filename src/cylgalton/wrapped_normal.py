@@ -94,9 +94,10 @@ def density_fourier(wn: WrappedNormal, theta) -> float | np.ndarray:
     m = np.arange(1, math.ceil(_K / wn.sigma) + 1)
     coef = np.exp(-0.5 * m**2 * wn.sigma2)
     coef = coef[coef >= TAIL]
-    m = m[: coef.size]
-    out = (1.0 + 2.0 * (coef * np.cos(np.multiply.outer(th - wn.mu, m))).sum(axis=-1))
-    out /= TWO_PI
+    out = np.zeros(th.shape)
+    for mi, ci in zip(m, coef):     # term by term, in order: O(points) memory
+        out += ci * np.cos((th - wn.mu) * mi)
+    out = (1.0 + 2.0 * out) / TWO_PI
     return float(out) if np.isscalar(theta) or np.ndim(theta) == 0 else out
 
 

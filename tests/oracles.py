@@ -13,6 +13,7 @@ import math
 from collections import defaultdict
 from fractions import Fraction
 
+from mpmath import binomial as mp_binomial
 from mpmath import erf as mp_erf
 from mpmath import exp as mp_exp
 from mpmath import expjpi as mp_expjpi
@@ -25,35 +26,48 @@ from mpmath import sqrt as mp_sqrt
 mp.dps = 30
 
 
-def binomial_fold_pmf(n: int, m: int, p: float) -> list[float]:
-    """Wrapped binomial by folding the exact rational binomial PMF."""
-    p_frac = Fraction(p)
-    q_frac = 1 - p_frac
-    slots = [Fraction(0)] * m
+def binomial_fold_numerators(n: int, m: int, p: float) -> tuple[list[int], int]:
+    """The exact rational fold as integer slot numerators over one denominator.
+
+    p = a/d exactly, so term x is C(n, x) a^x b^(n-x) / d^n with b = d - a.
+    The integer numerators follow the ratio (n - x) a / ((x + 1) b), and
+    each division is exact; the binomial theorem checks the whole walk.
+    """
+    a, d = Fraction(p).as_integer_ratio()
+    b = d - a
+    slots = [0] * m
+    if b == 0:                      # p = 1: all the mass at x = n
+        slots[n % m] = 1
+        return slots, 1
+    term = b**n
     for x in range(n + 1):
-        slots[x % m] += math.comb(n, x) * p_frac**x * q_frac**(n - x)
-    assert sum(slots) == 1
-    return [float(s) for s in slots]
+        slots[x % m] += term
+        term = term * (n - x) * a // ((x + 1) * b)
+    assert sum(slots) == d**n
+    return slots, d**n
+
+
+def binomial_fold_pmf(n: int, m: int, p: float) -> list[float]:
+    """Wrapped binomial: the exact rational fold, each slot rounded once."""
+    slots, den = binomial_fold_numerators(n, m, p)
+    return [s / den for s in slots]     # int / int rounds correctly
 
 
 def binomial_fold_exact(n: int, m: int, p: float) -> list[Fraction]:
     """Same fold, kept rational for exact-positivity queries."""
-    p_frac = Fraction(p)
-    q_frac = 1 - p_frac
-    slots = [Fraction(0)] * m
-    for x in range(n + 1):
-        slots[x % m] += math.comb(n, x) * p_frac**x * q_frac**(n - x)
-    return slots
+    slots, den = binomial_fold_numerators(n, m, p)
+    return [Fraction(s, den) for s in slots]
 
 
-def _mp_fold(n: int, m: int, p: float) -> list[mpf]:
-    """Wrapped binomial at the working precision, its terms from the ratio
-    recurrence C(n, x+1)/C(n, x), so the fold needs n multiplications."""
+def mp_fold_window(n: int, m: int, p: float, lo: int, hi: int) -> list[mpf]:
+    """Wrapped binomial at the working precision from the terms x = lo..hi
+    alone: the first from mpmath's binomial, the rest by the ratio recurrence
+    C(n, x+1)/C(n, x), so the fold needs hi - lo multiplications."""
     p_mp = mpf(p)
     q_mp = 1 - p_mp
     slots = [mpf(0)] * m
-    term = q_mp**n
-    for x in range(n + 1):
+    term = mp_binomial(n, lo) * p_mp**lo * q_mp**(n - lo)
+    for x in range(lo, hi + 1):
         slots[x % m] += term
         term = term * (n - x) / (x + 1) * p_mp / q_mp
     return slots
@@ -66,7 +80,7 @@ def tv_to_uniform_ref(n: int, m: int, p: float) -> float:
     the distance is near 1e-38.
     """
     with mp.workdps(60):
-        slots = _mp_fold(n, m, p)
+        slots = mp_fold_window(n, m, p, 0, n)
         return float(mp_fsum(abs(s - mpf(1) / m) for s in slots) / 2)
 
 
@@ -167,7 +181,7 @@ def wb_wn_tv_ref(n: int, m: int, p: float) -> float:
     cancellation when the distance is near 1e-76.
     """
     with mp.workdps(100):
-        slots = _mp_fold(n, m, p)
+        slots = mp_fold_window(n, m, p, 0, n)
         p_mp = mpf(p)
         q_mp = 1 - p_mp
         dtheta = 2 * mp_pi / m

@@ -91,6 +91,14 @@ def test_lattice_rejects_bad_radius_by_name(tmp_path, capsys, value):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("M", [0, -3])
+def test_lattice_rejects_a_bad_slot_count(tmp_path, capsys, M):
+    # M is checked before 2*pi/M, so M = 0 is no ZeroDivisionError
+    assert run(["lattice", "--M", M, "--n", 5, "--out", tmp_path / "a.csv"]) == 1
+    assert_single_line_error(capsys, f"error: LatticeError: M must be >= 1, got {M}")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_lattice_json_and_manifest(tmp_path):
     out = tmp_path / "pegs.json"
     assert run(["lattice", "--preset", "modules-1", "--format", "json",

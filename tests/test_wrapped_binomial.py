@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath import mpf
 
 from cylgalton import wrapped_binomial
 from cylgalton.angular import TWO_PI, spectral_masses, wrap_angle, wrap_to_pi
@@ -13,8 +14,9 @@ from cylgalton.wrapped_binomial import (TrigMoments, WrappedBinomial,
                                         _cf_vector, _direct_slots,
                                         centered_angle, full_pmf, pmf,
                                         trig_moments, tv_to_uniform)
-from oracles import (binomial_fold_exact, binomial_fold_pmf, dp_cyclic_walk,
-                     tv, tv_to_uniform_bound_ref, tv_to_uniform_ref)
+from oracles import (binomial_fold_exact, binomial_fold_numerators,
+                     binomial_fold_pmf, dp_cyclic_walk, mp_fold_window, tv,
+                     tv_to_uniform_bound_ref, tv_to_uniform_ref)
 
 
 # --- pmf -----------------------------------------------------------------
@@ -69,7 +71,7 @@ def test_fold_oracle_agreement(m, p):
 
 
 def test_log_space_path_matches_fold_oracle():
-    # n > 64 switches to compensated log-space evaluation
+    # n > 64 starts the walk from 1 instead of C(n, m)
     for n, m, p in [(65, 24, 0.5), (100, 24, 0.3), (257, 7, 0.5), (1000, 24, 0.5)]:
         got = full_pmf(WrappedBinomial(n, m, p)).probs
         want = binomial_fold_pmf(n, m, p)
@@ -116,10 +118,46 @@ def test_spectral_and_direct_routes_agree(n, m, p, spectral):
     def rel_err(got):
         return max(abs(a - b) / b for a, b in zip(got, exact))
 
-    # the FFT is good to a few eps per slot; the log-space fold to ~n*eps
+    # the FFT is good to a few eps per slot; the direct walk is the exact
+    # fold rounded once
     assert rel_err(fft) < 1e-14
-    assert rel_err(direct) < 4 * n * 2.0**-52
+    assert direct == tuple(exact)
     assert full_pmf(wb).probs == (fft if spectral else direct)
+
+
+@pytest.mark.parametrize("n", [65, 72, 96, 162, 1000, 2000])
+def test_direct_route_is_the_exact_fold_rounded_once(n):
+    # every slot, out to 180 steps from the mode at M = 360; 2520 slots
+    # fold onto 7, 24 and 360, so one exact fold serves all three
+    for p in (0.02, 0.3, 0.5):
+        num, den = binomial_fold_numerators(n, 2520, p)
+        for m in (7, 24, 360):
+            want = tuple(sum(num[k::m]) / den for k in range(m))
+            assert _direct_slots(WrappedBinomial(n, m, p)) == want
+
+
+@pytest.mark.parametrize("m", [1, 2, 7, 24, 60])
+def test_fair_boards_match_the_rational_fold_bit_for_bit(m):
+    # n <= 64 walks the exact integers C(n, x)
+    for n in range(65):
+        assert full_pmf(WrappedBinomial(n, m, 0.5)).probs == tuple(
+            binomial_fold_pmf(n, m, 0.5))
+
+
+def test_million_row_low_p_law_walks_only_its_window():
+    # mean 10 and sigma 3.2: the direct route, with no O(n) term list
+    wb = WrappedBinomial(10**6, 24, 1e-5)
+    assert wb._spectrum is None
+    tracemalloc.start()
+    try:
+        probs = full_pmf(wb).probs
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    # the terms beyond x = 400 hold less than 1e-500 of the mass
+    want = mp_fold_window(10**6, 24, 1e-5, 0, 400)
+    assert all(abs(mpf(g) - w) <= w * mpf(2)**-53 for g, w in zip(probs, want))
 
 
 def test_small_laws_compute_no_spectrum(monkeypatch):

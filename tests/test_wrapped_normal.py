@@ -85,6 +85,20 @@ def test_fourier_mirror_symmetry():
             density_fourier(wn, 2 * wn.mu - theta), abs=1e-14)
 
 
+def test_fourier_series_memory_does_not_grow_with_its_terms():
+    # 8,580 terms at sigma^2 = 1e-6: a (points x terms) array took 94 MiB
+    wn = WrappedNormal(1.0, 1e-6)
+    grid = np.array([TWO_PI * i / 720 for i in range(720)])
+    tracemalloc.start()
+    try:
+        vals = density_fourier(wn, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+    assert np.max(np.abs(vals - density_wrapped(wn, grid))) < 1e-10
+
+
 @pytest.mark.parametrize("sigma", [0.1, 0.5, 1.0, 2.0, 5.0])
 def test_density_integrates_to_one(sigma):
     wn = WrappedNormal(0.9, sigma**2)
