@@ -18,17 +18,28 @@ integer m, m < x iff m < ceil(x).  p = 1 gives the limit 2**64, so every
 ball goes right at every row.
 
 simulate works through the balls in blocks of at most 2**16 // n balls
-(and at most ``chunk``), so each uint64 buffer of draws stays within
-512 KiB and is reused, hashed in place, for every block.  The blocks are
-split into contiguous ranges, one per CPU the process may run on but no
-more than one per 2**18 draws.  Each range runs on its own thread (numpy
-releases the GIL in these loops) with its own buffers and its own
-``rights``, and the integer sums are added at the end; a run of at most
-2**18 draws, such as 2,000 balls on 96 rows, starts no thread.  Because
-every draw depends on (seed, b, k) alone and integer sums do not depend
-on order, histograms are bit-identical for any chunk, block or thread
-split, and simulate_ball replays any single ball in isolation, with
-exactly the deflections it had in the full run.
+(and at most ``chunk``).  A thread holds four buffers of one block's
+shape, reused for every block: the uint64 draws, hashed in place, a
+uint64 scratch for the hash's shifts, a uint64 step tile holding row
+k's offset (k + 1) * GOLDEN, built once (in the draws buffer when the
+thread has one block), and a bool mask of right steps.  That is at most
+3 * 512 KiB + 64 KiB, inside a 2 MiB L2 cache.  A block's draws are its
+step tile plus each ball's key, and a ball's rightward count is the
+byte sum of its mask row.  The blocks are split into contiguous ranges,
+one per CPU the process may run on but no more than one per 2**18
+draws.  Each range runs on its own thread (numpy releases the GIL in
+these loops) with its own buffers and its own ``rights``, and the
+integer sums are added at the end; a run of at most 2**18 draws, such
+as 2,000 balls on 96 rows, starts no thread.  Because every draw
+depends on (seed, b, k) alone and integer sums do not depend on order,
+histograms are bit-identical for any chunk, block or thread split, and
+simulate_ball replays any single ball in isolation, with exactly the
+deflections it had in the full run.
+
+The hash's last step, z ^= z >> 31, leaves the top 31 bits of z as they
+are.  So when the limit L is a multiple of 2**33, as at p = 1/2, p = 0
+or any p = k * 2**-31, (z ^ (z >> 31)) < L iff z < L, and simulate
+leaves that step out; simulate_ball always takes the full hash.
 """
 
 from __future__ import annotations
@@ -54,33 +65,43 @@ HISTOGRAM_COLUMNS = {"slot": int, "count": int, "frequency": float}
 DEFAULT_CHUNK = 1 << 16
 
 
-# Balls x rows per block: each uint64 buffer of draws is at most 512 KiB,
-# so a thread's two buffers and its mask stay inside a 2 MiB L2 cache.
+# Balls x rows per block: each of a thread's three uint64 buffers (draws,
+# scratch, step tile) is at most 512 KiB, so with the 64 KiB mask they
+# stay inside a 2 MiB L2 cache.
 _BLOCK_DRAWS = 1 << 16
 # Least work worth a thread of its own: about a millisecond of hashing,
 # several times what starting the thread costs.
 _THREAD_DRAWS = 1 << 18
 
 
-def _mix64(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    """SplitMix64 output function on z in place; tmp is scratch of z's shape."""
+def _mix64(z: np.ndarray, tmp: np.ndarray, finish: bool = True) -> np.ndarray:
+    """SplitMix64 output function on z in place; tmp is scratch of z's shape.
+
+    finish=False leaves out the last step, z ^= z >> 31, which changes
+    only the low 33 bits of z.
+    """
     for shift, mul in ((30, _MIX_A), (27, _MIX_B)):
         np.right_shift(z, shift, out=tmp)
         z ^= tmp
         z *= mul
-    np.right_shift(z, 31, out=tmp)
-    z ^= tmp
+    if finish:
+        np.right_shift(z, 31, out=tmp)
+        z ^= tmp
     return z
+
+
+def _ball_keys(seed: int, lo: int, balls: int) -> np.ndarray:
+    """Hashed keys of balls lo..lo+balls-1, the base of each ball's row draws."""
+    keys = np.arange(lo + 1, lo + balls + 1, dtype=np.uint64) * _GOLDEN
+    keys += np.uint64(seed)
+    return _mix64(keys, np.empty_like(keys))
 
 
 def _step_bits(seed: int, lo: int, z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     """Raw draws of balls lo..lo+len(z)-1, one row each, written into z."""
     balls, n = z.shape
-    keys = np.arange(lo + 1, lo + balls + 1, dtype=np.uint64) * _GOLDEN
-    keys += np.uint64(seed)
-    keys = _mix64(keys, np.empty_like(keys))
     steps = np.arange(1, n + 1, dtype=np.uint64) * _GOLDEN
-    np.add(keys[:, None], steps, out=z)
+    np.add(_ball_keys(seed, lo, balls)[:, None], steps, out=z)
     return _mix64(z, tmp)
 
 
@@ -91,17 +112,31 @@ def _right_limit(p: float) -> int:
 
 def _count_rights(seed: int, lo: int, hi: int, n: int, limit: int,
                   block: int) -> np.ndarray:
-    """Histogram of rightward counts over balls lo..hi-1, block by block."""
+    """Histogram of rightward counts over balls lo..hi-1, block by block.
+
+    The draws are those of _step_bits, except that the hash's last step
+    is left out when limit % 2**33 == 0.  Proof that no step changes
+    side: write L = l * 2**33 and y = z ^ (z >> 31).  As z >> 31 < 2**33,
+    y >> 33 == z >> 33, and for any w, w < L iff (w >> 33) < l, so
+    y < L iff z < L.  A row's count is at most n, so min_scalar_type(n)
+    holds it exactly.
+    """
     rights = np.zeros(n + 1, dtype=np.int64)
     z = np.empty((min(block, hi - lo), n), dtype=np.uint64)
+    z[:] = np.arange(1, n + 1, dtype=np.uint64) * _GOLDEN
+    # A lone block adds its keys to the step tile in place.
+    tile = z if hi - lo <= block else z.copy()
     tmp = np.empty_like(z)
     mask = np.empty(z.shape, dtype=bool)
     bound = np.uint64(limit)
+    finish = limit % 2**33 != 0
+    count_type = np.min_scalar_type(n)
     for start in range(lo, hi, block):
         size = min(block, hi - start)
-        bits = _step_bits(seed, start, z[:size], tmp[:size])
-        np.less(bits, bound, out=mask[:size])
-        rights += np.bincount(np.count_nonzero(mask[:size], axis=1),
+        np.add(tile[:size], _ball_keys(seed, start, size)[:, None], out=z[:size])
+        np.less(_mix64(z[:size], tmp[:size], finish), bound, out=mask[:size])
+        rights += np.bincount(np.add.reduce(mask[:size].view(np.uint8), axis=1,
+                                            dtype=count_type),
                               minlength=n + 1)
     return rights
 

@@ -89,7 +89,19 @@ def test_stream_golden_digest(monkeypatch, cpus):
     WalkConfig(n=5, M=3, p=0.0, balls=1000, seed=4),
     WalkConfig(n=5, M=3, p=1.0, balls=1000, seed=4),
     WalkConfig(n=0, M=1, p=0.5, balls=1000, seed=5),
-], ids=["n96", "planar", "p0", "p1", "n0"])
+    # Nearly every ball goes right at every row, so a row count reaches n:
+    # 255 is the most a uint8 counter holds, 256 takes uint16 and 2**16
+    # (one-ball blocks) uint32.  1 - 2**-31 has a limit with 33 zero low
+    # bits, so the hash's last step is left out; 1 - 2**-53 does not.
+    WalkConfig(n=255, M=24, p=1 - 2**-31, balls=4, seed=6),
+    WalkConfig(n=255, M=24, p=1 - 2**-53, balls=4, seed=6),
+    WalkConfig(n=256, M=24, p=1 - 2**-31, balls=4, seed=7),
+    WalkConfig(n=256, M=24, p=1 - 2**-53, balls=4, seed=7),
+    WalkConfig(n=2**16, M=24, p=1 - 2**-31, balls=3, seed=8),
+    WalkConfig(n=2**16, M=24, p=1 - 2**-53, balls=3, seed=8),
+], ids=["n96", "planar", "p0", "p1", "n0", "n255-short-hash", "n255-full-hash",
+        "n256-short-hash", "n256-full-hash", "n65536-short-hash",
+        "n65536-full-hash"])
 def test_rights_do_not_depend_on_the_split(monkeypatch, config):
     # Let every range of blocks take a thread, however little work it holds.
     monkeypatch.setattr(walk_sim, "_THREAD_DRAWS", 1)
@@ -156,6 +168,40 @@ def test_a_draw_at_the_threshold_goes_left():
     config = WalkConfig(n=n, M=24, p=p, balls=ball + 1, seed=seed)
     assert simulate_ball(config, ball).steps[step] == -1
     assert simulate(config, chunk=1).rights == _replayed_rights(config)
+
+
+@pytest.mark.parametrize("side", ["dyadic", "next-step", "between"])
+def test_the_last_hash_step_is_left_out_only_where_it_cannot_matter(side):
+    # A draw whose top 31 bits, the same before and after the hash's last
+    # step, are those of the limit.  At a dyadic p the limit's low 33 bits
+    # are 0, simulate leaves the last step out and the draw must go left.
+    # One 2**-53 step above, and at a limit between the draw before and
+    # after that step, the full hash decides.
+    n, seed, ball, step = 40, 7, 2, 17
+    z = np.empty((ball + 1, n), dtype=np.uint64)
+    word = int(_step_bits(seed, 0, z, np.empty_like(z))[ball, step])
+    early = word ^ (word >> 31) ^ (word >> 62)     # before z ^= z >> 31
+    limit = {"dyadic": word >> 33 << 33,
+             "next-step": (word >> 33 << 33) + 2**11,
+             "between": max(word, early) >> 11 << 11}[side]
+    p = (limit >> 11) * 2.0**-53
+    assert _right_limit(p) == limit
+    assert (limit % 2**33 == 0) == (side == "dyadic")
+    if side == "between":
+        assert (early < limit) != (word < limit)
+    config = WalkConfig(n=n, M=24, p=p, balls=ball + 1, seed=seed)
+    assert simulate_ball(config, ball).steps[step] == (1 if word < limit else -1)
+    assert simulate(config, chunk=1).rights == _replayed_rights(config)
+
+
+@settings(max_examples=100, deadline=None)
+@given(z=st.integers(0, 2**64 - 1), high=st.integers(0, 2**31),
+       offset=st.integers(-2**34, 2**34))
+def test_the_last_hash_step_keeps_every_draw_on_its_side(z, high, offset):
+    limit = high << 33
+    for word in (z, limit + offset):
+        if 0 <= word < 2**64:
+            assert ((word ^ (word >> 31)) < limit) == (word < limit)
 
 
 def test_different_seeds_differ():
