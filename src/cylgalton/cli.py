@@ -11,6 +11,12 @@ produce byte-identical files.  ``simulate --planar`` is the cylinder
 walk with M = n + 1.  A board flag that --preset or --planar fixes is
 an error; the manifest records it as null, any other as the value used.
 
+main() builds only the subparser that argv[0] names, or the whole parser
+when argv[0] is not a command name (an option, ``--``, an unknown word);
+a later token never selects one, so ``cylgalton -h pmf`` is the top-level
+help.  Either way --help, --version and every usage and error line read
+as the whole parser's.
+
 Errors exit nonzero with a single line on stderr:
 ``error: <kind>: <message>``.
 """
@@ -45,6 +51,8 @@ DENSITY_COLUMNS = {"theta": float, "f": float}
 
 # Largest --sigma whose square is a finite float.
 _SIGMA_MAX = math.sqrt(sys.float_info.max)
+
+COMMANDS = ("lattice", "pmf", "wn", "simulate", "sweep", "plot")
 
 # What a command returns: the files to write, in order.
 Outputs = list[tuple[Path, str]]
@@ -208,86 +216,98 @@ def cmd_plot(args) -> Outputs:
     return [(Path(args.out), svg)]
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The cylgalton parser; given one of COMMANDS, only that subparser is built."""
     parser = argparse.ArgumentParser(
         prog="cylgalton",
         description="Cylindrical Galton board: exact slot laws, lattice "
                     "geometry, seeded Monte Carlo, and figure output.")
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
+    # A parser built for one command still shows all of them in the top
+    # usage.  The full parser keeps no metavar, so its missing-command
+    # error names the dest, "command".
+    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
 
-    lat = sub.add_parser("lattice", help="emit peg coordinates for a board")
-    lat.add_argument("--preset", choices=preset_names(),
-                     help="documented board preset")
-    lat.add_argument("--M", type=int, help="angular slots (custom board)")
-    lat.add_argument("--n", type=int, help="peg rows (custom board)")
-    for name, what in (("R", "cylinder radius"), ("h", "row spacing"),
-                       ("r_peg", "peg radius"), ("r_ball", "ball radius")):
-        lat.add_argument("--" + name.replace("_", "-"), type=float,
-                         help=f"{what}, cm (default {BOARD_DIMENSIONS[name]})")
-    lat.add_argument("--format", choices=("csv", "json"), default="csv")
-    lat.add_argument("--out", required=True)
-    lat.set_defaults(func=cmd_lattice)
+    if command in (None, "lattice"):
+        lat = sub.add_parser("lattice", help="emit peg coordinates for a board")
+        lat.add_argument("--preset", choices=preset_names(),
+                         help="documented board preset")
+        lat.add_argument("--M", type=int, help="angular slots (custom board)")
+        lat.add_argument("--n", type=int, help="peg rows (custom board)")
+        for name, what in (("R", "cylinder radius"), ("h", "row spacing"),
+                           ("r_peg", "peg radius"), ("r_ball", "ball radius")):
+            lat.add_argument("--" + name.replace("_", "-"), type=float,
+                             help=f"{what}, cm (default {BOARD_DIMENSIONS[name]})")
+        lat.add_argument("--format", choices=("csv", "json"), default="csv")
+        lat.add_argument("--out", required=True)
+        lat.set_defaults(func=cmd_lattice)
 
-    pm = sub.add_parser("pmf", help="exact slot distribution after n rows")
-    pm.add_argument("--n", type=int, required=True, help="peg rows")
-    pm.add_argument("--M", type=int, required=True, help="angular slots")
-    pm.add_argument("--p", type=float, default=0.5, help="rightward probability")
-    pm.add_argument("--moments", action="store_true",
-                    help="also write first trigonometric moments")
-    pm.add_argument("--centered", action="store_true",
-                    help="label slots with centered angles in (-pi, pi]")
-    pm.add_argument("--format", choices=("csv", "json"), default="csv")
-    pm.add_argument("--out", required=True)
-    pm.set_defaults(func=cmd_pmf)
+    if command in (None, "pmf"):
+        pm = sub.add_parser("pmf", help="exact slot distribution after n rows")
+        pm.add_argument("--n", type=int, required=True, help="peg rows")
+        pm.add_argument("--M", type=int, required=True, help="angular slots")
+        pm.add_argument("--p", type=float, default=0.5, help="rightward probability")
+        pm.add_argument("--moments", action="store_true",
+                        help="also write first trigonometric moments")
+        pm.add_argument("--centered", action="store_true",
+                        help="label slots with centered angles in (-pi, pi]")
+        pm.add_argument("--format", choices=("csv", "json"), default="csv")
+        pm.add_argument("--out", required=True)
+        pm.set_defaults(func=cmd_pmf)
 
-    wn = sub.add_parser("wn", help="wrapped normal density samples and bin masses")
-    wn.add_argument("--mu", type=float, required=True)
-    wn.add_argument("--sigma", type=float, required=True)
-    wn.add_argument("--M", type=int, default=24, help="slots for bin masses")
-    wn.add_argument("--samples", type=int, default=720)
-    wn.add_argument("--format", choices=("csv", "json"), default="csv")
-    wn.add_argument("--out", required=True)
-    wn.set_defaults(func=cmd_wn)
+    if command in (None, "wn"):
+        wn = sub.add_parser("wn", help="wrapped normal density samples and bin masses")
+        wn.add_argument("--mu", type=float, required=True)
+        wn.add_argument("--sigma", type=float, required=True)
+        wn.add_argument("--M", type=int, default=24, help="slots for bin masses")
+        wn.add_argument("--samples", type=int, default=720)
+        wn.add_argument("--format", choices=("csv", "json"), default="csv")
+        wn.add_argument("--out", required=True)
+        wn.set_defaults(func=cmd_wn)
 
-    sim = sub.add_parser("simulate", help="seeded Monte Carlo of the ball walk")
-    sim.add_argument("--n", type=int, required=True, help="peg rows")
-    sim.add_argument("--M", type=int, help="angular slots (default 24)")
-    sim.add_argument("--planar", action="store_true",
-                     help="flat board: bins 0..n, no wrapping (M = n + 1)")
-    sim.add_argument("--p", type=float, default=0.5)
-    sim.add_argument("--balls", type=int, default=2000,
-                     help="ball count (default matches the demonstration run)")
-    sim.add_argument("--seed", type=int, default=0, help="64-bit seed")
-    sim.add_argument("--compare", choices=("exact", "wn"),
-                     help="append a comparison against the stated law")
-    sim.add_argument("--chunk", type=int, default=DEFAULT_CHUNK,
-                     help="upper bound on balls per processing block "
-                          "(result-invariant)")
-    sim.add_argument("--format", choices=("csv", "json"), default="csv")
-    sim.add_argument("--out", required=True)
-    sim.set_defaults(func=cmd_simulate)
+    if command in (None, "simulate"):
+        sim = sub.add_parser("simulate", help="seeded Monte Carlo of the ball walk")
+        sim.add_argument("--n", type=int, required=True, help="peg rows")
+        sim.add_argument("--M", type=int, help="angular slots (default 24)")
+        sim.add_argument("--planar", action="store_true",
+                         help="flat board: bins 0..n, no wrapping (M = n + 1)")
+        sim.add_argument("--p", type=float, default=0.5)
+        sim.add_argument("--balls", type=int, default=2000,
+                         help="ball count (default matches the demonstration run)")
+        sim.add_argument("--seed", type=int, default=0, help="64-bit seed")
+        sim.add_argument("--compare", choices=("exact", "wn"),
+                         help="append a comparison against the stated law")
+        sim.add_argument("--chunk", type=int, default=DEFAULT_CHUNK,
+                         help="upper bound on balls per processing block "
+                              "(result-invariant)")
+        sim.add_argument("--format", choices=("csv", "json"), default="csv")
+        sim.add_argument("--out", required=True)
+        sim.set_defaults(func=cmd_simulate)
 
-    sw = sub.add_parser("sweep", help="convergence ladder over row counts")
-    sw.add_argument("--M", type=int, required=True)
-    sw.add_argument("--p", type=float, default=0.5)
-    sw.add_argument("--n", required=True, help="comma-separated row counts")
-    sw.add_argument("--out", required=True)
-    sw.set_defaults(func=cmd_sweep)
+    if command in (None, "sweep"):
+        sw = sub.add_parser("sweep", help="convergence ladder over row counts")
+        sw.add_argument("--M", type=int, required=True)
+        sw.add_argument("--p", type=float, default=0.5)
+        sw.add_argument("--n", required=True, help="comma-separated row counts")
+        sw.add_argument("--out", required=True)
+        sw.set_defaults(func=cmd_sweep)
 
-    pl = sub.add_parser("plot", help="render distributions to SVG")
-    pl.add_argument("--style", choices=("ring", "cylinder"), required=True)
-    pl.add_argument("inputs", nargs="+",
-                    help="PMF files (ring) or one density CSV (cylinder)")
-    pl.add_argument("--out", required=True)
-    pl.set_defaults(func=cmd_plot)
+    if command in (None, "plot"):
+        pl = sub.add_parser("plot", help="render distributions to SVG")
+        pl.add_argument("--style", choices=("ring", "cylinder"), required=True)
+        pl.add_argument("inputs", nargs="+",
+                        help="PMF files (ring) or one density CSV (cylinder)")
+        pl.add_argument("--out", required=True)
+        pl.set_defaults(func=cmd_plot)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         outputs = args.func(args)
         for path, payload in [*outputs, _manifest(args, outputs)]:

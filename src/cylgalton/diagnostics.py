@@ -170,9 +170,13 @@ class SweepResult:
 
 def sweep_uniformity(M: int, p: float, n_list) -> SweepResult:
     """Distances to the uniform and normal limits for each row count."""
-    ns = sorted(set(int(n) for n in n_list))
+    ns = list(n_list)
+    for n in ns:
+        if isinstance(n, bool) or not isinstance(n, int):
+            raise ValueError(f"--n row counts must be ints, got {n!r}")
     if not ns:
-        raise ValueError("n_list must be nonempty")
+        raise ValueError("--n must be a nonempty list of row counts")
+    ns = sorted(set(ns))
     if ns[0] < 1:
         raise ValueError(f"tv_wn needs every n >= 1, where the normal limit "
                          f"is not degenerate; got n={ns[0]}")

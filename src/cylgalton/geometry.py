@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .angular import TWO_PI, table_csv, table_json, wrap_angle
 
@@ -125,9 +126,11 @@ class LatticeSpec:
         return self
 
 
-@dataclass(frozen=True)
-class Peg:
-    """One peg: lattice indices plus angular, vertical, and Cartesian position."""
+class Peg(NamedTuple):
+    """One peg: lattice indices plus angular, vertical, and Cartesian position.
+
+    A peg is its own export row, (row, col, theta, z, x, y).
+    """
 
     row: int
     col: int
@@ -160,13 +163,11 @@ def build_lattice(spec: LatticeSpec) -> list[Peg]:
             offset = j - i / 2.0
             if spec.wrap:
                 theta = wrap_angle(offset * spec.delta_theta)
-                pegs.append(Peg(row=i, col=j, theta=theta, z=z,
-                                x=spec.R * math.cos(theta),
-                                y=spec.R * math.sin(theta)))
+                pegs.append(Peg(i, j, theta, z, spec.R * math.cos(theta),
+                                spec.R * math.sin(theta)))
             else:
                 # flat board: x is the lateral offset, no angular coordinate
-                pegs.append(Peg(row=i, col=j, theta=0.0, z=z,
-                                x=offset * spec.d, y=0.0))
+                pegs.append(Peg(i, j, 0.0, z, offset * spec.d, 0.0))
     return pegs
 
 
@@ -227,8 +228,7 @@ def preset(name: str) -> BoardPreset:
 
 def export_pegs(pegs: list[Peg], fmt: str = "csv") -> str:
     """Serialise pegs deterministically, row-major, as a CSV or JSON table."""
-    rows = [(p.row, p.col, p.theta, p.z, p.x, p.y)
-            for p in sorted(pegs, key=lambda p: (p.row, p.col))]
+    rows = sorted(pegs, key=lambda p: (p.row, p.col))
     if fmt == "csv":
         return table_csv(PEG_COLUMNS, rows)
     if fmt == "json":

@@ -148,6 +148,14 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
+def _split(balls: int, n: int, chunk: int) -> tuple[int, list[int]]:
+    """simulate's block size, and the ball bounds of each thread's range."""
+    block = min(chunk, max(1, _BLOCK_DRAWS // max(n, 1)))
+    blocks = -(-balls // block)
+    ranges = min(_cpu_count(), blocks, -(-balls * max(n, 1) // _THREAD_DRAWS))
+    return block, [min(balls, i * blocks // ranges * block) for i in range(ranges + 1)]
+
+
 @dataclass(frozen=True)
 class WalkConfig:
     """One Monte Carlo experiment: the law's board and bias, ball count, seed."""
@@ -236,17 +244,13 @@ def simulate(config: WalkConfig, chunk: int = DEFAULT_CHUNK) -> SimulationResult
         rights = np.zeros(n + 1, dtype=np.int64)
         rights[n] = balls
     else:
-        block = min(chunk, max(1, _BLOCK_DRAWS // max(n, 1)))
-        blocks = -(-balls // block)
-        ranges = min(_cpu_count(), blocks,
-                     -(-balls * max(n, 1) // _THREAD_DRAWS))
-        bounds = [min(balls, i * blocks // ranges * block) for i in range(ranges + 1)]
+        block, bounds = _split(balls, n, chunk)
         jobs = [(config.seed, lo, hi, n, limit, block)
                 for lo, hi in zip(bounds, bounds[1:])]
-        if ranges == 1:
+        if len(jobs) == 1:
             rights = _count_rights(*jobs[0])
         else:
-            with concurrent.futures.ThreadPoolExecutor(ranges) as pool:
+            with concurrent.futures.ThreadPoolExecutor(len(jobs)) as pool:
                 rights = sum(pool.map(lambda job: _count_rights(*job), jobs))
     counts = np.zeros(config.M, dtype=np.int64)
     np.add.at(counts, np.arange(n + 1) % config.M, rights)

@@ -359,6 +359,13 @@ def test_sweep_names_the_flag_of_a_bad_row_count(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_sweep_names_the_flag_of_an_empty_row_list(tmp_path, capsys):
+    assert run(["sweep", "--M", 24, "--n", "", "--out", tmp_path / "s.csv"]) == 1
+    assert_single_line_error(
+        capsys, "error: ValueError: --n must be a nonempty list of row counts")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_sweep_rejects_zero_rows(tmp_path, capsys):
     assert run(["sweep", "--M", 7, "--n", "0,1,5,50", "--out", tmp_path / "s.csv"]) == 1
     assert_single_line_error(capsys, "error: ValueError: tv_wn needs every n >= 1")
@@ -608,6 +615,62 @@ def test_module_entry_point_error_is_single_line(tmp_path):
     assert proc.returncode == 1
     assert proc.stderr.startswith("error:")
     assert len(proc.stderr.strip().splitlines()) == 1
+
+
+# --- parsing: main builds only the subparser argv[0] names ---------------------
+
+PARSE_CASES = {
+    **{command: [*argv, "--out", "o.dat"] for command, argv in WRITE_CASES.items()},
+    "help": ["-h"],
+    "version": ["--version"],
+    "bad-command": ["bogus"],
+    "no-command": [],
+    "help-before-command": ["-h", "pmf"],
+    "dashdash-command-help": ["--", "pmf", "-h"],
+    "command-help": ["pmf", "-h"],
+    "missing-required": ["pmf", "--n", 8, "--out", "o.csv"],
+    "bad-choice": ["lattice", "--format", "xml", "--out", "o.csv"],
+    "extra-positional": ["pmf", "--n", 8, "--M", 24, "--out", "o.csv", "extra"],
+    "bad-type": ["simulate", "--n", "x", "--out", "o.csv"],
+}
+
+
+def parse_outcome(parse, argv, capsys):
+    """What parse(argv) gives or exits with, and its stdout and stderr."""
+    try:
+        result = parse(argv)
+    except SystemExit as exc:
+        result = ("exit", exc.code)
+    return result, capsys.readouterr()
+
+
+@pytest.mark.parametrize("case", sorted(PARSE_CASES))
+def test_main_parses_as_the_whole_parser(tmp_path, monkeypatch, capsys, case):
+    argv = [str(a) for a in PARSE_CASES[case]]
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "80")
+    parsed = []
+    for command in cli.COMMANDS:    # bound by build_parser, so both parsers see it
+        monkeypatch.setattr(cli, f"cmd_{command}", lambda args: parsed.append(args) or [])
+    whole = cli.build_parser
+    built = []
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda command=None: built.append(command) or whole(command))
+
+    got = parse_outcome(lambda a: main(a) == 0 and parsed.pop(), argv, capsys)
+    assert got == parse_outcome(whole().parse_args, argv, capsys)
+    assert built == [argv[0] if argv and argv[0] in cli.COMMANDS else None]
+
+
+@pytest.mark.parametrize("case", ["help", "version", "bad-command", "command-help",
+                                  "extra-positional"])
+def test_console_script_reads_sys_argv(tmp_path, monkeypatch, capsys, case):
+    argv = [str(a) for a in PARSE_CASES[case]]
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "80")
+    (_, code), (out, err) = parse_outcome(cli.build_parser().parse_args, argv, capsys)
+    proc = run_module(argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
 
 
 def test_cold_start_imports_no_scipy():

@@ -138,6 +138,12 @@ def test_sweep_rows_sorted_and_deduplicated():
         sweep_uniformity(24, 0.5, [])
 
 
+@pytest.mark.parametrize("bad", [2.7, True, "3"])
+def test_sweep_rejects_a_row_count_that_is_not_an_int(bad):
+    with pytest.raises(ValueError, match=r"^--n row counts must be ints, got "):
+        sweep_uniformity(24, 0.5, [8, bad])
+
+
 def test_sweep_folds_each_law_once(monkeypatch):
     folds = []
     real = wrapped_binomial._binomial_terms

@@ -1,5 +1,6 @@
 import json
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -158,6 +159,23 @@ def test_json_export_round_trip():
     doc = json.loads(export_pegs(pegs, "json"))
     assert doc["unit"] == "cm"
     assert [Peg(**p) for p in doc["pegs"]] == pegs
+
+
+def test_export_sorts_pegs_by_row_then_column():
+    for name in ("modules-1-3", "planar-a4"):
+        pegs = build_lattice(preset(name).spec)
+        shuffled = random.Random(7).sample(pegs, len(pegs))
+        for fmt in ("csv", "json"):
+            assert export_pegs(shuffled, fmt) == export_pegs(pegs, fmt)
+
+
+def test_a_peg_is_an_immutable_export_row():
+    peg = build_lattice(preset("modules-1").spec)[4]
+    line = export_pegs([peg], "csv").splitlines()[1]
+    assert line == ",".join(map(repr, peg))
+    assert Peg(**peg._asdict()) == peg
+    with pytest.raises(AttributeError):
+        peg.theta = 0.0
 
 
 def test_unsupported_export_format():

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from cylgalton import walk_sim
 from cylgalton.angular import TWO_PI
 from cylgalton.walk_sim import (BinHistogram, WalkConfig, _right_limit,
-                                _step_bits, simulate, simulate_ball,
+                                _split, _step_bits, simulate, simulate_ball,
                                 unwrapped_stats)
 from cylgalton.wrapped_binomial import WrappedBinomial, full_pmf
 from oracles import tv
@@ -134,13 +134,21 @@ def test_small_run_starts_no_thread(monkeypatch):
 
 
 def test_working_memory_does_not_grow_with_chunk():
-    tracemalloc.start()
-    try:
-        simulate(WalkConfig(96, 24, 0.5, 10**5, seed=1), chunk=10**6)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 32 * 2**20
+    # Each thread's buffers fit in 2 MiB (module docstring); 256 KiB covers
+    # the rest of the call.  A chunk above the block size changes neither.
+    config = WalkConfig(96, 24, 0.5, 10**5, seed=1)
+    bounds = []
+    for chunk in (682, 10**6):
+        threads = len(_split(config.balls, config.n, chunk)[1]) - 1
+        bounds.append(threads * 2 * 2**20 + 2**18)
+        tracemalloc.start()
+        try:
+            simulate(config, chunk=chunk)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bounds[-1]
+    assert bounds[0] == bounds[1]
 
 
 @settings(max_examples=300, deadline=None)
