@@ -13,20 +13,20 @@ from .diagnostics import (ComparisonReport, SweepResult, compare,
                           normal_limit_pmf, sweep_uniformity, wb_wn_tv)
 from .geometry import (BoardPreset, LatticeSpec, Peg, build_lattice,
                        export_pegs, planar_board, preset, preset_names)
-from .walk_sim import (BallTrace, BinHistogram, WalkConfig, simulate,
-                       simulate_ball, unwrapped_stats)
+from .walk_sim import (WalkConfig, simulate, simulate_ball, slot_counts,
+                       unwrapped_stats)
 from .wrapped_binomial import (TrigMoments, WrappedBinomial, centered_angle,
-                               full_pmf, pmf, trig_moments, tv_to_uniform)
+                               full_pmf, trig_moments, tv_to_uniform)
 from .wrapped_normal import (WrappedNormal, bin_probs, density, density_fourier,
                              density_wrapped)
 
 __all__ = [
-    "AngularPMF", "BallTrace", "BinHistogram", "BoardPreset", "ComparisonReport",
-    "LatticeSpec", "Peg", "SweepResult", "TrigMoments", "WalkConfig",
-    "WrappedBinomial", "WrappedNormal", "bin_probs", "build_lattice",
-    "centered_angle", "compare", "density", "density_fourier", "density_wrapped",
-    "export_pegs", "full_pmf", "normal_limit_pmf", "planar_board", "pmf",
-    "preset", "preset_names", "simulate", "simulate_ball", "sweep_uniformity",
-    "trig_moments", "tv_distance", "tv_to_uniform", "unwrapped_stats",
-    "wb_wn_tv", "wrap_angle", "wrap_to_pi",
+    "AngularPMF", "BoardPreset", "ComparisonReport", "LatticeSpec", "Peg",
+    "SweepResult", "TrigMoments", "WalkConfig", "WrappedBinomial",
+    "WrappedNormal", "bin_probs", "build_lattice", "centered_angle", "compare",
+    "density", "density_fourier", "density_wrapped", "export_pegs", "full_pmf",
+    "normal_limit_pmf", "planar_board", "preset", "preset_names", "simulate",
+    "simulate_ball", "slot_counts", "sweep_uniformity", "trig_moments",
+    "tv_distance", "tv_to_uniform", "unwrapped_stats", "wb_wn_tv", "wrap_angle",
+    "wrap_to_pi",
 ]

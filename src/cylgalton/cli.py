@@ -42,7 +42,7 @@ from .geometry import (BOARD_DIMENSIONS, LatticeSpec, build_lattice,
                        export_pegs, preset, preset_names)
 from .svgplot import cylinder_svg, ring_svg
 from .walk_sim import (DEFAULT_CHUNK, WalkConfig, histogram_to_csv, simulate,
-                       unwrapped_stats)
+                       slot_counts, unwrapped_stats)
 from .wrapped_binomial import (WrappedBinomial, centered_angle, full_pmf,
                                trig_moments)
 from .wrapped_normal import WrappedNormal, bin_probs, density
@@ -155,27 +155,27 @@ def cmd_simulate(args) -> Outputs:
                         p=args.p, balls=args.balls, seed=args.seed)
     # built first, so a comparison that cannot be made fails before the walk
     target = None if args.compare is None else _comparison_target(args, config)
-    result = simulate(config, chunk=args.chunk)
-    hist = result.histogram
+    rights = simulate(config, chunk=args.chunk)
+    counts = slot_counts(rights, config.M)
     out = Path(args.out)
-    report = None if target is None else compare(hist, target)
+    report = None if target is None else compare(counts, target)
 
     if args.format == "csv":
-        outputs = [(out, histogram_to_csv(hist))]
+        outputs = [(out, histogram_to_csv(counts))]
         if report is not None:
             outputs.append((_sidecar(out, "compare", ".json"), _json(asdict(report))))
         return outputs
     stats = None
     if not args.planar:
-        mean, var = unwrapped_stats(result.rights, config.M)
+        mean, var = unwrapped_stats(rights, config.M)
         stats = {"mean": mean, "variance": var}
     doc = {
         "command": "simulate",
         "config": {"n": config.n, "M": args.M, "p": config.p,
                    "balls": config.balls, "planar": args.planar},
         "seed": config.seed,
-        "total": hist.total,
-        "histogram": {"M": hist.M, "counts": list(hist.counts)},
+        "total": config.balls,
+        "histogram": {"M": config.M, "counts": list(counts)},
         "unwrapped": stats,
         "comparison": asdict(report) if report else None,
     }

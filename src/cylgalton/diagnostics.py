@@ -1,6 +1,6 @@
 """Distribution comparison and convergence instrumentation.
 
-Distances and goodness-of-fit between empirical histograms and exact
+Distances and goodness-of-fit between empirical slot counts and exact
 slot laws, plus the theoretical sweep that tracks how the slot law
 approaches the uniform and wrapped-normal limits as rows are added.
 """
@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 from .angular import TWO_PI, AngularPMF, spectral_tv, table_csv, tv_distance
-from .walk_sim import BinHistogram
 from .wrapped_binomial import WrappedBinomial, full_pmf, tv_to_uniform
 from .wrapped_normal import WrappedNormal, bin_probs, slot_coefficients
 
@@ -81,23 +80,29 @@ def chi2_tail(x: float, dof: int) -> float:
     return math.fsum(terms)
 
 
-def compare(empirical: BinHistogram, theoretical: AngularPMF) -> ComparisonReport:
-    """TV, smoothed KL, and pooled chi-square of counts against a slot law.
+def compare(counts, theoretical: AngularPMF) -> ComparisonReport:
+    """TV, smoothed KL, and pooled chi-square of slot counts against a slot law.
 
-    KL is the sample-vs-model divergence sum(e * log(e / q)) over cells
-    with q > 0, with empty empirical cells replaced by eps = 1/(10N) so
-    the sum stays finite.  Chi-square cells are pooled cyclically until
-    each expects >= 5, and the p-value is chi2_tail(chi2, dof), the
-    regularised upper incomplete gamma at dof/2 in closed form, within
-    about 1e-12 relative.  A count observed where q = 0 makes kl and chi2
-    inf and the p-value 0.
+    counts[k] is the number of balls that landed in slot k, such as
+    walk_sim.slot_counts of a run's rights; N = sum(counts).  KL is the
+    sample-vs-model divergence sum(e * log(e / q)) over cells with q > 0,
+    with empty empirical cells replaced by eps = 1/(10N) so the sum stays
+    finite.  Chi-square cells are pooled cyclically until each expects
+    >= 5, and the p-value is chi2_tail(chi2, dof), the regularised upper
+    incomplete gamma at dof/2 in closed form, within about 1e-12
+    relative.  A count observed where q = 0 makes kl and chi2 inf and the
+    p-value 0.
     """
-    if empirical.M != theoretical.M:
+    if len(counts) != theoretical.M:
         raise ValueError(
-            f"dimension mismatch: histogram has {empirical.M} bins, "
+            f"dimension mismatch: histogram has {len(counts)} bins, "
             f"PMF has {theoretical.M}")
-    total, counts, qs = empirical.total, empirical.counts, theoretical.probs
-    tv = tv_distance(empirical.frequencies(), qs)
+    if min(counts) < 0:
+        raise ValueError(f"counts must be >= 0, got {min(counts)}")
+    total, qs = sum(counts), theoretical.probs
+    if total < 1:
+        raise ValueError("no balls to compare")
+    tv = tv_distance([c / total for c in counts], qs)
 
     impossible = any(c and q <= 0.0 for c, q in zip(counts, qs))
     eps = 1.0 / (10.0 * total)

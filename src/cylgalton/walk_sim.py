@@ -6,9 +6,10 @@ slot per deflection, the net angle after n rows is S_n * dtheta / 2 with
 S_n = 2X - n the signed step sum; with X the rightward count, the landing
 slot X mod M follows WrappedBinomial(n, M, p).  A flat board is M = n + 1.
 
-A run therefore needs only the histogram of X over 0..n, ``rights``: it
-folds mod M into the slot histogram and gives the unwrapped mean and
-variance exactly.
+A run therefore needs only the histogram of X over 0..n, ``rights``, and
+that tuple is all simulate returns.  Everything else is computed from it
+where it is used: slot_counts is the one fold mod M into the slot counts,
+and unwrapped_stats gives the unwrapped mean and variance exactly.
 
 Randomness is counter-based: draw z(b, k) for ball b, step k is a pure
 64-bit hash of (seed, b, k) (SplitMix64 finaliser over a Weyl counter).
@@ -32,7 +33,7 @@ these loops) with its own buffers and its own ``rights``, and the
 integer sums are added at the end; a run of at most 2**18 draws, such
 as 2,000 balls on 96 rows, starts no thread.  Because every draw
 depends on (seed, b, k) alone and integer sums do not depend on order,
-histograms are bit-identical for any chunk, block or thread split, and
+``rights`` is bit-identical for any chunk, block or thread split, and
 simulate_ball replays any single ball in isolation, with exactly the
 deflections it had in the full run.
 
@@ -182,59 +183,23 @@ class WalkConfig:
         return WrappedBinomial(self.n, self.M, self.p)
 
 
-@dataclass(frozen=True)
-class BallTrace:
-    """One ball's deflection record and landing slot."""
-
-    steps: tuple[int, ...]   # +-1 per row
-    final_s: int             # signed step sum
-    bin: int
-
-
-@dataclass(frozen=True)
-class BinHistogram:
-    """Integer landing counts over the board's bins."""
-
-    M: int
-    counts: tuple[int, ...]
-    total: int
-
-    def __post_init__(self):
-        if len(self.counts) != self.M:
-            raise ValueError(f"expected {self.M} counts, got {len(self.counts)}")
-        if sum(self.counts) != self.total:
-            raise ValueError(
-                f"counts sum to {sum(self.counts)}, declared total {self.total}")
-
-    def frequencies(self) -> tuple[float, ...]:
-        return tuple(c / self.total for c in self.counts)
-
-
-@dataclass(frozen=True)
-class SimulationResult:
-    histogram: BinHistogram
-    rights: tuple[int, ...]   # rights[x]: balls with x rightward deflections
-
-
-def simulate_ball(config: WalkConfig, ball_index: int) -> BallTrace:
-    """Replay one ball of simulate(config): its deflections, and nothing else."""
+def simulate_ball(config: WalkConfig, ball_index: int) -> tuple[int, ...]:
+    """Replay one ball of simulate(config): its +-1 deflection per row."""
     if not 0 <= ball_index < config.balls:
         raise ValueError(f"ball_index {ball_index} out of range [0, {config.balls})")
     z = np.empty((1, config.n), dtype=np.uint64)
     bits = _step_bits(config.seed, ball_index, z, np.empty_like(z))[0]
     limit = _right_limit(config.p)
-    steps = tuple(1 if b < limit else -1 for b in bits.tolist())
-    x = steps.count(1)
-    return BallTrace(steps=steps, final_s=2 * x - config.n, bin=x % config.M)
+    return tuple(1 if b < limit else -1 for b in bits.tolist())
 
 
-def simulate(config: WalkConfig, chunk: int = DEFAULT_CHUNK) -> SimulationResult:
-    """Run all balls and count them by rightward deflections, x = 0..n.
+def simulate(config: WalkConfig, chunk: int = DEFAULT_CHUNK) -> tuple[int, ...]:
+    """Run all balls and return ``rights``: rights[x] is the number of balls
+    with x rightward deflections, x = 0..n.
 
-    The landing histogram is that count, ``rights``, folded mod M (the
-    identity on a flat board, M = n + 1).  chunk is an upper bound on
-    balls per block; the result is a pure function of (seed, config),
-    and ball b is simulate_ball(config, b).
+    The slot counts are slot_counts(rights, config.M).  chunk is an upper
+    bound on balls per block; the result is a pure function of (seed,
+    config), and ball b is simulate_ball(config, b).
     """
     if chunk < 1:
         raise ValueError(f"chunk must be >= 1, got {chunk}")
@@ -252,11 +217,19 @@ def simulate(config: WalkConfig, chunk: int = DEFAULT_CHUNK) -> SimulationResult
         else:
             with concurrent.futures.ThreadPoolExecutor(len(jobs)) as pool:
                 rights = sum(pool.map(lambda job: _count_rights(*job), jobs))
-    counts = np.zeros(config.M, dtype=np.int64)
-    np.add.at(counts, np.arange(n + 1) % config.M, rights)
-    hist = BinHistogram(M=config.M, counts=tuple(int(c) for c in counts),
-                        total=config.balls)
-    return SimulationResult(histogram=hist, rights=tuple(int(c) for c in rights))
+    return tuple(rights.tolist())
+
+
+def slot_counts(rights, M: int) -> tuple[int, ...]:
+    """The landing count of each of M slots: rights folded mod M.
+
+    Slot k holds the balls with x = k (mod M) rightward deflections; on a
+    flat board, M = n + 1, the fold is the identity.
+    """
+    if M < 1:
+        raise ValueError(f"M must be >= 1, got {M}")
+    rights = [int(c) for c in rights]
+    return tuple(sum(rights[k::M]) for k in range(M))
 
 
 def unwrapped_stats(rights, m_slots: int) -> tuple[float, float]:
@@ -280,6 +253,8 @@ def unwrapped_stats(rights, m_slots: int) -> tuple[float, float]:
     return mean, var
 
 
-def histogram_to_csv(hist: BinHistogram) -> str:
-    rows = zip(range(hist.M), hist.counts, hist.frequencies())
-    return table_csv(HISTOGRAM_COLUMNS, rows)
+def histogram_to_csv(counts) -> str:
+    """Slot, count and frequency of each slot; the frequencies divide by sum(counts)."""
+    total = sum(counts)
+    return table_csv(HISTOGRAM_COLUMNS,
+                     ((k, c, c / total) for k, c in enumerate(counts)))

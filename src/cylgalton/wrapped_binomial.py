@@ -122,13 +122,6 @@ def _direct_slots(wb: WrappedBinomial) -> tuple[float, ...]:
     return tuple(sum(terms[(k - lo) % wb.M::wb.M]) / total for k in range(wb.M))
 
 
-def pmf(wb: WrappedBinomial, k: int) -> float:
-    """Probability of slot k."""
-    if not 0 <= k < wb.M:
-        raise ValueError(f"slot {k} out of range [0, {wb.M})")
-    return wb._slot_probs[k]
-
-
 def full_pmf(wb: WrappedBinomial) -> AngularPMF:
     """The whole slot vector as an AngularPMF."""
     return AngularPMF(wb.M, wb._slot_probs)

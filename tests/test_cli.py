@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -287,6 +288,41 @@ def test_simulate_json_report(tmp_path):
     assert sum(doc["histogram"]["counts"]) == 500
     assert doc["unwrapped"] is not None
     assert 0.0 <= doc["comparison"]["tv"] <= 1.0
+
+
+# sha256 of every file a seeded run writes, data, sidecar and manifest: a
+# change to the walk, the fold, the comparison or a serialiser shows here.
+SIMULATE_GOLDEN = {
+    "csv-exact": (
+        ["--n", 96, "--M", 24, "--balls", 5000, "--seed", 1, "--compare", "exact",
+         "--out", "sim.csv"],
+        {"sim.csv": "0f72a9244afca3ff4adba0f96240fd3823cbb11ebb3b4cbaa6b5890ae1f95bde",
+         "sim.compare.json":
+             "8546ec512dae1f95b26b385d343e666818dc9f7becd2ede3493eae05820232d1",
+         "sim.manifest.json":
+             "d02b706a83deb669e9055557b0b6901413e16e6711332751dd2a4c1d19625e2f"}),
+    "json-wn": (
+        ["--n", 96, "--M", 24, "--balls", 5000, "--seed", 1, "--compare", "wn",
+         "--format", "json", "--out", "sim.json"],
+        {"sim.json": "c83390eb10ab03a38ecfbb9a68a4776f0d9052ec3b8904232b9f27547c317d40",
+         "sim.manifest.json":
+             "b93e55ca8c4b3e858ddfa1ce5d69cd5dcd1a24a767de8b3403ba6f840ab4875a"}),
+    "planar": (
+        ["--planar", "--n", 10, "--out", "sim.csv"],
+        {"sim.csv": "885b718fd774176999c698a2131bba826cb7954114d40dd2843f4ba5bec0ca54",
+         "sim.manifest.json":
+             "26e746ff31c78076f6c8527ae8bdb68a929efa68e45106ed7fc9c9a496c0bf17"}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SIMULATE_GOLDEN))
+def test_simulate_golden_bytes(tmp_path, monkeypatch, case):
+    monkeypatch.chdir(tmp_path)     # the manifest records the relative --out
+    argv, digests = SIMULATE_GOLDEN[case]
+    assert run(["simulate", *argv]) == 0
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in tmp_path.iterdir()}
+    assert written == digests
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64, -2**64])

@@ -10,7 +10,7 @@ from cylgalton.angular import TWO_PI, AngularPMF
 from cylgalton.diagnostics import (MIN_EXPECTED, _pool_cyclic, chi2_tail,
                                    compare, sweep_to_csv, sweep_uniformity,
                                    tv_distance, wb_wn_tv)
-from cylgalton.walk_sim import BinHistogram, WalkConfig, simulate
+from cylgalton.walk_sim import WalkConfig, simulate, slot_counts
 from cylgalton.wrapped_binomial import WrappedBinomial, full_pmf, tv_to_uniform
 from oracles import binomial_fold_pmf, wb_wn_tv_ref, wn_interval_prob_ref
 
@@ -48,31 +48,37 @@ def test_tv_is_a_metric_on_the_simplex(xs, ys):
 def test_compare_exact_match_is_zero():
     pmf = full_pmf(WrappedBinomial(6, 12, 0.5))
     counts = tuple(int(round(q * 64)) for q in pmf.probs)  # 64 * Bin(6,1/2)
-    hist = BinHistogram(M=12, counts=counts, total=64)
-    report = compare(hist, pmf)
+    report = compare(counts, pmf)
     assert report.tv == 0.0
     assert report.chi2 == 0.0
     assert report.p_value == 1.0
 
 
 def test_compare_point_mass_against_uniform():
-    hist = BinHistogram(M=24, counts=(100,) + (0,) * 23, total=100)
-    report = compare(hist, _uniform(24))
+    report = compare((100,) + (0,) * 23, _uniform(24))
     assert report.tv == pytest.approx(1.0 - 1.0 / 24)
     assert report.p_value < 1e-12
     assert math.isfinite(report.kl)
 
 
 def test_compare_dimension_mismatch():
-    hist = BinHistogram(M=3, counts=(1, 1, 1), total=3)
     with pytest.raises(ValueError, match="mismatch"):
-        compare(hist, _uniform(4))
+        compare((1, 1, 1), _uniform(4))
+
+
+def test_compare_rejects_counts_with_no_balls():
+    with pytest.raises(ValueError, match="no balls to compare"):
+        compare((0, 0, 0), _uniform(3))
+
+
+def test_compare_rejects_a_negative_count():
+    with pytest.raises(ValueError, match="counts must be >= 0, got -1"):
+        compare((5, -1, 0), _uniform(3))
 
 
 def test_compare_seeded_run_against_own_law():
     config = WalkConfig(n=8, M=24, p=0.5, balls=100_000, seed=7)
-    hist = simulate(config).histogram
-    report = compare(hist, full_pmf(WrappedBinomial(8, 24, 0.5)))
+    report = compare(slot_counts(simulate(config), config.M), full_pmf(WrappedBinomial(8, 24, 0.5)))
     assert report.p_value > 0.001
     assert report.tv < 0.01
     assert report.kl >= 0.0
@@ -81,8 +87,7 @@ def test_compare_seeded_run_against_own_law():
 def test_compare_flags_impossible_cells():
     # mass observed where the law says zero
     pmf = AngularPMF(4, (0.5, 0.5, 0.0, 0.0))
-    hist = BinHistogram(M=4, counts=(40, 40, 20, 0), total=100)
-    report = compare(hist, pmf)
+    report = compare((40, 40, 20, 0), pmf)
     assert report.kl == math.inf
     # pooled, the impossible cell would read as chi2 = 4.0, p = 0.046
     assert report.chi2 == math.inf
@@ -101,7 +106,7 @@ def test_pooling_guarantees_minimum_expected_count():
 def test_pooling_collapses_tiny_samples_to_one_group():
     groups = _pool_cyclic([1, 0, 1], [0.6, 0.9, 0.5])
     assert len(groups) == 1
-    report = compare(BinHistogram(M=3, counts=(1, 0, 1), total=2), _uniform(3))
+    report = compare((1, 0, 1), _uniform(3))
     assert report.dof == 1
     assert report.chi2 == pytest.approx(0.0)
     assert report.p_value == pytest.approx(1.0)

@@ -11,49 +11,53 @@ from hypothesis import strategies as st
 
 from cylgalton import walk_sim
 from cylgalton.angular import TWO_PI
-from cylgalton.walk_sim import (BinHistogram, WalkConfig, _right_limit,
-                                _split, _step_bits, simulate, simulate_ball,
+from cylgalton.walk_sim import (WalkConfig, _right_limit, _split, _step_bits,
+                                simulate, simulate_ball, slot_counts,
                                 unwrapped_stats)
 from cylgalton.wrapped_binomial import WrappedBinomial, full_pmf
 from oracles import tv
 
 
+def _one_hot(slot, m):
+    return tuple(int(k == slot) for k in range(m))
+
+
 def test_all_right_walk_is_deterministic():
-    trace = simulate_ball(WalkConfig(n=5, M=24, p=1.0, balls=1, seed=9), 0)
-    assert trace.steps == (1, 1, 1, 1, 1)
-    assert trace.final_s == 5
-    assert trace.bin == 5
+    config = WalkConfig(n=5, M=24, p=1.0, balls=1, seed=9)
+    assert simulate_ball(config, 0) == (1, 1, 1, 1, 1)
+    assert simulate(config) == (0, 0, 0, 0, 0, 1)
+    assert slot_counts(simulate(config), config.M) == _one_hot(5, 24)
 
 
 def test_all_left_walk_lands_in_slot_zero():
-    trace = simulate_ball(WalkConfig(n=5, M=24, p=0.0, balls=1, seed=9), 0)
-    assert trace.final_s == -5
-    assert trace.bin == 0
+    config = WalkConfig(n=5, M=24, p=0.0, balls=1, seed=9)
+    assert simulate_ball(config, 0) == (-1, -1, -1, -1, -1)
+    assert slot_counts(simulate(config), config.M) == _one_hot(0, 24)
 
 
 def test_single_ball_replay_matches_full_run():
     config = WalkConfig(n=12, M=5, p=0.6, balls=50, seed=123)
-    result = simulate(config, chunk=7)
-    rights = [0] * 13
+    rights = simulate(config, chunk=7)
+    replayed = [0] * 13
     counts = [0] * 5
     for i in range(config.balls):
-        trace = simulate_ball(config, i)
-        rights[trace.steps.count(1)] += 1
-        counts[trace.bin] += 1
-    assert tuple(rights) == result.rights
-    assert tuple(counts) == result.histogram.counts
+        x = simulate_ball(config, i).count(1)
+        replayed[x] += 1
+        counts[x % 5] += 1
+    assert tuple(replayed) == rights
+    assert tuple(counts) == slot_counts(rights, 5)
 
 
 def test_identical_seed_identical_histogram():
     config = WalkConfig(n=16, M=24, p=0.5, balls=5000, seed=42)
-    assert simulate(config).histogram == simulate(config).histogram
+    assert simulate(config) == simulate(config)
 
 
 def test_chunking_never_changes_the_result():
     config = WalkConfig(n=12, M=24, p=0.4, balls=2000, seed=5)
-    reference = simulate(config).histogram
+    reference = simulate(config)
     for chunk in (1, 7, 997, 10**6):
-        assert simulate(config, chunk=chunk).histogram == reference
+        assert simulate(config, chunk=chunk) == reference
 
 
 def _affinity(monkeypatch, cpus):
@@ -63,7 +67,7 @@ def _affinity(monkeypatch, cpus):
 def _replayed_rights(config):
     rights = [0] * (config.n + 1)
     for b in range(config.balls):
-        rights[simulate_ball(config, b).steps.count(1)] += 1
+        rights[simulate_ball(config, b).count(1)] += 1
     return tuple(rights)
 
 
@@ -71,14 +75,14 @@ def _replayed_rights(config):
 # threshold rule changes them, and with them every seeded output file.
 def test_stream_golden_rights():
     config = WalkConfig(n=13, M=5, p=0.37, balls=30001, seed=2**64 - 1)
-    assert simulate(config).rights == (72, 547, 1942, 4349, 6305, 6537, 5303,
+    assert simulate(config) == (72, 547, 1942, 4349, 6305, 6537, 5303,
                                        3024, 1353, 437, 110, 20, 2, 0)
 
 
 @pytest.mark.parametrize("cpus", [1, 3])
 def test_stream_golden_digest(monkeypatch, cpus):
     _affinity(monkeypatch, cpus)
-    rights = simulate(WalkConfig(n=96, M=24, p=0.5, balls=10**5, seed=12345)).rights
+    rights = simulate(WalkConfig(n=96, M=24, p=0.5, balls=10**5, seed=12345))
     assert hashlib.sha256(",".join(map(str, rights)).encode()).hexdigest() == (
         "66065daf20e5990873c02bac3da41919757d9fce4c5f28afc8c8fa777653cf90")
 
@@ -117,7 +121,7 @@ def test_rights_do_not_depend_on_the_split(monkeypatch, config):
     for cpus in (1, 2, 3):
         _affinity(monkeypatch, cpus)
         for chunk in (1, 7, 997, 10**6):
-            seen.add(simulate(config, chunk=chunk).rights)
+            seen.add(simulate(config, chunk=chunk))
     assert seen == {_replayed_rights(config)}
     # p = 1 draws nothing; every other board ran on 2 and on 3 threads.
     assert set(pools) == (set() if config.p == 1.0 else {2, 3})
@@ -129,8 +133,7 @@ def test_small_run_starts_no_thread(monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
     _affinity(monkeypatch, 4)
-    result = simulate(WalkConfig(n=96, M=24, p=0.5, balls=2000, seed=1))
-    assert sum(result.rights) == 2000
+    assert sum(simulate(WalkConfig(n=96, M=24, p=0.5, balls=2000, seed=1))) == 2000
 
 
 def test_working_memory_does_not_grow_with_chunk():
@@ -174,8 +177,8 @@ def test_a_draw_at_the_threshold_goes_left():
     p = (word >> 11) * 2.0**-53
     assert _right_limit(p) == word
     config = WalkConfig(n=n, M=24, p=p, balls=ball + 1, seed=seed)
-    assert simulate_ball(config, ball).steps[step] == -1
-    assert simulate(config, chunk=1).rights == _replayed_rights(config)
+    assert simulate_ball(config, ball)[step] == -1
+    assert simulate(config, chunk=1) == _replayed_rights(config)
 
 
 @pytest.mark.parametrize("side", ["dyadic", "next-step", "between"])
@@ -198,8 +201,8 @@ def test_the_last_hash_step_is_left_out_only_where_it_cannot_matter(side):
     if side == "between":
         assert (early < limit) != (word < limit)
     config = WalkConfig(n=n, M=24, p=p, balls=ball + 1, seed=seed)
-    assert simulate_ball(config, ball).steps[step] == (1 if word < limit else -1)
-    assert simulate(config, chunk=1).rights == _replayed_rights(config)
+    assert simulate_ball(config, ball)[step] == (1 if word < limit else -1)
+    assert simulate(config, chunk=1) == _replayed_rights(config)
 
 
 @settings(max_examples=100, deadline=None)
@@ -213,44 +216,44 @@ def test_the_last_hash_step_keeps_every_draw_on_its_side(z, high, offset):
 
 
 def test_different_seeds_differ():
-    a = simulate(WalkConfig(n=16, M=24, p=0.5, balls=5000, seed=1)).histogram
-    b = simulate(WalkConfig(n=16, M=24, p=0.5, balls=5000, seed=2)).histogram
-    assert a != b
+    a = simulate(WalkConfig(n=16, M=24, p=0.5, balls=5000, seed=1))
+    b = simulate(WalkConfig(n=16, M=24, p=0.5, balls=5000, seed=2))
+    assert slot_counts(a, 24) != slot_counts(b, 24)
 
 
 @settings(max_examples=30, deadline=None)
 @given(n=st.integers(0, 24), p=st.floats(0.0, 1.0, allow_nan=False),
        seed=st.integers(0, 2**64 - 1))
 def test_parity_invariant(n, p, seed):
-    trace = simulate_ball(WalkConfig(n=n, M=12, p=p, balls=1, seed=seed), 0)
-    assert trace.final_s == sum(trace.steps)
-    assert abs(trace.final_s) <= n
-    assert (trace.final_s - n) % 2 == 0
+    steps = simulate_ball(WalkConfig(n=n, M=12, p=p, balls=1, seed=seed), 0)
+    assert len(steps) == n
+    assert set(steps) <= {-1, 1}
+    assert (sum(steps) - n) % 2 == 0
 
 
 def test_histogram_accounts_for_every_ball():
     config = WalkConfig(n=9, M=24, p=0.3, balls=777, seed=8)
-    hist = simulate(config).histogram
-    assert sum(hist.counts) == hist.total == 777
+    rights = simulate(config)
+    assert sum(slot_counts(rights, config.M)) == sum(rights) == 777
 
 
 def test_empirical_law_matches_exact_law_at_a_million_balls():
     config = WalkConfig(n=16, M=24, p=0.5, balls=1_000_000, seed=2)
-    hist = simulate(config).histogram
+    counts = slot_counts(simulate(config), config.M)
     exact = full_pmf(WrappedBinomial(16, 24, 0.5))
-    assert tv(hist.frequencies(), exact.probs) < 0.005
+    assert tv([c / config.balls for c in counts], exact.probs) < 0.005
 
 
 def test_mean_step_sum_within_monte_carlo_error():
     config = WalkConfig(n=8, M=24, p=0.5, balls=100_000, seed=11)
-    rights = simulate(config).rights
+    rights = simulate(config)
     mean_s = sum(c * (2 * x - 8) for x, c in enumerate(rights)) / 100_000
     assert abs(mean_s) < 3.0 * math.sqrt(8) / math.sqrt(100_000)
 
 
 def test_unwrapped_stats_symmetric_walk():
     config = WalkConfig(n=24, M=24, p=0.5, balls=100_000, seed=4)
-    mean, var = unwrapped_stats(simulate(config).rights, 24)
+    mean, var = unwrapped_stats(simulate(config), 24)
     dtheta = TWO_PI / 24
     expected_var = 24 * 0.25 * dtheta**2
     se = math.sqrt(expected_var / 100_000)
@@ -260,7 +263,7 @@ def test_unwrapped_stats_symmetric_walk():
 
 def test_unwrapped_stats_biased_walk():
     config = WalkConfig(n=8, M=24, p=0.75, balls=100_000, seed=11)
-    mean, var = unwrapped_stats(simulate(config).rights, 24)
+    mean, var = unwrapped_stats(simulate(config), 24)
     dtheta = TWO_PI / 24
     expected_mean = 8 * 0.5 * dtheta / 2          # n(2p-1) dtheta / 2
     expected_var = 8 * 0.1875 * dtheta**2
@@ -299,7 +302,7 @@ def test_unwrapped_stats_sums_stay_exact_beyond_int64():
 def test_wrap_through_events_beyond_one_turn():
     # once rows exceed slots, some balls pass the far side of the cylinder
     config = WalkConfig(n=40, M=24, p=0.5, balls=2000, seed=1)
-    rights = simulate(config).rights
+    rights = simulate(config)
     assert any(rights[25:])
     assert sum(rights[25:]) > 50
 
@@ -309,44 +312,58 @@ def test_wrap_through_events_beyond_one_turn():
        p=st.floats(0.0, 1.0, allow_nan=False), balls=st.integers(1, 300),
        seed=st.integers(0, 2**64 - 1), chunk=st.integers(1, 400))
 def test_rights_fold_to_the_histogram(n, m, p, balls, seed, chunk):
-    result = simulate(WalkConfig(n=n, M=m, p=p, balls=balls, seed=seed),
+    rights = simulate(WalkConfig(n=n, M=m, p=p, balls=balls, seed=seed),
                       chunk=chunk)
-    assert len(result.rights) == n + 1
-    assert sum(result.rights) == balls
-    assert result.histogram.counts == tuple(
-        sum(result.rights[k::m]) for k in range(m))
+    assert len(rights) == n + 1
+    assert sum(rights) == balls
+    counts = [0] * m
+    for x, c in enumerate(rights):
+        counts[x % m] += c
+    assert slot_counts(rights, m) == tuple(counts)
     flat = simulate(WalkConfig(n=n, M=n + 1, p=p, balls=balls, seed=seed))
-    assert flat.histogram.counts == result.rights == flat.rights
+    assert slot_counts(flat, n + 1) == rights == flat
+
+
+def test_slot_counts_of_numpy_rights_are_ints():
+    counts = slot_counts(np.array([3, 1, 4, 1, 5], dtype=np.int64), 2)
+    assert counts == (12, 2)
+    assert all(type(c) is int for c in counts)
+
+
+@pytest.mark.parametrize("m", [0, -1])
+def test_slot_counts_rejects_a_board_with_no_slots(m):
+    with pytest.raises(ValueError, match="M must be >= 1"):
+        slot_counts((1, 2, 3), m)
 
 
 def test_planar_two_bins_even_split():
-    hist = simulate(WalkConfig(n=1, M=2, p=0.5, balls=10_000, seed=6)).histogram
-    assert hist.M == 2
+    counts = slot_counts(simulate(WalkConfig(n=1, M=2, p=0.5, balls=10_000,
+                                             seed=6)), 2)
+    assert len(counts) == 2
     # 6 sigma around the even split
-    assert abs(hist.counts[0] - 5000) < 300
+    assert abs(counts[0] - 5000) < 300
 
 
 def test_planar_histogram_shape_and_support():
-    hist = simulate(WalkConfig(n=10, M=11, p=0.5, balls=10_000, seed=3)).histogram
-    assert hist.M == 11
-    assert sum(1 for c in hist.counts if c > 0) <= 11
-    assert sum(hist.counts) == 10_000
+    counts = slot_counts(simulate(WalkConfig(n=10, M=11, p=0.5, balls=10_000,
+                                             seed=3)), 11)
+    assert len(counts) == 11
+    assert sum(1 for c in counts if c > 0) <= 11
+    assert sum(counts) == 10_000
 
 
 def test_planar_matches_binomial_moments():
-    hist = simulate(WalkConfig(n=10, M=11, p=0.5, balls=100_000,
-                               seed=3)).histogram
+    rights = simulate(WalkConfig(n=10, M=11, p=0.5, balls=100_000, seed=3))
     k = np.arange(11)
-    counts = np.array(hist.counts, dtype=float)
+    counts = np.array(slot_counts(rights, 11), dtype=float)
     mean = (k * counts).sum() / counts.sum()
     var = ((k - mean) ** 2 * counts).sum() / (counts.sum() - 1)
     assert var == pytest.approx(2.5, rel=0.05)    # n p (1-p)
 
 
 def test_planar_degenerate_board():
-    hist = simulate(WalkConfig(n=0, M=1, p=0.5, balls=100, seed=0)).histogram
-    assert hist.M == 1
-    assert hist.counts == (100,)
+    assert slot_counts(simulate(WalkConfig(n=0, M=1, p=0.5, balls=100, seed=0)),
+                       1) == (100,)
 
 
 def test_config_validation():
@@ -370,10 +387,3 @@ def test_config_rejects_non_int_and_out_of_range_fields(field, value):
     fields[field] = value
     with pytest.raises(ValueError, match=field):
         WalkConfig(**fields)
-
-
-def test_histogram_consistency_checks():
-    with pytest.raises(ValueError, match="counts sum"):
-        BinHistogram(M=2, counts=(1, 2), total=4)
-    with pytest.raises(ValueError, match="expected 3 counts"):
-        BinHistogram(M=3, counts=(1, 2), total=3)

@@ -12,7 +12,7 @@ from cylgalton import wrapped_binomial
 from cylgalton.angular import TWO_PI, spectral_masses, wrap_angle, wrap_to_pi
 from cylgalton.wrapped_binomial import (TrigMoments, WrappedBinomial,
                                         _cf_vector, _direct_slots,
-                                        centered_angle, full_pmf, pmf,
+                                        centered_angle, full_pmf,
                                         trig_moments, tv_to_uniform)
 from oracles import (binomial_fold_exact, binomial_fold_numerators,
                      binomial_fold_pmf, dp_cyclic_walk, mp_fold_window, tv,
@@ -23,24 +23,17 @@ from oracles import (binomial_fold_exact, binomial_fold_numerators,
 
 def test_pmf_no_wrapping_case():
     # n < M: plain binomial value
-    assert pmf(WrappedBinomial(8, 24, 0.5), 4) == 70 / 256
+    assert full_pmf(WrappedBinomial(8, 24, 0.5)).probs[4] == 70 / 256
 
 
 def test_pmf_single_wrap_case():
     # slot 0 collects x = 0 and x = 24
-    assert pmf(WrappedBinomial(24, 24, 0.5), 0) == pytest.approx(2.0**-23, abs=1e-20)
+    assert full_pmf(WrappedBinomial(24, 24, 0.5)).probs[0] == pytest.approx(
+        2.0**-23, abs=1e-20)
 
 
 def test_pmf_zero_trials():
-    assert pmf(WrappedBinomial(0, 5, 0.3), 0) == 1.0
-
-
-def test_pmf_slot_out_of_range():
-    wb = WrappedBinomial(4, 6, 0.5)
-    with pytest.raises(ValueError, match="out of range"):
-        pmf(wb, 6)
-    with pytest.raises(ValueError, match="out of range"):
-        pmf(wb, -1)
+    assert full_pmf(WrappedBinomial(0, 5, 0.3)).probs[0] == 1.0
 
 
 def test_full_pmf_support_count():
