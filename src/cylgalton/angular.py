@@ -61,16 +61,18 @@ def spectral_masses(coef: np.ndarray) -> np.ndarray:
     return np.fft.fft(coef).real / coef.size
 
 
-def spectral_tv(diff: np.ndarray) -> float:
-    """TV between two laws whose coefficients differ by diff.
+def spectral_tv(diff: np.ndarray) -> list[float]:
+    """TV between two laws whose coefficients differ by diff, for each row
+    of the (rows, M) array diff: one FFT of every row, then one fsum per row.
 
-    diff[0], a difference of two 1s, is left out, so each slot's
+    diff[:, 0], differences of two 1s, are left out, so each slot's
     difference is formed from the t != 0 coefficients alone and a tiny
     distance keeps its relative accuracy.
     """
     diff = diff.copy()
-    diff[0] = 0.0
-    return 0.5 * math.fsum(np.abs(np.fft.fft(diff).real)) / diff.size
+    diff[:, 0] = 0.0
+    folded = np.abs(np.fft.fft(diff, axis=1).real)
+    return [0.5 * math.fsum(row.tolist()) / diff.shape[1] for row in folded]
 
 
 @dataclass(frozen=True)

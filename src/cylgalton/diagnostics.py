@@ -3,6 +3,9 @@
 Distances and goodness-of-fit between empirical slot counts and exact
 slot laws, plus the theoretical sweep that tracks how the slot law
 approaches the uniform and wrapped-normal limits as rows are added.
+
+The sweep evaluates its spectral rows in batches, as one (rows, M) array
+program, and its direct rows one at a time (sweep_uniformity).
 """
 
 from __future__ import annotations
@@ -10,14 +13,24 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .angular import TWO_PI, AngularPMF, spectral_tv, table_csv, tv_distance
-from .wrapped_binomial import WrappedBinomial, full_pmf, tv_to_uniform
-from .wrapped_normal import WrappedNormal, bin_probs, slot_coefficients
+from .wrapped_binomial import (_EXACT_LIMIT, WrappedBinomial, _cf_rows, _direct_law,
+                               _spectral_rows, _step_polar, full_pmf, tv_to_uniform)
+from .wrapped_normal import WrappedNormal, _term_count, bin_probs, slot_coefficients
 
 # Minimum expected count per retained chi-square cell.
 MIN_EXPECTED = 5.0
 
 SWEEP_COLUMNS = {"n": int, "tv_uniform": float, "tv_wn": float}
+
+# A batch of sweep rows holds at most this many complex entries: M cf
+# values per row plus its normal-limit terms (one row at the least).
+_BATCH_ENTRIES = 1 << 16
+
+# The normal limit's coefficients on the spectral route are kept down to underflow.
+_LIMIT_FLOOR = math.ulp(0.0)
 
 
 @dataclass(frozen=True)
@@ -153,8 +166,12 @@ def wb_wn_tv(wb: WrappedBinomial) -> float:
     cf = wb._spectrum
     if cf is None:
         return tv_distance(full_pmf(wb).probs, normal_limit_pmf(wb).probs)
-    limit = slot_coefficients(_normal_limit(wb), wb.M, floor=math.ulp(0.0))
-    return spectral_tv(cf - limit)
+    return _spectral_wn_tvs(cf[None], [_normal_limit(wb)])[0]
+
+
+def _spectral_wn_tvs(cf: np.ndarray, limits) -> list[float]:
+    """wb_wn_tv of spectral-route laws, from their (rows, M) cf and their normal limits."""
+    return spectral_tv(cf - slot_coefficients(limits, cf.shape[1], floor=_LIMIT_FLOOR))
 
 
 @dataclass(frozen=True)
@@ -174,7 +191,17 @@ class SweepResult:
 
 
 def sweep_uniformity(M: int, p: float, n_list) -> SweepResult:
-    """Distances to the uniform and normal limits for each row count."""
+    """Distances to the uniform and normal limits for each row count.
+
+    Each row reads the same bits as tv_to_uniform and wb_wn_tv of its law
+    alone.  Rows with n > 64 go in batches of at most _BATCH_ENTRIES
+    complex entries, each row counting its M cf values and its normal-limit
+    terms, so memory grows only with the output.  A batch forms its cf as
+    one (rows, M) array from the polar form of w(t), taken once per sweep,
+    and tests each row.  Its spectral rows take each distance from one FFT
+    of every row.  Its other rows, like those with n <= 64, take the
+    direct fold one at a time, without computing their cf again.
+    """
     ns = list(n_list)
     for n in ns:
         if isinstance(n, bool) or not isinstance(n, int):
@@ -188,10 +215,24 @@ def sweep_uniformity(M: int, p: float, n_list) -> SweepResult:
     if not 0.0 < p < 1.0:
         raise ValueError(f"--p must be in (0, 1) for the tv_wn column, where "
                          f"the normal limit is not degenerate; got {p!r}")
-    laws = (WrappedBinomial(n, M, p) for n in ns)
-    rows = tuple(SweepRow(n=wb.n, tv_uniform=tv_to_uniform(wb), tv_wn=wb_wn_tv(wb))
-                 for wb in laws)
-    return SweepResult(M=M, p=p, rows=rows)
+    direct = [WrappedBinomial(n, M, p) for n in ns if n <= _EXACT_LIMIT]
+    wide = [n for n in ns if n > _EXACT_LIMIT]
+    step = _step_polar(M, p)
+    distances = {}
+    while wide:
+        # rows are sorted by n, so the first row's limit has the most terms
+        first = _normal_limit(WrappedBinomial(wide[0], M, p))
+        size = max(1, _BATCH_ENTRIES // (M + _term_count(first, _LIMIT_FLOOR)))
+        batch, wide = wide[:size], wide[size:]
+        cf = _cf_rows(batch, step)
+        spectral = _spectral_rows(cf)
+        direct += [_direct_law(n, M, p) for n, s in zip(batch, spectral) if not s]
+        ns_s, cf = [n for n, s in zip(batch, spectral) if s], cf[spectral]
+        limits = [_normal_limit(WrappedBinomial(n, M, p)) for n in ns_s]
+        distances.update(zip(ns_s, zip(spectral_tv(cf), _spectral_wn_tvs(cf, limits))))
+    for wb in direct:
+        distances[wb.n] = (tv_to_uniform(wb), wb_wn_tv(wb))
+    return SweepResult(M=M, p=p, rows=tuple(SweepRow(n, *distances[n]) for n in ns))
 
 
 def sweep_to_csv(result: SweepResult) -> str:

@@ -255,6 +255,10 @@ def unwrapped_stats(rights, m_slots: int) -> tuple[float, float]:
 
 def histogram_to_csv(counts) -> str:
     """Slot, count and frequency of each slot; the frequencies divide by sum(counts)."""
+    if min(counts) < 0:
+        raise ValueError(f"counts must be >= 0, got {min(counts)}")
     total = sum(counts)
+    if total < 1:
+        raise ValueError("no balls to write")
     return table_csv(HISTOGRAM_COLUMNS,
                      ((k, c, c / total) for k, c in enumerate(counts)))

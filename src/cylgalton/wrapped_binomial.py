@@ -35,6 +35,11 @@ B = sum_{t=1}^{M-1} |cf(t)|.
   rounded once; the floors move it by under n**2 * 2**-108 of its size.
   Fair boards with n <= 64 walk exact integers and match the rational
   fold bit for bit.
+
+The cf is one formula, batched over row counts: _cf_polar forms w**n for
+a list of row counts as outer products with the polar form of w(t),
+taken once per (M, p) by _step_polar.  A law alone is the one-row case;
+sweep_uniformity (diagnostics) evaluates the rows of a ladder in batches.
 """
 
 from __future__ import annotations
@@ -103,8 +108,8 @@ class WrappedBinomial:
         """cf(t) for t = 0..M-1 when the spectral route applies, else None."""
         if self.n <= _EXACT_LIMIT:
             return None
-        cf = _cf_vector(self)
-        return cf if np.abs(cf[1:]).sum() <= _SPECTRAL_BOUND else None
+        cf = _cf_rows([self.n], _step_polar(self.M, self.p))
+        return cf[0] if _spectral_rows(cf)[0] else None
 
     @cached_property
     def _slot_probs(self) -> tuple[float, ...]:
@@ -127,30 +132,61 @@ def full_pmf(wb: WrappedBinomial) -> AngularPMF:
     return AngularPMF(wb.M, wb._slot_probs)
 
 
-def _cf_polar(wb: WrappedBinomial, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Modulus and unreduced argument of cf(t) = w**n for t in 0..M-1,
-    from the polar form of the one-step factor w = 1 - p + p*exp(2*pi*i*t/M).
+def _step_polar(M: int, p: float, t=None) -> tuple[np.ndarray, np.ndarray]:
+    """log|w|**2 and arg w of the one-step factor w = 1 - p + p*exp(2*pi*i*t/M),
+    for t = 0..M-1 or the frequencies t given.
 
     t above M/2 is taken as t - M, so cf(M - t) is exactly conj(cf(t)).
-    |w|**2 = 1 - 4pq*sin(pi*t/M)**2, so the modulus
-    exp(n/2 * log1p(-4pq*sin(pi*t/M)**2)) is relative-accurate down to
-    underflow, and exactly 0 where w = 0 (p = 1/2, t = M/2).
+    |w|**2 = 1 - 4pq*sin(pi*t/M)**2, so its log1p is relative-accurate,
+    and -inf where w = 0 (p = 1/2, t = M/2).
     """
-    t = np.where(2 * t > wb.M, t - wb.M, t)
-    if wb.n == 0:
-        return np.ones(t.shape), np.zeros(t.shape)
-    p, q = wb.p, 1.0 - wb.p
-    half = np.sin(np.pi * t / wb.M)
+    t = np.arange(M) if t is None else t
+    t = np.where(2 * t > M, t - M, t)
+    q = 1.0 - p
+    half = np.sin(np.pi * t / M)
     with np.errstate(divide="ignore"):
-        rho = np.exp(0.5 * wb.n * np.log1p(-4.0 * p * q * half * half))
-    angle = t * TWO_PI / wb.M
-    return rho, wb.n * np.arctan2(p * np.sin(angle), q + p * np.cos(angle))
+        log_mod2 = np.log1p(-4.0 * p * q * half * half)
+    angle = t * TWO_PI / M
+    return log_mod2, np.arctan2(p * np.sin(angle), q + p * np.cos(angle))
 
 
-def _cf_vector(wb: WrappedBinomial) -> np.ndarray:
-    """cf(t) for t = 0..M-1."""
-    rho, arg = _cf_polar(wb, np.arange(wb.M))
-    return rho * np.exp(1j * arg)
+def _cf_polar(ns, step: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Modulus and unreduced argument of cf = w**n, one row per row count in ns.
+
+    Outer products of the row counts with step = _step_polar(M, p, t): the
+    modulus exp(n/2 * log|w|**2) is relative-accurate down to underflow,
+    and exactly 0 where w = 0.  A row with n = 0 is the point mass,
+    modulus 1 and argument 0.
+    """
+    log_mod2, step_arg = step
+    n = np.array(ns, dtype=float)[:, None]
+    with np.errstate(invalid="ignore"):     # 0 * -inf at n = 0, replaced below
+        rho = np.exp(0.5 * n * log_mod2)
+    arg = n * step_arg
+    zero = n[:, 0] == 0
+    rho[zero], arg[zero] = 1.0, 0.0
+    return rho, arg
+
+
+def _cf_rows(ns, step: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """cf(t) = w(t)**n: one row per row count in ns, one column per frequency of step."""
+    rho, arg = _cf_polar(ns, step)
+    cf = 1j * arg
+    np.exp(cf, out=cf)      # in place, like the product: fewer batch-sized temporaries
+    cf *= rho
+    return cf
+
+
+def _spectral_rows(cf: np.ndarray) -> np.ndarray:
+    """Whether each row of cf passes the spectral test sum_{t>=1} |cf(t)| <= 1/2."""
+    return np.abs(cf[:, 1:]).sum(axis=1) <= _SPECTRAL_BOUND
+
+
+def _direct_law(n: int, M: int, p: float) -> WrappedBinomial:
+    """The law (n, M, p) whose spectral test has failed, with no cf computed again."""
+    wb = WrappedBinomial(n, M, p)
+    object.__setattr__(wb, "_spectrum", None)   # fills the cached property
+    return wb
 
 
 @dataclass(frozen=True)
@@ -171,8 +207,8 @@ def trig_moments(wb: WrappedBinomial) -> TrigMoments:
     naive complex power would lose the winding.  For p = 1/2 this gives
     mu = pi*n/M mod 2*pi and rho = cos(pi/M)**n.
     """
-    rho, arg = _cf_polar(wb, np.array([1 % wb.M]))
-    rho, mu = float(rho[0]), wrap_angle(float(arg[0]))
+    rho, arg = _cf_polar([wb.n], _step_polar(wb.M, wb.p, np.array([1 % wb.M])))
+    rho, mu = float(rho[0, 0]), wrap_angle(float(arg[0, 0]))
     return TrigMoments(alpha1=rho * math.cos(mu), beta1=rho * math.sin(mu),
                        rho=rho, mu=mu)
 
@@ -186,7 +222,7 @@ def tv_to_uniform(wb: WrappedBinomial) -> float:
     cf = wb._spectrum
     if cf is None:
         return tv_distance(wb._slot_probs, [1.0 / wb.M] * wb.M)
-    return spectral_tv(cf)      # the uniform law's coefficients are 0 at t != 0
+    return spectral_tv(cf[None])[0]     # the uniform law's coefficients are 0 at t != 0
 
 
 def centered_angle(wb: WrappedBinomial, k: int) -> float:

@@ -108,31 +108,44 @@ def density(wn: WrappedNormal, theta) -> float | np.ndarray:
     return density_wrapped(wn, theta)
 
 
-def _turned_coefficients(wn: WrappedNormal, M: int, floor: float) -> tuple[np.ndarray, int]:
-    """slot_coefficients of wn turned back by j whole slots, and j.
+def _term_count(wn: WrappedNormal, floor: float) -> int:
+    """How many m >= 1 have e^{-m^2 s^2/2} at least floor: m <= sqrt(2 ln(1/floor))/sigma."""
+    return math.floor(math.sqrt(-2.0 * math.log(floor)) / wn.sigma)
 
-    j = floor(mu*M/2pi), so the turned law's mean r = mu - j*2pi/M lies
-    in [0, 2pi/M) and the phase m*r of each term stays below |m|*2pi/M.
+
+def _turned_coefficients(laws, M: int, floor: float) -> tuple[np.ndarray, list[int]]:
+    """slot_coefficients of each law turned back by j whole slots, and each j.
+
+    Row i is laws[i]'s: j = floor(mu*M/2pi), so the turned law's mean
+    r = mu - j*2pi/M lies in [0, 2pi/M) and the phase m*r of each term
+    stays below |m|*2pi/M.  The terms of all rows are formed in one pass,
+    each row with its own m = 1..count, and are added into each row in
+    increasing m, as for a law alone.
     """
-    j = min(math.floor(wn.mu * M / TWO_PI), M - 1)
-    r = wn.mu - TWO_PI * j / M
-    m = np.arange(1, math.floor(math.sqrt(-2.0 * math.log(floor)) / wn.sigma) + 1)
+    js = [min(math.floor(wn.mu * M / TWO_PI), M - 1) for wn in laws]
+    counts = np.array([_term_count(wn, floor) for wn in laws], dtype=int)
+    row = np.repeat(np.arange(len(laws)), counts)
+    m = np.arange(1, row.size + 1) - np.repeat(np.cumsum(counts) - counts, counts)
+    r = np.array([wn.mu - TWO_PI * j / M for wn, j in zip(laws, js)])[row]
+    sigma2 = np.array([wn.sigma2 for wn in laws])[row]
     t = m % M
     half = (math.pi / M) * t
     # (e^{2i*half} - 1)/i = 2 sin(half) e^{i*half}, so the conjugate of D's
     # m-th term is (M/pi) sin(half)/m e^{-m^2 s^2/2 + i(m*r - half)}, and
     # term -m is the conjugate of term m
     terms = (np.sin(half) * ((M / math.pi) / m)
-             * np.exp(m * (-0.5 * wn.sigma2 * m) + 1j * (m * r - half)))
-    coef = np.zeros(M, complex)
-    coef[0] = 1.0
-    np.add.at(coef, t, terms)
-    np.add.at(coef, -t % M, terms.conj())
-    return coef, j
+             * np.exp(m * (-0.5 * sigma2 * m) + 1j * (m * r - half)))
+    coef = np.zeros((len(laws), M), complex)
+    coef[:, 0] = 1.0
+    flat = coef.ravel()         # a view: row i's slot t is flat[i*M + t]
+    np.add.at(flat, row * M + t, terms)
+    np.add.at(flat, row * M + (-t % M), terms.conj())
+    return coef, js
 
 
-def slot_coefficients(wn: WrappedNormal, M: int, floor: float = TAIL) -> np.ndarray:
-    """DFT coefficients c(t), t = 0..M-1, of the law binned over M slots.
+def slot_coefficients(laws, M: int, floor: float = TAIL) -> np.ndarray:
+    """DFT coefficients c(t), t = 0..M-1, of each law binned over M slots,
+    one row per law.
 
     Slot k's mass is (1/M) sum_t c(t) e^{-2*pi*i*t*k/M}, with c(t) the
     conjugate of
@@ -145,8 +158,11 @@ def slot_coefficients(wn: WrappedNormal, M: int, floor: float = TAIL) -> np.ndar
     e^{2pi*i*(t*j mod M)/M}.  The factor e^{2pi*i*m/M} - 1 is formed from
     m mod M, so the aliases m = M, 2M, ... give exactly 0.
     """
-    coef, j = _turned_coefficients(wn, M, floor)
-    return coef * np.exp(TWO_PI * 1j * (np.arange(M) * j % M) / M)
+    coef, js = _turned_coefficients(laws, M, floor)
+    phase = TWO_PI * 1j * (np.arange(M) * np.array(js, dtype=int)[:, None] % M)
+    phase /= M              # in place: fewer batch-sized temporaries
+    coef *= np.exp(phase, out=phase)
+    return coef
 
 
 def _cdf_bins(wn: WrappedNormal, M: int) -> np.ndarray:
@@ -169,8 +185,8 @@ def _cdf_bins(wn: WrappedNormal, M: int) -> np.ndarray:
 
 def _fourier_bins(wn: WrappedNormal, M: int) -> np.ndarray:
     """Slot masses as one FFT of the turned coefficients, turned forward by j slots."""
-    coef, j = _turned_coefficients(wn, M, TAIL)
-    masses = spectral_masses(coef)
+    coef, (j,) = _turned_coefficients([wn], M, TAIL)
+    masses = spectral_masses(coef[0])
     return np.concatenate((masses[M - j:], masses[:M - j]))
 
 

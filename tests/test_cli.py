@@ -417,6 +417,51 @@ def test_sweep_rejects_a_degenerate_p(tmp_path, capsys, p):
     assert list(tmp_path.iterdir()) == []
 
 
+QUARTER_DECADES = [round(10 ** (k / 4)) for k in range(29)]     # 1, 2, 3, 6, ..., 10^7
+
+
+def _quarter_decades(top):
+    return ",".join(str(n) for n in QUARTER_DECADES if n <= top)
+
+
+# sha256 of the data file and manifest of the convergence ladders: the
+# exact-ladder benchmark's two, the figures sweep, and decades at M = 360
+# across the direct/spectral switch at n = 10^5.
+SWEEP_GOLDEN = {
+    "ladder": (
+        ["--M", 24, "--p", 0.5, "--n", _quarter_decades(10**6), "--out", "ladder.csv"],
+        {"ladder.csv": "237ca722d6b14c3850ce377ef7c9a00f376f06977e473cf993bec0cbf2d9400f",
+         "ladder.manifest.json":
+             "1fd75346a76ed0e270ba9e1a562f4145ce3aaee61e564830695c28301ea99c82"}),
+    "ladder-lowp": (
+        ["--M", 24, "--p", 0.02, "--n", _quarter_decades(10**4), "--out", "ladder-lowp.csv"],
+        {"ladder-lowp.csv":
+             "2a03d07b74485e389eb5964ce50109bf7899c0215ca0a1452ef4bc938cb61d3b",
+         "ladder-lowp.manifest.json":
+             "5699e03d9bfe65c6ffa9ed17e0b5a37bdb5ece8f5a148ea8da678f95fc532b01"}),
+    "figures": (
+        ["--M", 24, "--n", ",".join(map(str, range(1, 201))), "--out", "sweep.csv"],
+        {"sweep.csv": "177fdbffd89d57e68c86afa265a2bd808a3709d20cbb94ec05972537a046dee1",
+         "sweep.manifest.json":
+             "663b7039de9cb463a81336a036ca43713eede906e673824a1144e5e21c31a354"}),
+    "decades-360": (
+        ["--M", 360, "--n", ",".join(str(10**k) for k in range(8)), "--out", "sweep.csv"],
+        {"sweep.csv": "d8567d69c1bb6f91823722a370be98276d2cc624ae3357c3f1535db2e843e208",
+         "sweep.manifest.json":
+             "6c790809dd4046202433cb65896128f9a0b90cf7f05e6bebbd8f73760c142934"}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SWEEP_GOLDEN))
+def test_sweep_golden_bytes(tmp_path, monkeypatch, case):
+    monkeypatch.chdir(tmp_path)     # the manifest records the relative --out
+    argv, digests = SWEEP_GOLDEN[case]
+    assert run(["sweep", *argv]) == 0
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in tmp_path.iterdir()}
+    assert written == digests
+
+
 # --- plot ---------------------------------------------------------------------
 
 def test_plot_ring_uniform_bars_equal(tmp_path):

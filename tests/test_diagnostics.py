@@ -1,11 +1,12 @@
 import math
+import tracemalloc
 
 import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cylgalton import wrapped_binomial
+from cylgalton import diagnostics, wrapped_binomial
 from cylgalton.angular import TWO_PI, AngularPMF
 from cylgalton.diagnostics import (MIN_EXPECTED, _pool_cyclic, chi2_tail,
                                    compare, sweep_to_csv, sweep_uniformity,
@@ -167,9 +168,52 @@ def test_sweep_rejects_zero_rows_before_any_fold(monkeypatch):
 @pytest.mark.parametrize("p", [0.0, 1.0])
 def test_sweep_rejects_a_degenerate_p_before_any_row(monkeypatch, p):
     monkeypatch.setattr(wrapped_binomial, "_binomial_terms", None)
-    monkeypatch.setattr(wrapped_binomial, "_cf_vector", None)
+    monkeypatch.setattr(wrapped_binomial, "_cf_polar", None)
     with pytest.raises(ValueError, match=r"^--p must be in \(0, 1\) for the tv_wn column"):
         sweep_uniformity(24, p, [5, 500])
+
+
+# Across the n = 64 cut, both sides of the spectral test, and n up to 3*10^6.
+GRID_NS = [1, 2, 7, 24, 63, 64, 65, 100, 163, 1000, 5623, 10**4, 10**5, 10**6,
+           3 * 10**6 + 7]
+
+
+@pytest.mark.parametrize("M", [1, 2, 3, 7, 24, 25, 360, 3600])
+def test_sweep_rows_are_the_one_law_distances_bit_for_bit(M):
+    for p in (0.5, 0.02, 0.3, 0.97, 1e-3):
+        for row in sweep_uniformity(M, p, GRID_NS).rows:
+            wb = WrappedBinomial(row.n, M, p)
+            assert (row.tv_uniform.hex(), row.tv_wn.hex()) == (
+                tv_to_uniform(wb).hex(), wb_wn_tv(wb).hex())
+
+
+@pytest.mark.parametrize("entries", [1, 3 * 24 + 40])
+def test_sweep_rows_do_not_depend_on_the_batch_size(monkeypatch, entries):
+    # one row per batch, and batches of a few rows (entries counts M = 24
+    # cf values plus the normal-limit terms of each row)
+    ns = [*range(60, 200, 7), 10**3, 10**4, 10**5]
+    want = sweep_uniformity(24, 0.3, ns)
+    monkeypatch.setattr(diagnostics, "_BATCH_ENTRIES", entries)
+    assert sweep_uniformity(24, 0.3, ns) == want
+
+
+def test_sweep_memory_does_not_grow_with_the_row_count():
+    # 2000 spectral rows at M = 360 are 11.5 MB as one (rows, M) complex
+    # array.  In batches of _BATCH_ENTRIES complex entries (1 MiB), the peak
+    # is bounded by that of 20 rows plus four batch-sized arrays.
+    def peak(rows):
+        tracemalloc.start()
+        try:
+            sweep_uniformity(360, 0.5, range(10**6, 10**6 + rows))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    batch = 16 * diagnostics._BATCH_ENTRIES
+    assert 2000 * 360 * 16 > 10 * batch
+    peak(20)                    # warm-up: the FFT's plan cache
+    few, many = peak(20), peak(2000)
+    assert many < few + 4 * batch
 
 
 def test_sweep_csv_round_trip_precision():

@@ -237,6 +237,16 @@ def test_histogram_accounts_for_every_ball():
     assert sum(slot_counts(rights, config.M)) == sum(rights) == 777
 
 
+def test_histogram_csv_rejects_a_negative_count():
+    with pytest.raises(ValueError, match="^counts must be >= 0, got -1$"):
+        walk_sim.histogram_to_csv((5, -1))
+
+
+def test_histogram_csv_rejects_counts_with_no_balls():
+    with pytest.raises(ValueError, match="^no balls to write$"):
+        walk_sim.histogram_to_csv((0, 0))
+
+
 def test_empirical_law_matches_exact_law_at_a_million_balls():
     config = WalkConfig(n=16, M=24, p=0.5, balls=1_000_000, seed=2)
     counts = slot_counts(simulate(config), config.M)

@@ -11,12 +11,17 @@ from mpmath import mpf
 from cylgalton import wrapped_binomial
 from cylgalton.angular import TWO_PI, spectral_masses, wrap_angle, wrap_to_pi
 from cylgalton.wrapped_binomial import (TrigMoments, WrappedBinomial,
-                                        _cf_vector, _direct_slots,
+                                        _cf_rows, _direct_slots, _step_polar,
                                         centered_angle, full_pmf,
                                         trig_moments, tv_to_uniform)
 from oracles import (binomial_fold_exact, binomial_fold_numerators,
                      binomial_fold_pmf, dp_cyclic_walk, mp_fold_window, tv,
                      tv_to_uniform_bound_ref, tv_to_uniform_ref)
+
+
+def cf_of(wb):
+    """cf(t), t = 0..M-1, of one law: the one-row case of the batched cf."""
+    return _cf_rows([wb.n], _step_polar(wb.M, wb.p))[0]
 
 
 # --- pmf -----------------------------------------------------------------
@@ -105,7 +110,7 @@ def test_spectral_and_direct_routes_agree(n, m, p, spectral):
     wb = WrappedBinomial(n, m, p)
     assert (wb._spectrum is not None) == spectral
     direct = _direct_slots(wb)
-    fft = tuple(spectral_masses(_cf_vector(wb)).tolist())
+    fft = tuple(spectral_masses(cf_of(wb)).tolist())
     exact = binomial_fold_pmf(n, m, p)
 
     def rel_err(got):
@@ -154,7 +159,8 @@ def test_million_row_low_p_law_walks_only_its_window():
 
 
 def test_small_laws_compute_no_spectrum(monkeypatch):
-    monkeypatch.setattr(wrapped_binomial, "_cf_vector", None)
+    # every cf, of a batch of rows or of one law, is formed by _cf_polar
+    monkeypatch.setattr(wrapped_binomial, "_cf_polar", None)
     for n in (0, 1, 24, 64):
         assert full_pmf(WrappedBinomial(n, 24, 0.5)).M == 24
         tv_to_uniform(WrappedBinomial(n, 24, 0.5))
@@ -192,11 +198,11 @@ def test_million_row_law_memory_does_not_grow_with_n():
 # --- characteristic function ---------------------------------------------
 
 def test_cf_at_zero_frequency():
-    assert _cf_vector(WrappedBinomial(13, 24, 0.37))[0] == 1.0 + 0.0j
+    assert cf_of(WrappedBinomial(13, 24, 0.37))[0] == 1.0 + 0.0j
 
 
 def test_cf_example_modulus_and_argument():
-    cf = _cf_vector(WrappedBinomial(8, 24, 0.5))[1]
+    cf = cf_of(WrappedBinomial(8, 24, 0.5))[1]
     assert abs(cf) == pytest.approx(math.cos(math.pi / 24) ** 8, abs=1e-14)
     assert cmath.phase(cf) == pytest.approx(math.pi / 3, abs=1e-13)
 
@@ -204,7 +210,7 @@ def test_cf_example_modulus_and_argument():
 def test_cf_periodic_in_frequency():
     # entry t is the closed form (1 - p + p*exp(2*pi*i*t/M))**n at t + M too
     for wb in (WrappedBinomial(24, 24, 0.5), WrappedBinomial(10, 8, 0.3)):
-        cf = _cf_vector(wb)
+        cf = cf_of(wb)
         for t in range(wb.M):
             w = 1 - wb.p + wb.p * cmath.exp(2j * math.pi * (t + wb.M) / wb.M)
             assert cf[t] == pytest.approx(w**wb.n, abs=1e-12)
@@ -215,7 +221,7 @@ def test_cf_periodic_in_frequency():
 def test_cf_equals_dft_of_pmf(m, p):
     for n in range(0, 21):
         probs = np.asarray(full_pmf(WrappedBinomial(n, m, p)).probs)
-        cf = _cf_vector(WrappedBinomial(n, m, p))
+        cf = cf_of(WrappedBinomial(n, m, p))
         k = np.arange(m)
         for t in range(m):
             dft = complex(np.sum(probs * np.exp(2j * np.pi * t * k / m)))

@@ -230,8 +230,9 @@ def test_slot_coefficients_are_the_dft_of_the_bin_masses(mu, M):
     masses = np.array([wn_interval_prob_ref(mu, 0.8, TWO_PI * k / M, TWO_PI * (k + 1) / M)
                        for k in range(M)])
     roots = np.exp(2j * np.pi * (np.outer(np.arange(M), np.arange(M)) % M) / M)
-    assert np.max(np.abs(slot_coefficients(wn, M) - roots @ masses)) < 1e-15
-    assert slot_coefficients(wn, M)[0] == 1.0
+    coef, = slot_coefficients([wn], M)
+    assert np.max(np.abs(coef - roots @ masses)) < 1e-15
+    assert coef[0] == 1.0
 
 
 @pytest.mark.parametrize("sigma", [8.0, 10.0])
