@@ -9,7 +9,7 @@ output.
 __version__ = "0.1.0"
 
 from .angular import AngularPMF, tv_distance, wrap_angle, wrap_to_pi
-from .diagnostics import (ComparisonReport, SweepResult, compare,
+from .diagnostics import (ComparisonReport, SweepRow, compare,
                           normal_limit_pmf, sweep_uniformity, wb_wn_tv)
 from .geometry import (BoardPreset, LatticeSpec, Peg, build_lattice,
                        export_pegs, planar_board, preset, preset_names)
@@ -22,7 +22,7 @@ from .wrapped_normal import (WrappedNormal, bin_probs, density, density_fourier,
 
 __all__ = [
     "AngularPMF", "BoardPreset", "ComparisonReport", "LatticeSpec", "Peg",
-    "SweepResult", "TrigMoments", "WalkConfig", "WrappedBinomial",
+    "SweepRow", "TrigMoments", "WalkConfig", "WrappedBinomial",
     "WrappedNormal", "bin_probs", "build_lattice", "centered_angle", "compare",
     "density", "density_fourier", "density_wrapped", "export_pegs", "full_pmf",
     "normal_limit_pmf", "planar_board", "preset", "preset_names", "simulate",

@@ -99,12 +99,6 @@ class AngularPMF:
         if abs(total - 1.0) > SUM_TOL:
             raise ValueError(f"slot probabilities sum to {total!r}, not 1")
 
-    def slot_bounds(self, k: int) -> tuple[float, float]:
-        """Angular interval [theta_lo, theta_hi) of slot k."""
-        if not 0 <= k < self.M:
-            raise ValueError(f"slot {k} out of range for M={self.M}")
-        return TWO_PI * k / self.M, TWO_PI * (k + 1) / self.M
-
 
 # The one table format of every CSV and JSON data file.  Fields are written
 # with repr(), the shortest text that reads back as the same number.
@@ -229,9 +223,10 @@ def read_table(text: str, columns: dict, key: str) -> tuple[dict, list[tuple]]:
 # perfbench's per-layer spans are keyed on these four function names.
 
 def _slot_rows(pmf: AngularPMF, bounds) -> list[tuple[int, float, float, float]]:
-    """(slot, theta_lo, theta_hi, prob) rows; bounds default to slot_bounds."""
+    """(slot, theta_lo, theta_hi, prob) rows; bounds default to each slot's
+    arc [2*pi*k/M, 2*pi*(k+1)/M)."""
     if bounds is None:
-        bounds = [pmf.slot_bounds(k) for k in range(pmf.M)]
+        bounds = [(TWO_PI * k / pmf.M, TWO_PI * (k + 1) / pmf.M) for k in range(pmf.M)]
     elif len(bounds) != pmf.M:
         raise ValueError(f"expected {pmf.M} slot bounds, got {len(bounds)}")
     return [(k, lo, hi, q) for k, ((lo, hi), q) in enumerate(zip(bounds, pmf.probs))]
@@ -241,7 +236,7 @@ def pmf_to_csv(pmf: AngularPMF, bounds=None) -> str:
     """Render as a CSV table with full round-trip float precision.
 
     bounds, one (theta_lo, theta_hi) pair per slot, relabels the slot
-    arcs (e.g. centered ones); the default is slot_bounds.
+    arcs (e.g. centered ones); the default is each slot's own arc.
     """
     return table_csv(PMF_COLUMNS, _slot_rows(pmf, bounds))
 
@@ -257,7 +252,8 @@ def _slot_pmf(m, rows: list) -> AngularPMF:
     if type(m) is not int:
         raise ParseError(f"M must be an integer, got {m!r}")
     rows.sort()
-    if [row[0] for row in rows] != list(range(m)):
+    # the count first, so a claimed M builds nothing larger than the file
+    if len(rows) != m or [row[0] for row in rows] != list(range(m)):
         raise ParseError(f"M={m} needs slots 0..M-1, each exactly once")
     try:
         return AngularPMF(m, tuple(row[3] for row in rows))

@@ -15,7 +15,9 @@ main() builds only the subparser that argv[0] names, or the whole parser
 when argv[0] is not a command name (an option, ``--``, an unknown word);
 a later token never selects one, so ``cylgalton -h pmf`` is the top-level
 help.  Either way --help, --version and every usage and error line read
-as the whole parser's.
+as the whole parser's.  A leading ``--`` is dropped when a command name
+follows it, because argparse on Python 3.11 takes it for the command
+name; a bare ``--`` is still a missing command.
 
 Errors exit nonzero with a single line on stderr:
 ``error: <kind>: <message>``.
@@ -306,6 +308,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
+    if len(argv) > 1 and argv[0] == "--" and argv[1] in COMMANDS:
+        del argv[0]
     command = argv[0] if argv and argv[0] in COMMANDS else None
     args = build_parser(command).parse_args(argv)
     try:

@@ -4,20 +4,21 @@ Distances and goodness-of-fit between empirical slot counts and exact
 slot laws, plus the theoretical sweep that tracks how the slot law
 approaches the uniform and wrapped-normal limits as rows are added.
 
-The sweep evaluates its spectral rows in batches, as one (rows, M) array
-program, and its direct rows one at a time (sweep_uniformity).
+The sweep sends its rows through the route rule in batches: the spectral
+rows of a batch are one (rows, M) array program, and each direct row folds
+its law once for both distances (sweep_uniformity).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .angular import TWO_PI, AngularPMF, spectral_tv, table_csv, tv_distance
-from .wrapped_binomial import (_EXACT_LIMIT, WrappedBinomial, _cf_rows, _direct_law,
-                               _spectral_rows, _step_polar, full_pmf, tv_to_uniform)
+from .wrapped_binomial import WrappedBinomial, _direct_slots, _spectral_rows, _spectrum
 from .wrapped_normal import WrappedNormal, _term_count, bin_probs, slot_coefficients
 
 # Minimum expected count per retained chi-square cell.
@@ -163,9 +164,9 @@ def wb_wn_tv(wb: WrappedBinomial) -> float:
     kept down to underflow, so a tiny distance keeps its relative
     accuracy; otherwise from the slot vectors.
     """
-    cf = wb._spectrum
+    cf = _spectrum(wb)
     if cf is None:
-        return tv_distance(full_pmf(wb).probs, normal_limit_pmf(wb).probs)
+        return tv_distance(_direct_slots(wb), normal_limit_pmf(wb).probs)
     return _spectral_wn_tvs(cf[None], [_normal_limit(wb)])[0]
 
 
@@ -174,33 +175,24 @@ def _spectral_wn_tvs(cf: np.ndarray, limits) -> list[float]:
     return spectral_tv(cf - slot_coefficients(limits, cf.shape[1], floor=_LIMIT_FLOOR))
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
+    """One rung of the convergence ladder; a row is its own CSV row."""
+
     n: int
     tv_uniform: float
     tv_wn: float
 
 
-@dataclass(frozen=True)
-class SweepResult:
-    """Theoretical convergence ladder at fixed M and p, rows sorted by n."""
-
-    M: int
-    p: float
-    rows: tuple[SweepRow, ...]
-
-
-def sweep_uniformity(M: int, p: float, n_list) -> SweepResult:
-    """Distances to the uniform and normal limits for each row count.
+def sweep_uniformity(M: int, p: float, n_list) -> list[SweepRow]:
+    """Distances to the uniform and normal limits for each row count, sorted by n.
 
     Each row reads the same bits as tv_to_uniform and wb_wn_tv of its law
-    alone.  Rows with n > 64 go in batches of at most _BATCH_ENTRIES
-    complex entries, each row counting its M cf values and its normal-limit
-    terms, so memory grows only with the output.  A batch forms its cf as
-    one (rows, M) array from the polar form of w(t), taken once per sweep,
-    and tests each row.  Its spectral rows take each distance from one FFT
-    of every row.  Its other rows, like those with n <= 64, take the
-    direct fold one at a time, without computing their cf again.
+    alone.  Rows go in batches of at most _BATCH_ENTRIES complex entries,
+    each row counting its M cf values and its normal-limit terms, so
+    memory grows only with the output.  The route rule (_spectral_rows)
+    sorts a batch: its spectral rows take each distance from one FFT of
+    every row of their (rows, M) cf; each other row takes its direct slot
+    masses once, and both distances from them.
     """
     ns = list(n_list)
     for n in ns:
@@ -215,25 +207,22 @@ def sweep_uniformity(M: int, p: float, n_list) -> SweepResult:
     if not 0.0 < p < 1.0:
         raise ValueError(f"--p must be in (0, 1) for the tv_wn column, where "
                          f"the normal limit is not degenerate; got {p!r}")
-    direct = [WrappedBinomial(n, M, p) for n in ns if n <= _EXACT_LIMIT]
-    wide = [n for n in ns if n > _EXACT_LIMIT]
-    step = _step_polar(M, p)
-    distances = {}
-    while wide:
+    rows, todo = [], ns
+    while todo:
         # rows are sorted by n, so the first row's limit has the most terms
-        first = _normal_limit(WrappedBinomial(wide[0], M, p))
+        first = _normal_limit(WrappedBinomial(todo[0], M, p))
         size = max(1, _BATCH_ENTRIES // (M + _term_count(first, _LIMIT_FLOOR)))
-        batch, wide = wide[:size], wide[size:]
-        cf = _cf_rows(batch, step)
-        spectral = _spectral_rows(cf)
-        direct += [_direct_law(n, M, p) for n, s in zip(batch, spectral) if not s]
-        ns_s, cf = [n for n, s in zip(batch, spectral) if s], cf[spectral]
+        batch, todo = todo[:size], todo[size:]
+        ns_s, cf = _spectral_rows(batch, M, p)
         limits = [_normal_limit(WrappedBinomial(n, M, p)) for n in ns_s]
-        distances.update(zip(ns_s, zip(spectral_tv(cf), _spectral_wn_tvs(cf, limits))))
-    for wb in direct:
-        distances[wb.n] = (tv_to_uniform(wb), wb_wn_tv(wb))
-    return SweepResult(M=M, p=p, rows=tuple(SweepRow(n, *distances[n]) for n in ns))
+        rows += map(SweepRow, ns_s, spectral_tv(cf), _spectral_wn_tvs(cf, limits))
+        for n in sorted(set(batch).difference(ns_s)):
+            wb = WrappedBinomial(n, M, p)
+            slots = _direct_slots(wb)
+            rows.append(SweepRow(n, tv_distance(slots, [1.0 / M] * M),
+                                 tv_distance(slots, normal_limit_pmf(wb).probs)))
+    return sorted(rows)
 
 
-def sweep_to_csv(result: SweepResult) -> str:
-    return table_csv(SWEEP_COLUMNS, [(r.n, r.tv_uniform, r.tv_wn) for r in result.rows])
+def sweep_to_csv(rows) -> str:
+    return table_csv(SWEEP_COLUMNS, rows)

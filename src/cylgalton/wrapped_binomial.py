@@ -36,17 +36,18 @@ B = sum_{t=1}^{M-1} |cf(t)|.
   Fair boards with n <= 64 walk exact integers and match the rational
   fold bit for bit.
 
-The cf is one formula, batched over row counts: _cf_polar forms w**n for
-a list of row counts as outer products with the polar form of w(t),
-taken once per (M, p) by _step_polar.  A law alone is the one-row case;
-sweep_uniformity (diagnostics) evaluates the rows of a ladder in batches.
+A law is its parameters: every function of it computes what it needs.
+The route rule is _spectral_rows, one function for a list of row counts
+at fixed (M, p), which also returns the cf of the spectral rows: the one
+formula _cf_polar, outer products of the row counts with the polar form
+of w(t) from _step_polar.  _spectrum applies it to one law, and
+sweep_uniformity (diagnostics) to the rows of a ladder, in batches.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -103,21 +104,6 @@ class WrappedBinomial:
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"p must be in [0, 1], got {self.p!r}")
 
-    @cached_property
-    def _spectrum(self) -> np.ndarray | None:
-        """cf(t) for t = 0..M-1 when the spectral route applies, else None."""
-        if self.n <= _EXACT_LIMIT:
-            return None
-        cf = _cf_rows([self.n], _step_polar(self.M, self.p))
-        return cf[0] if _spectral_rows(cf)[0] else None
-
-    @cached_property
-    def _slot_probs(self) -> tuple[float, ...]:
-        cf = self._spectrum
-        if cf is None:
-            return _direct_slots(self)
-        return tuple(spectral_masses(cf).tolist())
-
 
 def _direct_slots(wb: WrappedBinomial) -> tuple[float, ...]:
     """Slot masses by folding the binomial terms in the window."""
@@ -127,9 +113,16 @@ def _direct_slots(wb: WrappedBinomial) -> tuple[float, ...]:
     return tuple(sum(terms[(k - lo) % wb.M::wb.M]) / total for k in range(wb.M))
 
 
+def _spectrum(wb: WrappedBinomial) -> np.ndarray | None:
+    """cf(t) for t = 0..M-1 when wb takes the spectral route, else None."""
+    spectral, cf = _spectral_rows([wb.n], wb.M, wb.p)
+    return cf[0] if spectral else None
+
+
 def full_pmf(wb: WrappedBinomial) -> AngularPMF:
     """The whole slot vector as an AngularPMF."""
-    return AngularPMF(wb.M, wb._slot_probs)
+    cf = _spectrum(wb)
+    return AngularPMF(wb.M, _direct_slots(wb) if cf is None else spectral_masses(cf).tolist())
 
 
 def _step_polar(M: int, p: float, t=None) -> tuple[np.ndarray, np.ndarray]:
@@ -177,16 +170,19 @@ def _cf_rows(ns, step: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     return cf
 
 
-def _spectral_rows(cf: np.ndarray) -> np.ndarray:
-    """Whether each row of cf passes the spectral test sum_{t>=1} |cf(t)| <= 1/2."""
-    return np.abs(cf[:, 1:]).sum(axis=1) <= _SPECTRAL_BOUND
+def _spectral_rows(ns, M: int, p: float) -> tuple[list[int], np.ndarray]:
+    """The route rule, for the laws (n, M, p) of the row counts in ns.
 
-
-def _direct_law(n: int, M: int, p: float) -> WrappedBinomial:
-    """The law (n, M, p) whose spectral test has failed, with no cf computed again."""
-    wb = WrappedBinomial(n, M, p)
-    object.__setattr__(wb, "_spectrum", None)   # fills the cached property
-    return wb
+    Returns the row counts whose law takes the spectral route, n > 64 and
+    sum_{t>=1} |cf(t)| <= 1/2, in the order of ns, and their cf as one
+    (rows, M) array.  No cf is formed when every n <= 64.
+    """
+    wide = [n for n in ns if n > _EXACT_LIMIT]
+    if not wide:
+        return [], np.empty((0, M), dtype=complex)
+    cf = _cf_rows(wide, _step_polar(M, p))
+    keep = np.abs(cf[:, 1:]).sum(axis=1) <= _SPECTRAL_BOUND
+    return [n for n, k in zip(wide, keep) if k], cf[keep]
 
 
 @dataclass(frozen=True)
@@ -219,9 +215,9 @@ def tv_to_uniform(wb: WrappedBinomial) -> float:
     On the spectral route each slot's excess over 1/M is the inverse DFT
     of the t != 0 coefficients, so no mass near 1/M is subtracted.
     """
-    cf = wb._spectrum
+    cf = _spectrum(wb)
     if cf is None:
-        return tv_distance(wb._slot_probs, [1.0 / wb.M] * wb.M)
+        return tv_distance(_direct_slots(wb), [1.0 / wb.M] * wb.M)
     return spectral_tv(cf[None])[0]     # the uniform law's coefficients are 0 at t != 0
 
 

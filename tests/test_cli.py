@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -615,6 +616,36 @@ def test_plot_malformed_input_reports_line(tmp_path, capsys, rows, message):
     assert_single_line_error(capsys, f"error: parse: {message}")
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("probs,message", [
+    ((0.75, -0.5, 0.75), "slot 1 has negative probability -0.5"),
+    ((0.25, 0.5, 0.35), "slot probabilities sum to 1.1, not 1"),
+], ids=["negative", "sum"])
+def test_plot_rejects_a_pmf_that_is_not_a_law(tmp_path, capsys, fmt, probs, message):
+    bad = tmp_path / f"bad.{fmt}"
+    if fmt == "json":
+        bad.write_text(_pmf_doc(probs=probs))
+    else:
+        bad.write_text("slot,theta_lo,theta_hi,prob\n" + "".join(
+            f"{k},0.0,1.0,{q!r}\n" for k, q in enumerate(probs)))
+    assert run(["plot", "--style", "ring", bad, "--out", tmp_path / "x.svg"]) == 1
+    assert_single_line_error(capsys, f"error: parse: {message}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == [bad.name]
+
+
+def test_pmf_file_slot_count_is_checked_before_building_m_slots():
+    doc = _pmf_doc(M=10**9, slots=(0,), probs=(1.0,))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError, match=r"^M=1000000000 needs slots 0\.\.M-1, "
+                                             r"each exactly once$"):
+            pmf_from_json(doc)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 def test_plot_json_pmf_input(tmp_path):
     run(["pmf", "--n", 8, "--M", 24, "--format", "json",
          "--out", tmp_path / "p.json"])
@@ -708,6 +739,7 @@ PARSE_CASES = {
     "no-command": [],
     "help-before-command": ["-h", "pmf"],
     "dashdash-command-help": ["--", "pmf", "-h"],
+    "dashdash-alone": ["--"],
     "command-help": ["pmf", "-h"],
     "missing-required": ["pmf", "--n", 8, "--out", "o.csv"],
     "bad-choice": ["lattice", "--format", "xml", "--out", "o.csv"],
@@ -739,8 +771,24 @@ def test_main_parses_as_the_whole_parser(tmp_path, monkeypatch, capsys, case):
                         lambda command=None: built.append(command) or whole(command))
 
     got = parse_outcome(lambda a: main(a) == 0 and parsed.pop(), argv, capsys)
-    assert got == parse_outcome(whole().parse_args, argv, capsys)
-    assert built == [argv[0] if argv and argv[0] in cli.COMMANDS else None]
+    # main drops a "--" that comes before a command name
+    plain = argv[1:] if argv[:2] in (["--", c] for c in cli.COMMANDS) else argv
+    assert got == parse_outcome(whole().parse_args, plain, capsys)
+    assert built == [plain[0] if plain and plain[0] in cli.COMMANDS else None]
+
+
+@pytest.mark.parametrize("command", sorted(WRITE_CASES))
+def test_a_leading_dashdash_writes_the_same_bytes(tmp_path, monkeypatch, command):
+    argv = [*WRITE_CASES[command], "--out", "result.dat"]
+    written = []
+    for where, args in (("plain", argv), ("dashdash", ["--", *argv])):
+        (tmp_path / where).mkdir()
+        monkeypatch.chdir(tmp_path / where)
+        assert run(["pmf", "--n", 8, "--M", 24, "--out", "in.csv"]) == 0  # plot's input
+        assert run(args) == 0
+        written.append({f.name: f.read_bytes() for f in Path().iterdir()})
+    assert "result.manifest.json" in written[0]
+    assert written[0] == written[1]
 
 
 @pytest.mark.parametrize("case", ["help", "version", "bad-command", "command-help",

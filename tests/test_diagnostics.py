@@ -115,8 +115,8 @@ def test_pooling_collapses_tiny_samples_to_one_group():
 
 def test_sweep_ladder_decreases_towards_uniform():
     result = sweep_uniformity(24, 0.5, [8, 16, 24, 40, 100, 400])
-    assert [r.n for r in result.rows] == [8, 16, 24, 40, 100, 400]
-    tvs = [r.tv_uniform for r in result.rows]
+    assert [r.n for r in result] == [8, 16, 24, 40, 100, 400]
+    tvs = [r.tv_uniform for r in result]
     assert all(a > b for a, b in zip(tvs, tvs[1:]))
     # frozen endpoints from the exact rational fold
     assert tvs[0] == pytest.approx(0.7213541666666666, abs=1e-12)
@@ -125,21 +125,21 @@ def test_sweep_ladder_decreases_towards_uniform():
 
 def test_sweep_single_row():
     result = sweep_uniformity(24, 0.5, [24])
-    assert len(result.rows) == 1
-    assert result.rows[0].tv_uniform == pytest.approx(
+    assert len(result) == 1
+    assert result[0].tv_uniform == pytest.approx(
         tv_to_uniform(WrappedBinomial(24, 24, 0.5)))
-    assert result.rows[0].tv_wn < 0.02
+    assert result[0].tv_wn < 0.02
 
 
 def test_sweep_extended_module_ladder():
     result = sweep_uniformity(24, 0.5, [48, 72, 96])
-    tvs = [r.tv_uniform for r in result.rows]
+    tvs = [r.tv_uniform for r in result]
     assert all(a > b for a, b in zip(tvs, tvs[1:]))
 
 
 def test_sweep_rows_sorted_and_deduplicated():
     result = sweep_uniformity(24, 0.5, [40, 8, 40, 16])
-    assert [r.n for r in result.rows] == [8, 16, 40]
+    assert [r.n for r in result] == [8, 16, 40]
     with pytest.raises(ValueError, match="nonempty"):
         sweep_uniformity(24, 0.5, [])
 
@@ -181,7 +181,7 @@ GRID_NS = [1, 2, 7, 24, 63, 64, 65, 100, 163, 1000, 5623, 10**4, 10**5, 10**6,
 @pytest.mark.parametrize("M", [1, 2, 3, 7, 24, 25, 360, 3600])
 def test_sweep_rows_are_the_one_law_distances_bit_for_bit(M):
     for p in (0.5, 0.02, 0.3, 0.97, 1e-3):
-        for row in sweep_uniformity(M, p, GRID_NS).rows:
+        for row in sweep_uniformity(M, p, GRID_NS):
             wb = WrappedBinomial(row.n, M, p)
             assert (row.tv_uniform.hex(), row.tv_wn.hex()) == (
                 tv_to_uniform(wb).hex(), wb_wn_tv(wb).hex())
@@ -223,8 +223,8 @@ def test_sweep_csv_round_trip_precision():
     assert lines[0] == "n,tv_uniform,tv_wn"
     n, tvu, tvw = lines[1].split(",")
     assert int(n) == 8
-    assert float(tvu) == result.rows[0].tv_uniform
-    assert float(tvw) == result.rows[0].tv_wn
+    assert float(tvu) == result[0].tv_uniform
+    assert float(tvw) == result[0].tv_wn
 
 
 def test_wb_wn_distance_against_reference():
