@@ -8,7 +8,7 @@ output.
 
 __version__ = "0.1.0"
 
-from .angular import AngularPMF, tv_distance, wrap_angle, wrap_to_pi
+from .angular import tv_distance, wrap_angle, wrap_to_pi
 from .diagnostics import (ComparisonReport, SweepRow, compare,
                           normal_limit_pmf, sweep_uniformity, wb_wn_tv)
 from .geometry import (BoardPreset, LatticeSpec, Peg, build_lattice,
@@ -21,12 +21,12 @@ from .wrapped_normal import (WrappedNormal, bin_probs, density, density_fourier,
                              density_wrapped)
 
 __all__ = [
-    "AngularPMF", "BoardPreset", "ComparisonReport", "LatticeSpec", "Peg",
-    "SweepRow", "TrigMoments", "WalkConfig", "WrappedBinomial",
-    "WrappedNormal", "bin_probs", "build_lattice", "centered_angle", "compare",
-    "density", "density_fourier", "density_wrapped", "export_pegs", "full_pmf",
+    "BoardPreset", "ComparisonReport", "LatticeSpec", "Peg", "SweepRow",
+    "TrigMoments", "WalkConfig", "WrappedBinomial", "WrappedNormal",
+    "bin_probs", "build_lattice", "centered_angle", "compare", "density",
+    "density_fourier", "density_wrapped", "export_pegs", "full_pmf",
     "normal_limit_pmf", "planar_board", "preset", "preset_names", "simulate",
     "simulate_ball", "slot_counts", "sweep_uniformity", "trig_moments",
-    "tv_distance", "tv_to_uniform", "unwrapped_stats", "wb_wn_tv", "wrap_angle",
-    "wrap_to_pi",
+    "tv_distance", "tv_to_uniform", "unwrapped_stats", "wb_wn_tv",
+    "wrap_angle", "wrap_to_pi",
 ]

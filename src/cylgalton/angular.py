@@ -1,15 +1,18 @@
-"""Shared probability vector over angular slots, plus its file formats.
+"""Slot laws over angular slots, plus their file formats.
 
 Slot k (zero-based) covers the half-open arc [2*pi*k/M, 2*pi*(k+1)/M).
-This vector is the common currency between the exact distributions, the
-Monte Carlo simulator, the diagnostics, and the CLI.
+A slot law is a tuple of M floats, slot k's mass at index k, and M is
+its length.  It is the common currency between the exact distributions,
+the Monte Carlo simulator, the diagnostics, and the CLI.  A law the
+package computes is not checked again; a law read from a file is checked
+where it enters (_slot_pmf): nonnegative masses summing to 1 within
+SUM_TOL.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
@@ -73,31 +76,6 @@ def spectral_tv(diff: np.ndarray) -> list[float]:
     diff[:, 0] = 0.0
     folded = np.abs(np.fft.fft(diff, axis=1).real)
     return [0.5 * math.fsum(row.tolist()) / diff.shape[1] for row in folded]
-
-
-@dataclass(frozen=True)
-class AngularPMF:
-    """Probability vector over M equal angular slots.
-
-    probs[k] is the mass of slot k; entries are nonnegative and sum to 1
-    within SUM_TOL.  Instances are immutable and validated on creation.
-    """
-
-    M: int
-    probs: tuple[float, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "probs", tuple(float(q) for q in self.probs))
-        if self.M < 1:
-            raise ValueError("M must be a positive integer")
-        if len(self.probs) != self.M:
-            raise ValueError(f"expected {self.M} slot probabilities, got {len(self.probs)}")
-        for k, q in enumerate(self.probs):
-            if not q >= 0.0:
-                raise ValueError(f"slot {k} has negative probability {q!r}")
-        total = math.fsum(self.probs)
-        if abs(total - 1.0) > SUM_TOL:
-            raise ValueError(f"slot probabilities sum to {total!r}, not 1")
 
 
 # The one table format of every CSV and JSON data file.  Fields are written
@@ -222,18 +200,20 @@ def read_table(text: str, columns: dict, key: str) -> tuple[dict, list[tuple]]:
 # The PMF table kind, one (slot, theta_lo, theta_hi, prob) row per slot.
 # perfbench's per-layer spans are keyed on these four function names.
 
-def _slot_rows(pmf: AngularPMF, bounds) -> list[tuple[int, float, float, float]]:
-    """(slot, theta_lo, theta_hi, prob) rows; bounds default to each slot's
-    arc [2*pi*k/M, 2*pi*(k+1)/M)."""
+def _slot_rows(pmf, bounds) -> list[tuple[int, float, float, float]]:
+    """(slot, theta_lo, theta_hi, prob) rows, each mass as a float; bounds
+    default to each slot's arc [2*pi*k/M, 2*pi*(k+1)/M)."""
+    M = len(pmf)
     if bounds is None:
-        bounds = [(TWO_PI * k / pmf.M, TWO_PI * (k + 1) / pmf.M) for k in range(pmf.M)]
-    elif len(bounds) != pmf.M:
-        raise ValueError(f"expected {pmf.M} slot bounds, got {len(bounds)}")
-    return [(k, lo, hi, q) for k, ((lo, hi), q) in enumerate(zip(bounds, pmf.probs))]
+        bounds = [(TWO_PI * k / M, TWO_PI * (k + 1) / M) for k in range(M)]
+    elif len(bounds) != M:
+        raise ValueError(f"expected {M} slot bounds, got {len(bounds)}")
+    return [(k, lo, hi, float(q)) for k, ((lo, hi), q) in enumerate(zip(bounds, pmf))]
 
 
-def pmf_to_csv(pmf: AngularPMF, bounds=None) -> str:
-    """Render as a CSV table with full round-trip float precision.
+def pmf_to_csv(pmf, bounds=None) -> str:
+    """Render a slot law, any sequence of M masses, as a CSV table with
+    full round-trip float precision.
 
     bounds, one (theta_lo, theta_hi) pair per slot, relabels the slot
     arcs (e.g. centered ones); the default is each slot's own arc.
@@ -241,33 +221,38 @@ def pmf_to_csv(pmf: AngularPMF, bounds=None) -> str:
     return table_csv(PMF_COLUMNS, _slot_rows(pmf, bounds))
 
 
-def pmf_to_json_dict(pmf: AngularPMF, bounds=None) -> str:
-    """The PMF as a JSON table (text), M in its head; bounds as in pmf_to_csv."""
-    head = {"kind": "angular_pmf", "M": pmf.M}
+def pmf_to_json_dict(pmf, bounds=None) -> str:
+    """The slot law as a JSON table (text), M in its head; bounds as in pmf_to_csv."""
+    head = {"kind": "angular_pmf", "M": len(pmf)}
     return table_json(head, "slots", PMF_COLUMNS, _slot_rows(pmf, bounds))
 
 
-def _slot_pmf(m, rows: list) -> AngularPMF:
-    """The PMF of M = m slots from its rows: slots 0..m-1 each once, in any order."""
+def _slot_pmf(m, rows: list) -> tuple[float, ...]:
+    """The slot law of M = m slots from its rows: slots 0..m-1 each once, in
+    any order, with nonnegative masses summing to 1 within SUM_TOL."""
     if type(m) is not int:
         raise ParseError(f"M must be an integer, got {m!r}")
     rows.sort()
     # the count first, so a claimed M builds nothing larger than the file
     if len(rows) != m or [row[0] for row in rows] != list(range(m)):
         raise ParseError(f"M={m} needs slots 0..M-1, each exactly once")
-    try:
-        return AngularPMF(m, tuple(row[3] for row in rows))
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
+    probs = tuple(row[3] for row in rows)
+    for k, q in enumerate(probs):
+        if not q >= 0.0:
+            raise ParseError(f"slot {k} has negative probability {q!r}")
+    total = math.fsum(probs)
+    if abs(total - 1.0) > SUM_TOL:
+        raise ParseError(f"slot probabilities sum to {total!r}, not 1")
+    return probs
 
 
-def pmf_from_csv(text: str) -> AngularPMF:
+def pmf_from_csv(text: str) -> tuple[float, ...]:
     """Parse what pmf_to_csv wrote."""
     _, rows = read_table(text, PMF_COLUMNS, "slots")
     return _slot_pmf(len(rows), rows)
 
 
-def pmf_from_json(text: str) -> AngularPMF:
+def pmf_from_json(text: str) -> tuple[float, ...]:
     """Parse what pmf_to_json_dict wrote; its M must count the slots."""
     head, rows = read_table(text, PMF_COLUMNS, "slots")
     return _slot_pmf(head.get("M"), rows)

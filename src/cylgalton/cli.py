@@ -15,9 +15,10 @@ main() builds only the subparser that argv[0] names, or the whole parser
 when argv[0] is not a command name (an option, ``--``, an unknown word);
 a later token never selects one, so ``cylgalton -h pmf`` is the top-level
 help.  Either way --help, --version and every usage and error line read
-as the whole parser's.  A leading ``--`` is dropped when a command name
-follows it, because argparse on Python 3.11 takes it for the command
-name; a bare ``--`` is still a missing command.
+as the whole parser's.  A leading ``--`` is dropped when a word that is
+not an option follows it, because argparse on Python 3.11 takes the
+``--`` itself for the command name; so ``cylgalton -- bogus`` names
+``bogus``, and a bare ``--`` is still a missing command.
 
 Errors exit nonzero with a single line on stderr:
 ``error: <kind>: <message>``.
@@ -35,9 +36,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .angular import (TWO_PI, AngularPMF, ParseError, pmf_from_csv,
-                      pmf_from_json, pmf_to_csv, pmf_to_json_dict, read_table,
-                      row_locator, table_csv, table_json)
+from .angular import (TWO_PI, ParseError, pmf_from_csv, pmf_from_json,
+                      pmf_to_csv, pmf_to_json_dict, read_table, row_locator,
+                      table_csv, table_json)
 from .diagnostics import (compare, normal_limit_pmf, sweep_to_csv,
                           sweep_uniformity)
 from .geometry import (BOARD_DIMENSIONS, LatticeSpec, build_lattice,
@@ -137,7 +138,7 @@ def cmd_wn(args) -> Outputs:
     return [(out, text), (_sidecar(out, "bins"), bins_text)]
 
 
-def _comparison_target(args, config: WalkConfig) -> AngularPMF:
+def _comparison_target(args, config: WalkConfig) -> tuple[float, ...]:
     if args.compare == "exact":
         return full_pmf(config.law)
     if args.planar:
@@ -308,7 +309,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    if len(argv) > 1 and argv[0] == "--" and argv[1] in COMMANDS:
+    if len(argv) > 1 and argv[0] == "--" and not argv[1].startswith("-"):
         del argv[0]
     command = argv[0] if argv and argv[0] in COMMANDS else None
     args = build_parser(command).parse_args(argv)

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .angular import TWO_PI, AngularPMF, spectral_tv, table_csv, tv_distance
+from .angular import TWO_PI, spectral_tv, table_csv, tv_distance
 from .wrapped_binomial import WrappedBinomial, _direct_slots, _spectral_rows, _spectrum
 from .wrapped_normal import WrappedNormal, _term_count, bin_probs, slot_coefficients
 
@@ -94,11 +94,12 @@ def chi2_tail(x: float, dof: int) -> float:
     return math.fsum(terms)
 
 
-def compare(counts, theoretical: AngularPMF) -> ComparisonReport:
+def compare(counts, qs) -> ComparisonReport:
     """TV, smoothed KL, and pooled chi-square of slot counts against a slot law.
 
     counts[k] is the number of balls that landed in slot k, such as
-    walk_sim.slot_counts of a run's rights; N = sum(counts).  KL is the
+    walk_sim.slot_counts of a run's rights; N = sum(counts).  qs is the
+    law, any sequence of its M slot masses, such as full_pmf's.  KL is the
     sample-vs-model divergence sum(e * log(e / q)) over cells with q > 0,
     with empty empirical cells replaced by eps = 1/(10N) so the sum stays
     finite.  Chi-square cells are pooled cyclically until each expects
@@ -107,13 +108,13 @@ def compare(counts, theoretical: AngularPMF) -> ComparisonReport:
     relative.  A count observed where q = 0 makes kl and chi2 inf and the
     p-value 0.
     """
-    if len(counts) != theoretical.M:
+    if len(counts) != len(qs):
         raise ValueError(
             f"dimension mismatch: histogram has {len(counts)} bins, "
-            f"PMF has {theoretical.M}")
+            f"PMF has {len(qs)}")
     if min(counts) < 0:
         raise ValueError(f"counts must be >= 0, got {min(counts)}")
-    total, qs = sum(counts), theoretical.probs
+    total = sum(counts)
     if total < 1:
         raise ValueError("no balls to compare")
     tv = tv_distance([c / total for c in counts], qs)
@@ -151,8 +152,8 @@ def _normal_limit(wb: WrappedBinomial) -> WrappedNormal:
     return WrappedNormal(mu, n * p * (1.0 - p) * dtheta**2)
 
 
-def normal_limit_pmf(wb: WrappedBinomial) -> AngularPMF:
-    """The normal limit of wb's slot law, binned over its M slots."""
+def normal_limit_pmf(wb: WrappedBinomial) -> tuple[float, ...]:
+    """The normal limit of wb's slot law, binned over its M slots: a tuple of M masses."""
     return bin_probs(_normal_limit(wb), wb.M)
 
 
@@ -166,7 +167,7 @@ def wb_wn_tv(wb: WrappedBinomial) -> float:
     """
     cf = _spectrum(wb)
     if cf is None:
-        return tv_distance(_direct_slots(wb), normal_limit_pmf(wb).probs)
+        return tv_distance(_direct_slots(wb), normal_limit_pmf(wb))
     return _spectral_wn_tvs(cf[None], [_normal_limit(wb)])[0]
 
 
@@ -220,7 +221,7 @@ def sweep_uniformity(M: int, p: float, n_list) -> list[SweepRow]:
             wb = WrappedBinomial(n, M, p)
             slots = _direct_slots(wb)
             rows.append(SweepRow(n, tv_distance(slots, [1.0 / M] * M),
-                                 tv_distance(slots, normal_limit_pmf(wb).probs)))
+                                 tv_distance(slots, normal_limit_pmf(wb))))
     return sorted(rows)
 
 

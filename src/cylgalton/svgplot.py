@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from .angular import AngularPMF
-
 _SIZE = 640
 _CX = _CY = _SIZE / 2
 _BAR_FILL = "#4878a8"
@@ -50,10 +48,11 @@ def _wedge(r0: float, r1: float, a0: float, a1: float) -> str:
     )
 
 
-def ring_svg(pmfs: Sequence[AngularPMF]) -> str:
+def ring_svg(pmfs: Sequence[Sequence[float]]) -> str:
     """Curved barplot: per ring, bar length is probability over ring max.
 
-    Rings are drawn inside-out in input order; slots with zero mass emit
+    Each slot law is any sequence of its M masses, one ring per law, and
+    rings are drawn inside-out in input order; slots with zero mass emit
     no bar, so bars can be counted in the output.
     """
     if not pmfs:
@@ -65,13 +64,13 @@ def ring_svg(pmfs: Sequence[AngularPMF]) -> str:
     for i, pmf in enumerate(pmfs):
         base = inner + i * band
         bar_max = band * 0.85
-        qmax = max(pmf.probs)
+        qmax = max(pmf)
         parts.append(
             f'<circle cx="{_fmt(_CX)}" cy="{_fmt(_CY)}" r="{_fmt(base)}" '
             f'fill="none" stroke="{_AXIS_STROKE}" stroke-width="1"/>')
-        slot_angle = 2.0 * math.pi / pmf.M
+        slot_angle = 2.0 * math.pi / len(pmf)
         gap = 0.06 * slot_angle
-        for k, q in enumerate(pmf.probs):
+        for k, q in enumerate(pmf):
             if q <= 0.0:
                 continue
             a0 = k * slot_angle + gap

@@ -51,8 +51,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .angular import (TWO_PI, AngularPMF, spectral_masses, spectral_tv,
-                      tv_distance, wrap_angle, wrap_to_pi)
+from .angular import (TWO_PI, spectral_masses, spectral_tv, tv_distance,
+                      wrap_angle, wrap_to_pi)
 
 # Laws with n <= _EXACT_LIMIT always take the direct route, and their walk
 # starts from C(n, m) itself, so at p = 1/2 every term is an exact integer.
@@ -119,10 +119,10 @@ def _spectrum(wb: WrappedBinomial) -> np.ndarray | None:
     return cf[0] if spectral else None
 
 
-def full_pmf(wb: WrappedBinomial) -> AngularPMF:
-    """The whole slot vector as an AngularPMF."""
+def full_pmf(wb: WrappedBinomial) -> tuple[float, ...]:
+    """The slot law: a tuple of the M slot masses, by the route of wb."""
     cf = _spectrum(wb)
-    return AngularPMF(wb.M, _direct_slots(wb) if cf is None else spectral_masses(cf).tolist())
+    return _direct_slots(wb) if cf is None else tuple(spectral_masses(cf).tolist())
 
 
 def _step_polar(M: int, p: float, t=None) -> tuple[np.ndarray, np.ndarray]:

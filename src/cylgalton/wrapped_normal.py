@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .angular import TWO_PI, AngularPMF, spectral_masses, wrap_angle
+from .angular import TWO_PI, spectral_masses, wrap_angle
 
 # sigma^2 above which density() takes the cosine series.
 FOURIER_SWITCH = 4.0
@@ -196,8 +196,8 @@ def _takes_fourier(sigma: float, M: int) -> bool:
     return 2.0 * math.floor(_K / sigma) + 1.0 + _FFT_COST < edges
 
 
-def bin_probs(wn: WrappedNormal, M: int) -> AngularPMF:
-    """Mass of each slot [2*pi*k/M, 2*pi*(k+1)/M).
+def bin_probs(wn: WrappedNormal, M: int) -> tuple[float, ...]:
+    """The binned law: a tuple of the masses of the M slots [2*pi*k/M, 2*pi*(k+1)/M).
 
     Takes the CDF or the Fourier route by term count (see the module
     docstring for both and their omitted-mass bounds).  Masses that
@@ -206,4 +206,4 @@ def bin_probs(wn: WrappedNormal, M: int) -> AngularPMF:
     if M < 1:
         raise ValueError(f"M must be >= 1, got {M}")
     route = _fourier_bins if _takes_fourier(wn.sigma, M) else _cdf_bins
-    return AngularPMF(M, tuple(np.maximum(route(wn, M), 0.0).tolist()))
+    return tuple(np.maximum(route(wn, M), 0.0).tolist())

@@ -7,14 +7,16 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import cylgalton
 from cylgalton import __version__, cli
-from cylgalton.angular import (AngularPMF, ParseError, pmf_from_csv,
-                               pmf_from_json, pmf_to_csv, pmf_to_json_dict)
+from cylgalton.angular import (ParseError, pmf_from_csv, pmf_from_json,
+                               pmf_to_csv, pmf_to_json_dict)
 from cylgalton.cli import main
-from cylgalton.svgplot import cylinder_svg
+from cylgalton.svgplot import cylinder_svg, ring_svg
+from cylgalton.wrapped_binomial import WrappedBinomial, full_pmf
 
 
 def run(args):
@@ -121,8 +123,8 @@ def test_pmf_rows_sum_to_one(tmp_path):
     out = tmp_path / "pmf.csv"
     assert run(["pmf", "--n", 24, "--M", 24, "--out", out]) == 0
     pmf = pmf_from_csv(out.read_text())
-    assert pmf.M == 24
-    assert abs(math.fsum(pmf.probs) - 1.0) < 1e-12
+    assert len(pmf) == 24
+    assert abs(math.fsum(pmf) - 1.0) < 1e-12
 
 
 def test_pmf_moments_sidecar(tmp_path):
@@ -137,7 +139,7 @@ def test_pmf_deep_wrap_flattens(tmp_path):
     out = tmp_path / "deep.csv"
     assert run(["pmf", "--n", 400, "--M", 24, "--out", out]) == 0
     pmf = pmf_from_csv(out.read_text())
-    spread = max(pmf.probs) - min(pmf.probs)
+    spread = max(pmf) - min(pmf)
     assert spread == pytest.approx(0.005361363104654932, abs=1e-10)
 
 
@@ -163,7 +165,7 @@ def test_pmf_centered_labels(tmp_path):
 
 
 def test_pmf_serialisers_reject_mismatched_bounds():
-    pmf = AngularPMF(2, (0.5, 0.5))
+    pmf = (0.5, 0.5)
     for serialise in (pmf_to_csv, pmf_to_json_dict):
         with pytest.raises(ValueError, match="expected 2 slot bounds"):
             serialise(pmf, [(0.0, 1.0)])
@@ -178,14 +180,14 @@ def test_wn_outputs_density_and_bins(tmp_path):
     assert lines[0] == "theta,f"
     assert len(lines) == 721
     bins = pmf_from_csv((tmp_path / "wn.bins.csv").read_text())
-    assert abs(math.fsum(bins.probs) - 1.0) < 1e-12
+    assert abs(math.fsum(bins) - 1.0) < 1e-12
 
 
 def test_wn_uniform_limit_bins(tmp_path):
     out = tmp_path / "wide.csv"
     assert run(["wn", "--mu", 0.0, "--sigma", 10.0, "--M", 24, "--out", out]) == 0
     bins = pmf_from_csv((tmp_path / "wide.bins.csv").read_text())
-    assert all(q == pytest.approx(1 / 24, abs=1e-10) for q in bins.probs)
+    assert all(q == pytest.approx(1 / 24, abs=1e-10) for q in bins)
 
 
 def test_wn_density_peaks_at_mu(tmp_path):
@@ -499,6 +501,12 @@ def test_plot_ring_multiple_inputs_concentric(tmp_path):
     assert out.read_text().count("<path") == 9 + 17
 
 
+@pytest.mark.parametrize("kind", [tuple, list, np.array], ids=["tuple", "list", "numpy"])
+def test_ring_svg_takes_any_sequence_of_masses(kind):
+    laws = [full_pmf(WrappedBinomial(n, 24, 0.3)) for n in (8, 40)]
+    assert ring_svg([kind(law) for law in laws]) == ring_svg(laws)
+
+
 def test_plot_byte_identical_reruns(tmp_path):
     run(["pmf", "--n", 8, "--M", 24, "--out", tmp_path / "p.csv"])
     out1, out2 = tmp_path / "r1.svg", tmp_path / "r2.svg"
@@ -739,6 +747,7 @@ PARSE_CASES = {
     "no-command": [],
     "help-before-command": ["-h", "pmf"],
     "dashdash-command-help": ["--", "pmf", "-h"],
+    "dashdash-bad-command": ["--", "bogus"],
     "dashdash-alone": ["--"],
     "command-help": ["pmf", "-h"],
     "missing-required": ["pmf", "--n", 8, "--out", "o.csv"],
@@ -771,8 +780,9 @@ def test_main_parses_as_the_whole_parser(tmp_path, monkeypatch, capsys, case):
                         lambda command=None: built.append(command) or whole(command))
 
     got = parse_outcome(lambda a: main(a) == 0 and parsed.pop(), argv, capsys)
-    # main drops a "--" that comes before a command name
-    plain = argv[1:] if argv[:2] in (["--", c] for c in cli.COMMANDS) else argv
+    # main drops a "--" that comes before a word that is not an option
+    dropped = len(argv) > 1 and argv[0] == "--" and not argv[1].startswith("-")
+    plain = argv[1:] if dropped else argv
     assert got == parse_outcome(whole().parse_args, plain, capsys)
     assert built == [plain[0] if plain and plain[0] in cli.COMMANDS else None]
 

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cylgalton.angular import (PMF_COLUMNS, ParseError, pmf_to_json_dict,
+from cylgalton.angular import (PMF_COLUMNS, ParseError, pmf_from_csv,
+                               pmf_from_json, pmf_to_csv, pmf_to_json_dict,
                                read_table, table_csv, table_json)
 from cylgalton.cli import DENSITY_COLUMNS
 from cylgalton.diagnostics import SWEEP_COLUMNS
@@ -129,13 +130,28 @@ def test_table_json_writes_what_json_dumps_writes_for_a_pmf_and_a_density():
     pmf = full_pmf(wb)
     bounds = [(a - math.pi / 24, a + math.pi / 24)
               for a in (centered_angle(wb, k) for k in range(24))]
-    rows = [(k, lo, hi, q) for k, ((lo, hi), q) in enumerate(zip(bounds, pmf.probs))]
+    rows = [(k, lo, hi, q) for k, ((lo, hi), q) in enumerate(zip(bounds, pmf))]
     assert pmf_to_json_dict(pmf, bounds) == dumps(
         {"kind": "angular_pmf", "M": 24}, "slots", PMF_COLUMNS, rows)
     thetas = [2 * math.pi * i / 720 for i in range(720)]
     rows = list(zip(thetas, density(WrappedNormal(1.0, 0.5), np.array(thetas)).tolist()))
     assert table_json({}, "samples", DENSITY_COLUMNS, rows) == dumps(
         {}, "samples", DENSITY_COLUMNS, rows)
+
+
+@pytest.mark.parametrize("law,floats", [
+    ((0.25, 0.5, 0.25, 0.0),) * 2,
+    ([0.25, 0.5, 0.25, 0.0], (0.25, 0.5, 0.25, 0.0)),
+    (np.array([0.25, 0.5, 0.25, 0.0]), (0.25, 0.5, 0.25, 0.0)),
+    ((1, 0), (1.0, 0.0)),
+], ids=["tuple", "list", "numpy", "ints"])
+def test_pmf_writers_take_any_sequence_of_masses(law, floats):
+    # each mass is written as a float, and read back as a tuple of M floats
+    for write, read in ((pmf_to_csv, pmf_from_csv), (pmf_to_json_dict, pmf_from_json)):
+        text = write(law)
+        assert text == write(floats)
+        back = read(text)
+        assert back == floats and list(map(type, back)) == [float] * len(floats)
 
 
 @pytest.mark.parametrize("head", [{}, {"M": 3}], ids=["bare", "with-head"])
