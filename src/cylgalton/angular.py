@@ -15,8 +15,6 @@ import json
 import math
 from itertools import chain
 
-import numpy as np
-
 TWO_PI = 2.0 * math.pi
 
 SUM_TOL = 1e-12
@@ -36,7 +34,7 @@ def wrap_angle(theta: float) -> float:
     """Reduce an angle to the canonical range [0, 2*pi)."""
     if not math.isfinite(theta):
         raise ValueError(f"angle must be finite, got {theta!r}")
-    out = math.fmod(theta, TWO_PI)
+    out = math.fmod(theta, TWO_PI) + 0.0    # + 0.0: fmod keeps a zero's sign
     if out < 0.0:
         out += TWO_PI
     # fmod can land exactly on 2*pi after the correction
@@ -58,13 +56,16 @@ def tv_distance(a, b) -> float:
 
 # A law on M slots is also given by its DFT coefficients c(t), t = 0..M-1:
 # slot k's mass is (1/M) sum_t c(t) e^{-2*pi*i*t*k/M}, and c(0) = 1.
+# These two take numpy arrays and import numpy themselves, so that reading
+# and writing tables, which the numpy-free commands do, loads none.
 
-def spectral_masses(coef: np.ndarray) -> np.ndarray:
+def spectral_masses(coef):
     """The slot masses of the coefficients coef, by one FFT."""
+    import numpy as np
     return np.fft.fft(coef).real / coef.size
 
 
-def spectral_tv(diff: np.ndarray) -> list[float]:
+def spectral_tv(diff) -> list[float]:
     """TV between two laws whose coefficients differ by diff, for each row
     of the (rows, M) array diff: one FFT of every row, then one fsum per row.
 
@@ -72,6 +73,7 @@ def spectral_tv(diff: np.ndarray) -> list[float]:
     difference is formed from the t != 0 coefficients alone and a tiny
     distance keeps its relative accuracy.
     """
+    import numpy as np
     diff = diff.copy()
     diff[:, 0] = 0.0
     folded = np.abs(np.fft.fft(diff, axis=1).real)

@@ -15,10 +15,20 @@ main() builds only the subparser that argv[0] names, or the whole parser
 when argv[0] is not a command name (an option, ``--``, an unknown word);
 a later token never selects one, so ``cylgalton -h pmf`` is the top-level
 help.  Either way --help, --version and every usage and error line read
-as the whole parser's.  A leading ``--`` is dropped when a word that is
-not an option follows it, because argparse on Python 3.11 takes the
-``--`` itself for the command name; so ``cylgalton -- bogus`` names
-``bogus``, and a bare ``--`` is still a missing command.
+as the whole parser's.  A leading ``--`` is dropped when a word follows
+it, because argparse on Python 3.11 takes the ``--`` itself for the
+command name; so ``cylgalton -- bogus`` names ``bogus``, and a bare
+``--`` is still a missing command.  A word after it that reads as an
+option is still the command word: ``cylgalton -- --version`` is the
+whole parser's invalid-choice error naming ``'--version'``.
+
+Only the commands that compute a law load numpy: pmf, wn, simulate and
+sweep.  Their first call binds the numeric layer, wrapped_binomial,
+wrapped_normal, walk_sim and diagnostics, all four at once, so that after
+any one computing command every module of the package is loaded (a
+caller that wraps the package's functions once, as perfbench's tracer
+does after its warm-up pass, finds them all).  lattice, plot, --help,
+--version and every usage error run on the standard library alone.
 
 Errors exit nonzero with a single line on stderr:
 ``error: <kind>: <message>``.
@@ -33,22 +43,13 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .angular import (TWO_PI, ParseError, pmf_from_csv, pmf_from_json,
                       pmf_to_csv, pmf_to_json_dict, read_table, row_locator,
                       table_csv, table_json)
-from .diagnostics import (compare, normal_limit_pmf, sweep_to_csv,
-                          sweep_uniformity)
 from .geometry import (BOARD_DIMENSIONS, LatticeSpec, build_lattice,
                        export_pegs, preset, preset_names)
 from .svgplot import cylinder_svg, ring_svg
-from .walk_sim import (DEFAULT_CHUNK, WalkConfig, histogram_to_csv, simulate,
-                       slot_counts, unwrapped_stats)
-from .wrapped_binomial import (WrappedBinomial, centered_angle, full_pmf,
-                               trig_moments)
-from .wrapped_normal import WrappedNormal, bin_probs, density
 
 DENSITY_COLUMNS = {"theta": float, "f": float}
 
@@ -83,6 +84,12 @@ def _manifest(args: argparse.Namespace, outputs: Outputs) -> tuple[Path, str]:
     return _sidecar(Path(args.out), "manifest", ".json"), _json(doc)
 
 
+def _numeric() -> None:
+    """Bind the numeric layer, all four modules at once (see the module docstring)."""
+    global diagnostics, walk_sim, wrapped_binomial, wrapped_normal
+    from . import diagnostics, walk_sim, wrapped_binomial, wrapped_normal
+
+
 def cmd_lattice(args) -> Outputs:
     if args.preset:
         if any(getattr(args, k) is not None for k in ("M", "n", *BOARD_DIMENSIONS)):
@@ -100,34 +107,37 @@ def cmd_lattice(args) -> Outputs:
 
 
 def cmd_pmf(args) -> Outputs:
-    wb = WrappedBinomial(n=args.n, M=args.M, p=args.p)
-    pmf = full_pmf(wb)
+    _numeric()
+    wb = wrapped_binomial.WrappedBinomial(n=args.n, M=args.M, p=args.p)
+    pmf = wrapped_binomial.full_pmf(wb)
     bounds = None
     if args.centered:
         # slot arcs around each landing atom, in the centered frame (-pi, pi]
         half = math.pi / wb.M
-        bounds = [(atom - half, atom + half)
-                  for atom in (centered_angle(wb, k) for k in range(wb.M))]
+        atoms = (wrapped_binomial.centered_angle(wb, k) for k in range(wb.M))
+        bounds = [(atom - half, atom + half) for atom in atoms]
     out = Path(args.out)
     write = pmf_to_json_dict if args.format == "json" else pmf_to_csv
     outputs = [(out, write(pmf, bounds))]
     if args.moments:
         outputs.append((_sidecar(out, "moments", ".json"),
-                        _json(asdict(trig_moments(wb)))))
+                        _json(asdict(wrapped_binomial.trig_moments(wb)))))
     return outputs
 
 
 def cmd_wn(args) -> Outputs:
+    _numeric()
+    import numpy as np      # loaded by the numeric layer; density takes an array
     # also rejects nan and inf, and a sigma whose square over- or underflows
     if not (0.0 < args.sigma < _SIGMA_MAX and args.sigma**2 > 0.0):
         raise ValueError(f"--sigma must be > 0 with a finite, nonzero square, "
                          f"got {args.sigma!r}")
     if args.samples < 1:
         raise ValueError(f"samples must be >= 1, got {args.samples}")
-    wn = WrappedNormal(mu=args.mu, sigma2=args.sigma**2)
+    wn = wrapped_normal.WrappedNormal(mu=args.mu, sigma2=args.sigma**2)
     thetas = [TWO_PI * i / args.samples for i in range(args.samples)]
-    rows = zip(thetas, density(wn, np.array(thetas)).tolist())
-    bins = bin_probs(wn, args.M)
+    rows = zip(thetas, wrapped_normal.density(wn, np.array(thetas)).tolist())
+    bins = wrapped_normal.bin_probs(wn, args.M)
     if args.format == "json":
         text = table_json({}, "samples", DENSITY_COLUMNS, rows)
         bins_text = pmf_to_json_dict(bins)
@@ -138,39 +148,42 @@ def cmd_wn(args) -> Outputs:
     return [(out, text), (_sidecar(out, "bins"), bins_text)]
 
 
-def _comparison_target(args, config: WalkConfig) -> tuple[float, ...]:
+def _comparison_target(args, config: walk_sim.WalkConfig) -> tuple[float, ...]:
     if args.compare == "exact":
-        return full_pmf(config.law)
+        return wrapped_binomial.full_pmf(config.law)
     if args.planar:
         raise ValueError("--compare wn needs a wrapped board (drop --planar)")
     if config.n < 1:
         raise ValueError("--compare wn needs n >= 1: the normal limit of a "
                          "board with no rows is degenerate")
-    return normal_limit_pmf(config.law)
+    return diagnostics.normal_limit_pmf(config.law)
 
 
 def cmd_simulate(args) -> Outputs:
+    _numeric()
     if args.planar and args.M is not None:
         raise ValueError("--planar fixes the board at M = n + 1; drop --M")
     if not args.planar and args.M is None:
         args.M = 24     # for the manifest
-    config = WalkConfig(n=args.n, M=args.n + 1 if args.planar else args.M,
-                        p=args.p, balls=args.balls, seed=args.seed)
+    if args.chunk is None:
+        args.chunk = walk_sim.DEFAULT_CHUNK     # for the manifest
+    config = walk_sim.WalkConfig(n=args.n, M=args.n + 1 if args.planar else args.M,
+                                 p=args.p, balls=args.balls, seed=args.seed)
     # built first, so a comparison that cannot be made fails before the walk
     target = None if args.compare is None else _comparison_target(args, config)
-    rights = simulate(config, chunk=args.chunk)
-    counts = slot_counts(rights, config.M)
+    rights = walk_sim.simulate(config, chunk=args.chunk)
+    counts = walk_sim.slot_counts(rights, config.M)
     out = Path(args.out)
-    report = None if target is None else compare(counts, target)
+    report = None if target is None else diagnostics.compare(counts, target)
 
     if args.format == "csv":
-        outputs = [(out, histogram_to_csv(counts))]
+        outputs = [(out, walk_sim.histogram_to_csv(counts))]
         if report is not None:
             outputs.append((_sidecar(out, "compare", ".json"), _json(asdict(report))))
         return outputs
     stats = None
     if not args.planar:
-        mean, var = unwrapped_stats(rights, config.M)
+        mean, var = walk_sim.unwrapped_stats(rights, config.M)
         stats = {"mean": mean, "variance": var}
     doc = {
         "command": "simulate",
@@ -186,6 +199,7 @@ def cmd_simulate(args) -> Outputs:
 
 
 def cmd_sweep(args) -> Outputs:
+    _numeric()
     ns = []
     for part in filter(str.strip, args.n.split(",")):
         try:
@@ -193,7 +207,8 @@ def cmd_sweep(args) -> Outputs:
         except ValueError:
             raise ValueError(f"--n takes comma-separated integers, "
                              f"got {part.strip()!r}") from None
-    return [(Path(args.out), sweep_to_csv(sweep_uniformity(args.M, args.p, ns)))]
+    rows = diagnostics.sweep_uniformity(args.M, args.p, ns)
+    return [(Path(args.out), diagnostics.sweep_to_csv(rows))]
 
 
 def _read_density(path: Path) -> list[tuple[float, float]]:
@@ -281,7 +296,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         sim.add_argument("--seed", type=int, default=0, help="64-bit seed")
         sim.add_argument("--compare", choices=("exact", "wn"),
                          help="append a comparison against the stated law")
-        sim.add_argument("--chunk", type=int, default=DEFAULT_CHUNK,
+        sim.add_argument("--chunk", type=int,
                          help="upper bound on balls per processing block "
                               "(result-invariant)")
         sim.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -309,8 +324,12 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    if len(argv) > 1 and argv[0] == "--" and not argv[1].startswith("-"):
+    if len(argv) > 1 and argv[0] == "--":
         del argv[0]
+        if argv[0].startswith("-"):     # the command word, and no command starts with "-"
+            build_parser().error(
+                f"argument command: invalid choice: {argv[0]!r} "
+                f"(choose from {', '.join(map(repr, COMMANDS))})")
     command = argv[0] if argv and argv[0] in COMMANDS else None
     args = build_parser(command).parse_args(argv)
     try:

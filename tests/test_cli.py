@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import cylgalton
-from cylgalton import __version__, cli
+from cylgalton import __version__, cli, walk_sim
 from cylgalton.angular import (ParseError, pmf_from_csv, pmf_from_json,
                                pmf_to_csv, pmf_to_json_dict)
 from cylgalton.cli import main
@@ -356,7 +356,7 @@ def test_simulate_rejects_a_bad_compare_before_the_walk(tmp_path, capsys,
     def walk(*args, **kwargs):
         raise AssertionError("the walk ran")
 
-    monkeypatch.setattr(cli, "simulate", walk)
+    monkeypatch.setattr(walk_sim, "simulate", walk)
     assert run(["simulate", "--n", 2000, "--balls", 200_000, *board,
                 "--compare", "wn", "--out", tmp_path / "x.csv"]) == 1
     assert_single_line_error(capsys, message)
@@ -749,6 +749,9 @@ PARSE_CASES = {
     "dashdash-command-help": ["--", "pmf", "-h"],
     "dashdash-bad-command": ["--", "bogus"],
     "dashdash-alone": ["--"],
+    "dashdash-version": ["--", "--version"],
+    "dashdash-help": ["--", "-h"],
+    "dashdash-bad-option": ["--", "--bogus", "pmf"],
     "command-help": ["pmf", "-h"],
     "missing-required": ["pmf", "--n", 8, "--out", "o.csv"],
     "bad-choice": ["lattice", "--format", "xml", "--out", "o.csv"],
@@ -780,10 +783,15 @@ def test_main_parses_as_the_whole_parser(tmp_path, monkeypatch, capsys, case):
                         lambda command=None: built.append(command) or whole(command))
 
     got = parse_outcome(lambda a: main(a) == 0 and parsed.pop(), argv, capsys)
-    # main drops a "--" that comes before a word that is not an option
-    dropped = len(argv) > 1 and argv[0] == "--" and not argv[1].startswith("-")
-    plain = argv[1:] if dropped else argv
-    assert got == parse_outcome(whole().parse_args, plain, capsys)
+    # main drops a "--" that a word follows
+    plain = argv[1:] if len(argv) > 1 and argv[0] == "--" else argv
+    if plain is argv or not plain[0].startswith("-"):
+        assert got == parse_outcome(whole().parse_args, plain, capsys)
+    else:
+        # an option after "--" is the command word: named as any unknown word is
+        result, (out, err) = parse_outcome(whole().parse_args, ["unknown"], capsys)
+        assert got == (result, (out, err.replace("'unknown'", repr(plain[0]))))
+        assert len(err.splitlines()) == 2 and repr(plain[0]) in got[1].err
     assert built == [plain[0] if plain and plain[0] in cli.COMMANDS else None]
 
 
@@ -812,11 +820,60 @@ def test_console_script_reads_sys_argv(tmp_path, monkeypatch, capsys, case):
     assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
 
 
+def _probe(code):
+    """What the Python code prints in a fresh interpreter with this package importable."""
+    src = str(Path(cylgalton.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    return proc.stdout.strip()
+
+
+LAYERS = ("angular", "cli", "diagnostics", "geometry", "svgplot", "walk_sim",
+          "wrapped_binomial", "wrapped_normal")
+
+NUMPY_FREE = {
+    "parser": [],
+    "version": ["--version"],
+    "lattice": ["lattice", "--preset", "modules-1", "--out", "{d}/lat.csv"],
+    "plot-ring": ["plot", "--style", "ring", "{d}/pmf.csv", "--out", "{d}/ring.svg"],
+    "plot-cylinder": ["plot", "--style", "cylinder", "{d}/wn.csv", "--out", "{d}/cyl.svg"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(NUMPY_FREE))
+def test_cold_start_imports_no_numpy(tmp_path, case):
+    # numpy's import is most of a cold start; only a command that computes needs it
+    assert run(["pmf", "--n", 8, "--M", 24, "--out", tmp_path / "pmf.csv"]) == 0
+    assert run(["wn", "--mu", 0, "--sigma", 1, "--out", tmp_path / "wn.csv"]) == 0
+    argv = [a.format(d=tmp_path) for a in NUMPY_FREE[case]]
+    call = f"cylgalton.cli.main({argv!r})" if argv else "cylgalton.cli.build_parser()"
+    probe = ("import contextlib, sys, cylgalton.cli\n"
+             f"with contextlib.suppress(SystemExit): {call}\n"
+             "print('numpy' in sys.modules)")
+    assert _probe(probe).splitlines()[-1] == "False"
+
+
+def test_one_computing_command_loads_every_layer(tmp_path):
+    probe = ("import sys, cylgalton.cli\n"
+             f"cylgalton.cli.main(['pmf', '--n', '8', '--M', '24', '--out', "
+             f"{str(tmp_path / 'pmf.csv')!r}])\n"
+             f"print(sorted(m for m in {LAYERS!r} if 'cylgalton.' + m in sys.modules))")
+    assert _probe(probe) == repr(sorted(LAYERS))
+
+
+def test_public_names_resolve_on_first_use():
+    probe = ("import sys, cylgalton\n"
+             "print('numpy' in sys.modules,\n"
+             "      set(cylgalton.__all__) <= set(dir(cylgalton)))\n"
+             "print(all(getattr(cylgalton, name).__name__ == name\n"
+             "          for name in cylgalton.__all__))")
+    assert _probe(probe).splitlines() == ["False True", "True"]
+    with pytest.raises(AttributeError, match="no attribute 'bogus'"):
+        cylgalton.bogus
+
+
 def test_cold_start_imports_no_scipy():
     # scipy.special alone took most of a cold start's 0.4 s
-    src = str(Path(cylgalton.__file__).resolve().parents[1])
     probe = ("import sys, cylgalton.cli; cylgalton.cli.build_parser(); "
              "print([m for m in sys.modules if m.startswith('scipy')])")
-    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": src}, check=True)
-    assert proc.stdout.strip() == "[]"
+    assert _probe(probe) == "[]"

@@ -178,6 +178,17 @@ def test_a_peg_is_an_immutable_export_row():
         peg.theta = 0.0
 
 
+@pytest.mark.parametrize("name", preset_names())
+def test_no_preset_writes_a_negative_zero(name):
+    # a peg on an exact multiple of 2*pi once wrote theta and y as -0.0
+    pegs = build_lattice(preset(name).spec)
+    csv_fields = [field for line in export_pegs(pegs, "csv").splitlines()[1:]
+                  for field in line.split(",")]
+    json_fields = [repr(value) for peg in json.loads(export_pegs(pegs, "json"))["pegs"]
+                   for value in peg.values()]
+    assert "-0.0" not in csv_fields + json_fields
+
+
 def test_unsupported_export_format():
     with pytest.raises(ValueError, match="format"):
         export_pegs([], "xml")

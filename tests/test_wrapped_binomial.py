@@ -348,6 +348,14 @@ def test_angles_must_be_finite():
             wrap_to_pi(bad)
 
 
+@pytest.mark.parametrize("zero", [-0.0, 0.0, -TWO_PI, -2 * TWO_PI, TWO_PI])
+def test_a_zero_angle_wraps_to_plus_zero(zero):
+    # fmod keeps the sign of -0.0 and of an exact negative multiple of 2*pi
+    for wrap in (wrap_angle, wrap_to_pi):
+        out = wrap(zero)
+        assert out == 0.0 and math.copysign(1.0, out) == 1.0, (wrap.__name__, out)
+
+
 @pytest.mark.parametrize("bad", [True, False, 2.5, 24.0, "24"])
 def test_slot_and_row_counts_must_be_ints(bad):
     with pytest.raises(ValueError, match=f"n must be an int, got {bad!r}"):
