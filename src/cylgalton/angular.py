@@ -7,13 +7,21 @@ the Monte Carlo simulator, the diagnostics, and the CLI.  A law the
 package computes is not checked again; a law read from a file is checked
 where it enters (_slot_pmf): nonnegative masses summing to 1 within
 SUM_TOL.
+
+Every CSV and JSON data file is one table (table_csv, table_json,
+read_table), and the writers work column by column, as read_table
+reads: the rows are transposed once and each column's texts come from
+one map.  A column that repeats formats each of its distinct numbers
+once and looks the rest up, so a lattice of thousands of pegs formats a
+few hundred numbers.  Zeros are never shared: 0.0 == -0.0, and each zero
+is formatted on its own, so -0.0 keeps its sign.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from itertools import chain
+from collections.abc import Iterator
 
 TWO_PI = 2.0 * math.pi
 
@@ -83,39 +91,78 @@ def spectral_tv(diff) -> list[float]:
 # The one table format of every CSV and JSON data file.  Fields are written
 # with repr(), the shortest text that reads back as the same number.
 
+class _Reprs(dict):
+    """The texts of a column's distinct nonzero values.  Any other key, a
+    zero above all, is formatted afresh: 0.0 == -0.0, so a stored zero would
+    lend one zero's sign to the other."""
+
+    def __missing__(self, value):
+        return repr(value)
+
+
+def _column_reprs(column: tuple, kinds: set) -> Iterator[str]:
+    """repr of each value of column, whose value types are kinds.
+
+    A column of ints alone or of exact floats alone that repeats, at most
+    half its values distinct, formats each distinct value once and looks
+    the rest up; any other column, mixed (1 with 1.0 or True, np.float64)
+    or all distinct, is formatted value by value.
+    """
+    if kinds == {int} or kinds == {float}:
+        distinct = set(column)
+        if 2 * len(distinct) <= len(column):
+            distinct.discard(0)
+            return map(_Reprs(zip(distinct, map(repr, distinct))).__getitem__, column)
+    return map(repr, column)
+
+
+def _columns(rows) -> tuple[list, list[tuple] | None, list[set] | None]:
+    """The rows as a list, their columns and each column's set of value
+    types; the columns and the sets are None when the rows differ in
+    length."""
+    rows = list(rows)
+    try:
+        columns = list(zip(*rows, strict=True))
+    except ValueError:
+        return rows, None, None
+    return rows, columns, [set(map(type, column)) for column in columns]
+
+
 def table_csv(columns, rows) -> str:
-    """A header line of the column names, then one line per row."""
-    lines = [",".join(columns)]
-    lines.extend(",".join(map(repr, row)) for row in rows)
-    return "\n".join(lines) + "\n"
+    """A header line of the column names, then one line per row; the rows
+    are sequences of one length."""
+    rows, cells, kinds = _columns(rows)
+    if cells is None:
+        raise ValueError("table rows differ in length")
+    lines = zip(*map(_column_reprs, cells, kinds)) if cells else [()] * len(rows)
+    return "\n".join([",".join(columns), *map(",".join, lines)]) + "\n"
 
 
 def table_json(head: dict, key: str, columns, rows) -> str:
     """head's fields, then key: a list of one {column: value} object per row.
 
     The text is json.dumps(doc, indent=2) + "\n".  Rows of ints and finite
-    floats, the package's own, are laid out here directly, as json.dumps
-    writes them (int.__repr__, float.__repr__); anything else goes
-    through json.dumps.
+    floats, one per column, the package's own, are laid out here directly,
+    as json.dumps writes them (int.__repr__, float.__repr__), from the same
+    column texts as table_csv; anything else goes through json.dumps.
     """
-    rows = [tuple(row) for row in rows]
-    values = list(chain.from_iterable(rows))
+    rows, cells, kinds = _columns(rows)
     try:
-        direct = (key not in head and {len(row) for row in rows} <= {len(columns)}
-                  and set(map(type, values)) <= {int, float}
-                  and all(map(math.isfinite, values)))
+        direct = (kinds and key not in head and len(cells) == len(columns)
+                  and all(kind <= {int, float} for kind in kinds)
+                  and all(float not in kind or all(map(math.isfinite, column))
+                          for column, kind in zip(cells, kinds)))
     except OverflowError:       # an int beyond a float
         direct = False
     if not direct:
         doc = {**head, key: [dict(zip(columns, row)) for row in rows]}
         return json.dumps(doc, indent=2) + "\n"
+    row_format = "    {\n" + ",\n".join(
+        f"      {json.dumps(name).replace('%', '%%')}: %s" for name in columns) + "\n    }"
+    body = ",\n".join(map(row_format.__mod__, zip(*map(_column_reprs, cells, kinds))))
     text = json.dumps({**head, key: []}, indent=2)
-    if rows:
-        row_format = "    {\n" + ",\n".join(
-            f"      {json.dumps(name).replace('%', '%%')}: %r" for name in columns) + "\n    }"
-        body = ",\n".join([row_format % row for row in rows])
-        text = text[:-len("[]\n}")] + "[\n" + body + "\n  ]\n}"
-    return text + "\n"
+    # one join: a chain of + would make a copy of body at each step
+    return "".join([text[:-len("[]\n}")], "[\n", body, "\n  ]\n}\n"])
 
 
 # Per column kind: its name in messages, and the JSON types it takes: never

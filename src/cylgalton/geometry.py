@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import NamedTuple
 
 from .angular import TWO_PI, table_csv, table_json, wrap_angle
@@ -153,22 +154,36 @@ def build_lattice(spec: LatticeSpec) -> list[Peg]:
 
     Row i holds min(M, i+1) pegs on a wrapped board and i+1 on a flat
     one; successive rows are staggered by half the peg spacing.
+
+    Peg (i, j) sits at the unwrapped offset j - i/2 peg spacings, and its
+    theta, x and y depend on that offset alone, so each distinct offset is
+    placed once: fewer than n + 2M of them on a wrapped board, against up
+    to n*M pegs.  The key is the unwrapped offset, not the offset mod M:
+    fmod of two offsets a whole turn apart can differ in the last ulp, and
+    each peg keeps the position of its own offset, as when every peg was
+    placed on its own.
     """
     spec.validate()
-    pegs: list[Peg] = []
+    if spec.wrap:
+        def place(offset: float) -> tuple[float, float, float]:
+            theta = wrap_angle(offset * spec.delta_theta)
+            return theta, spec.R * math.cos(theta), spec.R * math.sin(theta)
+    else:
+        def place(offset: float) -> tuple[float, float, float]:
+            # flat board: x is the lateral offset, no angular coordinate
+            return 0.0, offset * spec.d, 0.0
+    places: dict[float, tuple[float, float, float]] = {}
+    rows = []
     for i in range(spec.n):
         z = spec.H - i * spec.h
         per_row = min(spec.M, i + 1) if spec.wrap else i + 1
         for j in range(per_row):
             offset = j - i / 2.0
-            if spec.wrap:
-                theta = wrap_angle(offset * spec.delta_theta)
-                pegs.append(Peg(i, j, theta, z, spec.R * math.cos(theta),
-                                spec.R * math.sin(theta)))
-            else:
-                # flat board: x is the lateral offset, no angular coordinate
-                pegs.append(Peg(i, j, 0.0, z, offset * spec.d, 0.0))
-    return pegs
+            if offset not in places:
+                places[offset] = place(offset)
+            theta, x, y = places[offset]
+            rows.append((i, j, theta, z, x, y))
+    return list(map(Peg._make, rows))
 
 
 # Physical modular board: 24 slots around an 11.4 cm insertion board,
@@ -228,7 +243,7 @@ def preset(name: str) -> BoardPreset:
 
 def export_pegs(pegs: list[Peg], fmt: str = "csv") -> str:
     """Serialise pegs deterministically, row-major, as a CSV or JSON table."""
-    rows = sorted(pegs, key=lambda p: (p.row, p.col))
+    rows = sorted(pegs, key=itemgetter(0, 1))
     if fmt == "csv":
         return table_csv(PEG_COLUMNS, rows)
     if fmt == "json":

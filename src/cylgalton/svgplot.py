@@ -86,6 +86,8 @@ def cylinder_svg(samples: Sequence[tuple[float, float]]) -> str:
     Samples are drawn in input order.  Screen y grows toward the viewer, so
     a foot at base_y + ry*sin(theta) with sin theta < 0 is on the rear half;
     those segments are lightened so the drum reads as three-dimensional.
+    One pass over the samples takes sin(theta) once and formats each
+    sample's x, foot y and top once; the crown reuses the x and top texts.
     """
     if not samples:
         raise ValueError("cylinder_svg needs at least one sample")
@@ -96,26 +98,20 @@ def cylinder_svg(samples: Sequence[tuple[float, float]]) -> str:
     if fmax <= 0.0:
         raise ValueError("all density samples are zero")
 
-    def foot(theta: float) -> tuple[float, float]:
-        return _CX + rx * math.cos(theta), base_y + ry * math.sin(theta)
-
     parts = [_HEADER.format(w=_SIZE, h=_SIZE)]
     parts.append(
         f'<ellipse cx="{_fmt(_CX)}" cy="{_fmt(base_y)}" rx="{_fmt(rx)}" '
         f'ry="{_fmt(ry)}" fill="none" stroke="{_AXIS_STROKE}" stroke-width="1"/>')
-    tops: list[tuple[float, float]] = []
-    segments: list[str] = []
+    crown: list[str] = []
     for theta, f in samples:
-        x, y = foot(theta)
-        top = y - height * f / fmax
-        tops.append((x, top))
-        stroke = "#b8cce0" if math.sin(theta) < 0.0 else _BAR_FILL
-        segments.append(
-            f'<line x1="{_fmt(x)}" y1="{_fmt(y)}" x2="{_fmt(x)}" '
-            f'y2="{_fmt(top)}" stroke="{stroke}" stroke-width="1"/>')
-    parts.extend(segments)
-    crown = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in tops)
-    parts.append(
-        f'<polyline points="{crown}" fill="none" stroke="#2b4a66" stroke-width="1.5"/>')
+        sin = math.sin(theta)
+        y = base_y + ry * sin
+        x, top = f"{_CX + rx * math.cos(theta):.6f}", f"{y - height * f / fmax:.6f}"
+        stroke = "#b8cce0" if sin < 0.0 else _BAR_FILL
+        parts.append(f'<line x1="{x}" y1="{y:.6f}" x2="{x}" y2="{top}" '
+                     f'stroke="{stroke}" stroke-width="1"/>')
+        crown.append(f"{x},{top}")
+    parts.append(f'<polyline points="{" ".join(crown)}" fill="none" '
+                 f'stroke="#2b4a66" stroke-width="1.5"/>')
     parts.append("</svg>\n")
     return "\n".join(parts)

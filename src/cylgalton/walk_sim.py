@@ -19,23 +19,30 @@ integer m, m < x iff m < ceil(x).  p = 1 gives the limit 2**64, so every
 ball goes right at every row.
 
 simulate works through the balls in blocks of at most 2**16 // n balls
-(and at most ``chunk``).  A thread holds four buffers of one block's
-shape, reused for every block: the uint64 draws, hashed in place, a
-uint64 scratch for the hash's shifts, a uint64 step tile holding row
-k's offset (k + 1) * GOLDEN, built once (in the draws buffer when the
-thread has one block), and a bool mask of right steps.  That is at most
-3 * 512 KiB + 64 KiB, inside a 2 MiB L2 cache.  A block's draws are its
-step tile plus each ball's key, and a ball's rightward count is the
-byte sum of its mask row.  The blocks are split into contiguous ranges,
-one per CPU the process may run on but no more than one per 2**18
-draws.  Each range runs on its own thread (numpy releases the GIL in
-these loops) with its own buffers and its own ``rights``, and the
+(and at most ``chunk``).  A thread holds one buffer set, reused for
+every block: the uint64 draws, hashed in place, a uint64 scratch for
+the hash's shifts, a uint64 step tile holding row k's offset
+(k + 1) * GOLDEN, built once per call, and a bool mask of right steps.
+That is 3 * 512 KiB + 64 KiB, inside a 2 MiB L2 cache.  A block's draws
+are its step tile plus each ball's key, and a ball's rightward count is
+the byte sum of its mask row.  The blocks are split into contiguous
+ranges, one per CPU the process may run on but no more than one per
+2**18 draws.  Each range runs on its own thread (numpy releases the GIL
+in these loops) with its own buffers and its own ``rights``, and the
 integer sums are added at the end; a run of at most 2**18 draws, such
 as 2,000 balls on 96 rows, starts no thread.  Because every draw
 depends on (seed, b, k) alone and integer sums do not depend on order,
 ``rights`` is bit-identical for any chunk, block or thread split, and
 simulate_ball replays any single ball in isolation, with exactly the
 deflections it had in the full run.
+
+The buffer sets outlive the call, since what they hold never carries
+from one call to the next: a thread takes an idle set from a pool that
+every thread shares and gives it back when its range is done.  The pool
+keeps at most one set per CPU, so a run of small simulate calls maps
+its buffers once, not on every call.  Only a board of more than 2**16
+rows, whose one-ball block outgrows a set, takes a set of its own,
+dropped after the call.
 
 The hash's last step, z ^= z >> 31, leaves the top 31 bits of z as they
 are.  So when the limit L is a multiple of 2**33, as at p = 1/2, p = 0
@@ -48,6 +55,7 @@ from __future__ import annotations
 import concurrent.futures
 import math
 import os
+import queue
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,6 +81,18 @@ _BLOCK_DRAWS = 1 << 16
 # Least work worth a thread of its own: about a millisecond of hashing,
 # several times what starting the thread costs.
 _THREAD_DRAWS = 1 << 18
+
+
+def _cpu_count() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:      # no affinity mask on this platform
+        return os.cpu_count() or 1
+
+
+# Idle buffer sets of _BLOCK_DRAWS entries each, shared by every thread of
+# every call (the module docstring); at most one per CPU stays.
+_IDLE_BUFFERS: queue.LifoQueue = queue.LifoQueue(_cpu_count())
 
 
 def _mix64(z: np.ndarray, tmp: np.ndarray, finish: bool = True) -> np.ndarray:
@@ -111,6 +131,27 @@ def _right_limit(p: float) -> int:
     return math.ceil(p * 2.0**53) << 11
 
 
+def _take_buffers(draws: int) -> list[np.ndarray]:
+    """A flat buffer set (draws, scratch, step tile, mask) of at least draws
+    entries: an idle pooled set when draws fits one, else a new set."""
+    if draws <= _BLOCK_DRAWS:
+        try:
+            return _IDLE_BUFFERS.get_nowait()
+        except queue.Empty:
+            draws = _BLOCK_DRAWS
+    return [*(np.empty(draws, dtype=np.uint64) for _ in range(3)),
+            np.empty(draws, dtype=bool)]
+
+
+def _give_buffers(buffers: list[np.ndarray]) -> None:
+    """Keep a set of the pooled size for the next call, while the pool has room."""
+    if buffers[0].size == _BLOCK_DRAWS:
+        try:
+            _IDLE_BUFFERS.put_nowait(buffers)
+        except queue.Full:
+            pass
+
+
 def _count_rights(seed: int, lo: int, hi: int, n: int, limit: int,
                   block: int) -> np.ndarray:
     """Histogram of rightward counts over balls lo..hi-1, block by block.
@@ -123,12 +164,10 @@ def _count_rights(seed: int, lo: int, hi: int, n: int, limit: int,
     holds it exactly.
     """
     rights = np.zeros(n + 1, dtype=np.int64)
-    z = np.empty((min(block, hi - lo), n), dtype=np.uint64)
-    z[:] = np.arange(1, n + 1, dtype=np.uint64) * _GOLDEN
-    # A lone block adds its keys to the step tile in place.
-    tile = z if hi - lo <= block else z.copy()
-    tmp = np.empty_like(z)
-    mask = np.empty(z.shape, dtype=bool)
+    rows = min(block, hi - lo)
+    buffers = _take_buffers(rows * n)
+    z, tmp, tile, mask = (b[:rows * n].reshape(rows, n) for b in buffers)
+    tile[:] = np.arange(1, n + 1, dtype=np.uint64) * _GOLDEN
     bound = np.uint64(limit)
     finish = limit % 2**33 != 0
     count_type = np.min_scalar_type(n)
@@ -139,14 +178,8 @@ def _count_rights(seed: int, lo: int, hi: int, n: int, limit: int,
         rights += np.bincount(np.add.reduce(mask[:size].view(np.uint8), axis=1,
                                             dtype=count_type),
                               minlength=n + 1)
+    _give_buffers(buffers)
     return rights
-
-
-def _cpu_count() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:      # no affinity mask on this platform
-        return os.cpu_count() or 1
 
 
 def _split(balls: int, n: int, chunk: int) -> tuple[int, list[int]]:

@@ -195,3 +195,10 @@ def wb_wn_tv_ref(n: int, m: int, p: float) -> float:
 def tv(a, b) -> float:
     assert len(a) == len(b)
     return 0.5 * math.fsum(abs(x - y) for x, y in zip(a, b))
+
+
+def table_csv_ref(columns, rows) -> str:
+    """A table as CSV, row by row: the header, then each row's fields by repr."""
+    lines = [",".join(columns)]
+    lines.extend(",".join(map(repr, row)) for row in rows)
+    return "\n".join(lines) + "\n"

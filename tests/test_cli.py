@@ -663,6 +663,138 @@ def test_plot_json_pmf_input(tmp_path):
     assert out.read_text().count("<path") == 9
 
 
+# --- golden bytes of the figure files ------------------------------------------
+
+# sha256 of the peg file and manifest of each preset and format: a change to
+# the lattice or the table writers shows here.
+LATTICE_GOLDEN = {
+    "modules-1-csv": (
+        "88b25990ed114b29215e7d8d84d4649907546beb9e7e9ed87b409f8c600109b7",
+        "28caef9dcd54dd8d4ca19a19bb9f755753fe67f7664635825c362b510bbda8f5"),
+    "modules-1-json": (
+        "5ec0c4153d0be583546fc96a3ba5a247d1d5ed171c74824ea1f34d03fad8620c",
+        "bdca3cb2e1464a09e8f8fd58ff39e0a5feb0d2b5ffe7070a8d0dcf3165b81623"),
+    "modules-1-2-csv": (
+        "31901aea427d14f60837f40a1e6f0bf766354fff77c6c817d4c0a723d3fa07f6",
+        "bce3777b93fbf003790194060c111e1edcb06720bedd9fb1db29f66942428899"),
+    "modules-1-2-json": (
+        "9708c45858a8351ad688ad6f195fd62b2f74e91d34a166e99c6368af48bd3400",
+        "bffc87650ac682643e6a975bbe4749facf1ab36294a4bbb277d9d87ce1cc34dc"),
+    "modules-1-3-csv": (
+        "8bf39d02ec051c0807cc3ad3241eef4b4c83cfc663e4af6fa62a04c50da91ab0",
+        "643f76b69078a8efc8826b969dee8d955e362a97b499223637ce35ddaab71483"),
+    "modules-1-3-json": (
+        "f268c6b8867fb3cb88043313c87602458f23652dabc1285da93999ae447733ec",
+        "1f7df4057217a17200233a4956d36af54946b2d4eda6d7128c391bc94815c69a"),
+    "modules-1-4-csv": (
+        "37b182a3182410f5b276cf6d6a397e147714da4af78c411966053d7023a281ef",
+        "690b8f5e9d12b507000d772276a3b37751faa915e8b197d01d63a91c7dc3e8ef"),
+    "modules-1-4-json": (
+        "3f66930dcf6e72c5ca453b3b06ccaf254d2dbdf373784196d5e1fd89f12227c3",
+        "4f36e1fc595b28ba59f07c18183bfebda039a89a84665465d1ec97d4e0dc3198"),
+    "modules-1-5-csv": (
+        "d8444e85b4e1e67930e79e53d601d6b2296c6a92fba92ff1b00a6401caae2802",
+        "5c944cab0af00abd2b0c3bd644f6455c613b671017c081f95b182c6a02abbe6e"),
+    "modules-1-5-json": (
+        "d77b8b12531c5d1025ed2f66cc2f2cc2228c793655e772c57ac05177ce247405",
+        "40931ac9ec58c6e5a47534a7d864ea60625176717073c0c4aee988be04670e33"),
+    "modules-1-6-csv": (
+        "f11bf3d1395a421ce6237a64b6994911b5e5b1216e0064567d9ef54442cfffd9",
+        "e5fee273f449c5cc12235906fac5b4c270d34eaacc516bae4594ff8092bf1006"),
+    "modules-1-6-json": (
+        "f88a3b4017db615b6572f948b9be0e9b886dab21f38cc282dbe2e4a0938e0242",
+        "551f8c46b59a60739f7333faced9a1c8e30b32613edc3efa9647afa5a591459d"),
+    "modules-1-9-csv": (
+        "648b8c3d318eb44d00851348c80cc07f90ee77e5c68f8ead1f0c9ec14b199d14",
+        "22fd331b6bb013e6edc56f666d768b6486beb272ec6183ed38791a964ffbff3c"),
+    "modules-1-9-json": (
+        "3502a1850d55e122671a9cd4adb5a22d878d8577921109d1b704a9813d99c8c4",
+        "4c39e2a913b8bdc7a674ce2ee6283af5375e68179b12bbdfa62f32f7e5511637"),
+    "modules-1-12-csv": (
+        "a2cb20d6ab4a6c6db1ea7f0d78b6d770e6c8a0e2850c7f3ce0cc02f716e95241",
+        "400e6f192c4be1c74532e8fbce17f272908b879bdce049caee8d95b0f7ab9bdc"),
+    "modules-1-12-json": (
+        "bf5352d85a754ef3659e51fde93975e221c78dd8d1a2b44b6e0eca64de388064",
+        "f4b14f151d2afef042d535902853491b66c1c9ad57a6526ca922b1f6392784a3"),
+    "planar-a4-csv": (
+        "02a71a4bffd66f9b4b40d32c41ed3077896448e421c37dd93d2af5a0bd14d94f",
+        "da0fa2d27de9cf735e116c57d7647c01bc77542d690eb5ac412e68bebdb83656"),
+    "planar-a4-json": (
+        "964db6d0a471d8fca99c21041471bfc02c228524a96384bc37761247466fcc1d",
+        "c9b249df6e724c5ce76f23b61eaed7b287a2ddc686f43ee635e828f72e05f81e"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LATTICE_GOLDEN))
+def test_lattice_golden_bytes(tmp_path, monkeypatch, case):
+    monkeypatch.chdir(tmp_path)     # the manifest records the relative --out
+    name, fmt = case.rsplit("-", 1)
+    data, manifest = LATTICE_GOLDEN[case]
+    assert run(["lattice", "--preset", name, "--format", fmt,
+                "--out", f"pegs.{fmt}"]) == 0
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in tmp_path.iterdir()}
+    assert written == {f"pegs.{fmt}": data, "pegs.manifest.json": manifest}
+
+
+# The commands of each case run in order, and every file they write at the
+# top level, data, sidecars and manifest, is pinned; a plot reads its
+# inputs from in/, written by the case's earlier commands.
+_WN = ["wn", "--mu", 0.5, "--sigma", 0.7]
+FIGURE_GOLDEN = {
+    "wn-csv": (
+        [[*_WN, "--out", "wn.csv"]],
+        {"wn.bins.csv":
+             "6ecab4b4d23d4b725c4b93460404b21a0e489d96f1819a52a635d1b0ecd0dcb4",
+         "wn.csv":
+             "0d3790ecf31eb5f849971035e226b087f030231b6b88cb75d1e6f8734e39e0fe",
+         "wn.manifest.json":
+             "9b40b0cfee3c085bed14265005d8c3952f34ae1376e225c8053bd2369dab9c69"}),
+    "wn-json": (
+        [["wn", "--mu", -2.0, "--sigma", 2.5, "--M", 36, "--format", "json",
+          "--out", "wn.json"]],
+        {"wn.bins.json":
+             "1ab5dbde927da23a9682e16cdc5bdff4eca8d08a4d58ab6479ce01c11efa4c72",
+         "wn.json":
+             "9e548fa81802328892156e9dcf9b0923d0de6fb1398cfba841ea59b08c905193",
+         "wn.manifest.json":
+             "65d2f5da0833acfd57364d8627ce29125fcf0a1f2f1edd55a577bbe20985caba"}),
+    "pmf-centered-json": (
+        [["pmf", "--n", 96, "--M", 24, "--centered", "--format", "json",
+          "--out", "pmf.json"]],
+        {"pmf.json":
+             "4ee3f0bb50acb1709cfaaec9e7c2c130e335129d0b9c9fa6491d43eeed619fde",
+         "pmf.manifest.json":
+             "8f4d8bf75910755ea94a0674a8aff8909651536465f29affe8fd57438dd8c301"}),
+    "plot-ring": (
+        [["pmf", "--n", 24, "--M", 24, "--out", "in/pmf.csv"],
+         [*_WN, "--out", "in/wn.csv"],
+         ["plot", "--style", "ring", "in/pmf.csv", "in/wn.bins.csv", "--out", "ring.svg"]],
+        {"ring.manifest.json":
+             "d5307bcb143095f2a9667993f55558ab843d20bade3fc7e2cc5f521c8052ce8f",
+         "ring.svg":
+             "611c7722fe5e804f08285a989ec11a0ecd1db4497057216f0710d86c388826a7"}),
+    "plot-cylinder": (
+        [[*_WN, "--out", "in/wn.csv"],
+         ["plot", "--style", "cylinder", "in/wn.csv", "--out", "cylinder.svg"]],
+        {"cylinder.manifest.json":
+             "cfb47fa0c15b4290708d719b63b9355ff253ab4c3f1a825f526ac2aa8419e11e",
+         "cylinder.svg":
+             "b1bbeae5291820063d5c3b18a2a75682d51b8b068fda45008653584b4fa06695"}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FIGURE_GOLDEN))
+def test_figure_golden_bytes(tmp_path, monkeypatch, case):
+    monkeypatch.chdir(tmp_path)     # the manifest records the relative --out
+    argvs, digests = FIGURE_GOLDEN[case]
+    for argv in argvs:
+        assert run(argv) == 0
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in tmp_path.iterdir() if p.is_file()}
+    assert written == digests
+
+
 # --- manifests and process-level behaviour ------------------------------------
 
 def test_every_command_writes_a_manifest(tmp_path):

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cylgalton.angular import (PMF_COLUMNS, ParseError, pmf_from_csv,
@@ -18,6 +18,7 @@ from cylgalton.geometry import (PEG_COLUMNS, build_lattice, export_pegs, preset,
 from cylgalton.walk_sim import HISTOGRAM_COLUMNS
 from cylgalton.wrapped_binomial import WrappedBinomial, centered_angle, full_pmf
 from cylgalton.wrapped_normal import WrappedNormal, density
+from oracles import table_csv_ref
 
 # every column set the package writes
 COLUMN_SETS = {"pmf": PMF_COLUMNS, "density": DENSITY_COLUMNS, "pegs": PEG_COLUMNS,
@@ -173,3 +174,63 @@ def test_table_json_writes_what_json_dumps_writes(table, odd, data):
         rows[row] = (odd, *rows[row][1:])
     assert table_json({"M": 7}, "rows", columns, rows) == dumps(
         {"M": 7}, "rows", columns, rows)
+
+
+# table_csv writes column by column and formats each distinct value of a
+# repeating column once; its text must be the row-by-row reference's.
+
+ANY_VALUE = (FLOATS | INTS | st.sampled_from([math.nan, math.inf, -math.inf, True, False])
+             | st.builds(np.float64, FLOATS))
+
+
+@st.composite
+def columns_of_values(draw):
+    """(names, rows): each column drawn free, all distinct, or from a small
+    pool of values so that it repeats."""
+    width, count = draw(st.integers(0, 4)), draw(st.integers(0, 30))
+    columns = []
+    for _ in range(width):
+        shape = draw(st.sampled_from(["free", "distinct", "repeats"]))
+        if shape == "repeats":
+            pool = draw(st.lists(ANY_VALUE, min_size=1, max_size=3))
+            column = draw(st.lists(st.sampled_from(pool), min_size=count, max_size=count))
+        else:
+            column = draw(st.lists(ANY_VALUE if shape == "free" else FLOATS | INTS,
+                                   min_size=count, max_size=count,
+                                   unique_by=(lambda v: (type(v), repr(v)))
+                                   if shape == "distinct" else None))
+        columns.append(column)
+    rows = list(zip(*columns)) if columns else [()] * count
+    return [f"c{k}" for k in range(width)], rows
+
+
+@settings(max_examples=80, deadline=None)
+@given(table=columns_of_values())
+@example(table=(["z", "w"], [(0.0, 1.5), (-0.0, 1.5), (0.0, 1.5), (-0.0, 2.5)]))
+@example(table=(["mixed"], [(1,), (1.0,), (True,), (1,), (1.0,), (True,)]))
+@example(table=(["odd"], [(math.nan,), (math.inf,), (-math.inf,), (math.nan,)] * 2))
+@example(table=(["np"], [(np.float64(0.5),), (np.float64(-0.0),), (np.float64(0.5),)]))
+@example(table=(["repeats", "distinct"], [(k % 3 * 0.1, k / 7) for k in range(12)]))
+@example(table=(["a", "b"], []))
+@example(table=([], [(), ()]))
+def test_table_csv_writes_what_the_row_by_row_reference_writes(table):
+    columns, rows = table
+    assert table_csv(columns, rows) == table_csv_ref(columns, rows)
+    assert table_csv(columns, iter(rows)) == table_csv_ref(columns, rows)
+    assert table_csv(columns, (row for row in rows)) == table_csv_ref(columns, rows)
+    assert table_json({"M": 7}, "rows", columns, rows) == dumps(
+        {"M": 7}, "rows", columns, rows)
+
+
+def test_table_csv_rejects_rows_of_different_lengths():
+    with pytest.raises(ValueError, match="table rows differ in length"):
+        table_csv(DENSITY_COLUMNS, [(0.0, 1.0), (0.5,)])
+    rows = [(0.0, 1.0), (0.5,)]     # table_json's own layout cannot take them
+    assert table_json({}, "rows", DENSITY_COLUMNS, rows) == dumps({}, "rows", DENSITY_COLUMNS, rows)
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_export_pegs_writes_what_the_row_by_row_reference_writes(name):
+    pegs = build_lattice(preset(name).spec)
+    rows = sorted(pegs, key=lambda p: (p.row, p.col))
+    assert export_pegs(pegs, "csv") == table_csv_ref(PEG_COLUMNS, rows)

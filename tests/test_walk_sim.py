@@ -2,6 +2,8 @@ import concurrent.futures
 import hashlib
 import math
 import os
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -125,6 +127,36 @@ def test_rights_do_not_depend_on_the_split(monkeypatch, config):
     assert seen == {_replayed_rights(config)}
     # p = 1 draws nothing; every other board ran on 2 and on 3 threads.
     assert set(pools) == (set() if config.p == 1.0 else {2, 3})
+
+
+def _digest(rights):
+    return hashlib.sha256(",".join(map(str, rights)).encode()).hexdigest()
+
+
+def test_two_threads_share_the_buffer_pool():
+    # Two boards of different shapes, each simulated over and over on its
+    # own thread, take and give back the same pooled buffer sets; every
+    # run still reads the pinned rights.
+    configs = {
+        WalkConfig(n=96, M=24, p=0.5, balls=2000, seed=3):
+            "6245c86469e0d91dbeba4a7a28a0d39ae8a080f72dd2f97ba53a649c38575ae4",
+        WalkConfig(n=50, M=31, p=0.37, balls=3001, seed=2**64 - 1):
+            "ff01ec45f0afd032d5df565bccf8806fbb31a06b579d7684c84ffced38e9db64",
+    }
+    start = threading.Barrier(2, timeout=30)
+
+    def runs(config):
+        start.wait()
+        return {_digest(simulate(config)) for _ in range(20)}
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)     # switch threads as often as the interpreter can
+    try:
+        with concurrent.futures.ThreadPoolExecutor(2) as pool:
+            seen = list(pool.map(runs, configs, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert seen == [{digest} for digest in configs.values()]
 
 
 def test_small_run_starts_no_thread(monkeypatch):
