@@ -58,6 +58,10 @@ _SIGMA_MAX = math.sqrt(sys.float_info.max)
 
 COMMANDS = ("lattice", "pmf", "wn", "simulate", "sweep", "plot")
 
+# main() encodes and writes a payload this many characters at a time, so a
+# file is never held twice in memory, as text and as bytes.
+_WRITE_CHUNK = 1 << 16
+
 # What a command returns: the files to write, in order.
 Outputs = list[tuple[Path, str]]
 
@@ -336,7 +340,9 @@ def main(argv=None) -> int:
         outputs = args.func(args)
         for path, payload in [*outputs, _manifest(args, outputs)]:
             path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_bytes(payload.encode("utf-8"))
+            with path.open("wb") as fh:
+                for i in range(0, len(payload), _WRITE_CHUNK):
+                    fh.write(payload[i:i + _WRITE_CHUNK].encode("utf-8"))
     except ParseError as exc:
         print(f"error: parse: {exc}", file=sys.stderr)
         return 1

@@ -29,12 +29,36 @@ B = sum_{t=1}^{M-1} |cf(t)|.
   for the law to have spread round it (a slot of mass 0, as when n < M,
   forces B >= 1).  With p = a/d exactly, the terms are integers walked up
   and down from the mode by the ratio (n - x)a / ((x + 1)(d - a)), each
-  step floored, until one is 0.  Scaled by 2**1130, they keep every term
-  whose mass is a positive double: about 80 sigma of them, so O(min(n,
-  80 sigma)) time and memory.  Each slot is its orbit sum over the total,
-  rounded once; the floors move it by under n**2 * 2**-108 of its size.
-  Fair boards with n <= 64 walk exact integers and match the rational
-  fold bit for bit.
+  step floored.  Past the mode every ratio is at most 1, so a term j
+  steps out is low by fewer than j units.
+  - Precision: any M consecutive x hold a term of every slot, so the
+    smallest slot is at least the smaller end term of the M around the
+    mode.  lgamma puts that term, or 2**-1075 if it is smaller (a slot
+    below it rounds to 0), D bits below the mode's term, and the walk
+    starts from 2**(D + 66 + f), where 2**f > n**2 exceeds the floor
+    loss.  At p = 1/2 with n no more than that many bits, it walks the
+    exact integers C(n, x) instead, with no shift, so that a slot such as
+    C(57, 25)/2**57, halfway between two doubles, needs no retry.
+  - Window: each side stops once its remaining tail is below 2**-66 of
+    the smallest slot, 2**f units.  Past a term t, j steps out, whose next
+    step ratio r is below 1, the tail is at most (t + j)*r/(1 - r); the
+    test runs at each step once t itself is that small, so no step count
+    depends on M.  About 2*sqrt(2 ln2 (D + 66)) sigma terms are walked:
+    O(min(n, that)) time and memory.
+  - Bracket: E, the floor loss of the kept terms plus both tail bounds,
+    bounds what the walk's total T and each orbit sum S_k miss, so slot
+    k lies in [S_k/(T + E), (S_k + E)/T].  Both ends are int / int, each
+    rounded once; when they round to the same double, that double is the
+    correctly rounded exact fold (Ziv's strategy).  E is at most about
+    2**-64 of the smallest slot, so a bracket rarely straddles a rounding
+    boundary.  A walk with E = 0 (an exact walk over the whole support)
+    returns its exact quotients, and a slot that no x reaches is 0.
+  - Retry: if any bracket straddles, the law is walked again at full
+    depth, until a term floors to 0, with twice the bits.  If that fails
+    too, as an exact tie does (at n = 1, slot 0 is 1 - p exactly, which
+    for p = 0.3 lies halfway between two doubles), the exact integer fold
+    over d**n decides.
+  So every slot is the correctly rounded exact fold.
 
 A law is its parameters: every function of it computes what it needs.
 The route rule is _spectral_rows, one function for a list of row counts
@@ -48,40 +72,87 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import add
 
 import numpy as np
 
 from .angular import (TWO_PI, spectral_masses, spectral_tv, tv_distance,
                       wrap_angle, wrap_to_pi)
 
-# Laws with n <= _EXACT_LIMIT always take the direct route, and their walk
-# starts from C(n, m) itself, so at p = 1/2 every term is an exact integer.
+# Laws with n <= _EXACT_LIMIT always take the direct route.
 _EXACT_LIMIT = 64
 
 # The spectral route needs sum_{t>=1} |cf(t)| <= _SPECTRAL_BOUND, which
 # keeps every slot mass at or above (1 - _SPECTRAL_BOUND)/M.
 _SPECTRAL_BOUND = 0.5
 
+# The direct walk keeps what it misses below about 2**-_GUARD of the
+# smallest slot it must resolve; a slot below 2**_FLOOR rounds to 0.
+_GUARD = 64
+_FLOOR = -1075
+_LN2 = math.log(2)
 
-def _binomial_terms(n: int, p: float) -> tuple[int, list[int]]:
-    """(lo, terms): integers in proportion to the Binomial(n, p) terms of
-    x = lo, lo + 1, ..., walked from the mode (see the module docstring)."""
+
+def _precision(n: int, M: int, p: float) -> tuple[int, int]:
+    """(bits, cut) of the direct walk of (n, M, p), 0 < p < 1: the mode's
+    term is 2**bits, and a tail is cut once it is below 2**-cut of that
+    (the module docstring's D + 66 + f and D + 66)."""
+    a, d = p.as_integer_ratio()
+    mode = min(n, (n + 1) * a // d)
+    lo = min(max(mode - (M - 1) // 2, 0), max(n - M + 1, 0))
+    hi = min(n, lo + M - 1)
+    lg, lq = math.lgamma, math.log1p(-p)
+    odds = math.log(p) - lq
+    top = lg(mode + 1) + lg(n - mode + 1)
+    # ln of the mode's mass over the smaller end's: M consecutive x hold every slot
+    drop = max(lg(lo + 1) + lg(n - lo + 1) + (mode - lo) * odds,
+               lg(hi + 1) + lg(n - hi + 1) + (mode - hi) * odds) - top
+    peak = lg(n + 1) - top + mode * odds + n * lq     # ln of the mode's mass
+    cut = math.ceil(min(drop, peak - _FLOOR * _LN2) / _LN2) + _GUARD + 2
+    return cut + 2 * n.bit_length(), cut
+
+
+def _binomial_terms(n: int, p: float, bits: int,
+                    cut: int | None) -> tuple[int, list[int], int]:
+    """(lo, terms, err): integers in proportion to the Binomial(n, p) terms
+    of x = lo, lo + 1, ..., walked from the mode's term, 2**bits or, at
+    p = 1/2 with n <= bits, C(n, mode); and err, a bound on what their sum
+    and each orbit sum miss of the exact terms in the same units.  Each
+    side stops at the end of the support, once its tail bound is at most
+    2**-cut of the mode's term, or, with cut None, once a term is 0."""
     a, d = p.as_integer_ratio()
     b = d - a
     mode = min(n, (n + 1) * a // d)
-    start = (math.comb(n, mode) if n <= _EXACT_LIMIT else 1) << 1130
-    up, down = [start], []
-    x, t = mode, start
-    while t and x < n:
-        t = t * (n - x) * a // ((x + 1) * b)
+    exact = a == b and n <= bits
+    start = math.comb(n, mode) if exact else 1 << bits
+    slip = 0 if exact else 1            # a floored step loses less than one unit
+    tau = 0 if cut is None else start >> cut
+    up, up_err = _side(n, a, b, mode, start, slip, tau)
+    # walking down from x is walking up from n - x with a and b swapped
+    down, down_err = _side(n, b, a, n - mode, start, slip, tau)
+    return mode - len(down), [*down[::-1], start, *up], up_err + down_err
+
+
+def _side(n: int, a: int, b: int, x: int, t: int, slip: int,
+          tau: int) -> tuple[list[int], int]:
+    """The terms after t, the term at x, walked up by (n - x)a/((x + 1)b)
+    until x = n or the tail's bound is at most tau (t is 0, with tau 0);
+    and what they miss: under slip units per step for each, plus that bound."""
+    terms = []
+    while x < n:
+        num, den = (n - x) * a, (x + 1) * b
+        if t <= tau and num < den:
+            # the ratios fall as x grows, so the tail is under (t + j)r/(1 - r)
+            tail = -(-(t + slip * len(terms)) * num // (den - num))
+            if not t or tail <= tau:
+                break
+        t = t * num // den
         x += 1
-        up.append(t)
-    x, t = mode, start
-    while t and x > 0:
-        t = t * x * b // ((n - x + 1) * a)
-        x -= 1
-        down.append(t)
-    return mode - len(down), down[::-1] + up
+        terms.append(t)
+    else:
+        tail = 0
+    j = len(terms)
+    return terms, tail + slip * j * (j + 1) // 2
 
 
 @dataclass(frozen=True)
@@ -106,11 +177,48 @@ class WrappedBinomial:
 
 
 def _direct_slots(wb: WrappedBinomial) -> tuple[float, ...]:
-    """Slot masses by folding the binomial terms in the window."""
-    lo, terms = _binomial_terms(wb.n, wb.p)
+    """Slot masses from the integer walk, each the correctly rounded exact fold."""
+    n, M, p = wb.n, wb.M, wb.p
+    if p in (0.0, 1.0):
+        return tuple(float(k == (n if p else 0) % M) for k in range(M))
+    bits, cut = _precision(n, M, p)
+    for walk in ((bits, cut), (2 * bits, None)):    # the window, then full depth
+        slots = _certified(*_binomial_terms(n, p, *walk), n, M)
+        if slots is not None:
+            return slots
+    return _exact_fold(n, M, p)
+
+
+def _certified(lo: int, terms: list[int], err: int, n: int,
+               M: int) -> tuple[float, ...] | None:
+    """The slot masses of a walk, each its bracket [S_k/(T + err),
+    (S_k + err)/T] rounded, or None when some bracket's ends round apart."""
     total = sum(terms)
-    # terms[(k - lo) % M::M] is exactly the orbit {k, k+M, ...}; int / int rounds once
-    return tuple(sum(terms[(k - lo) % wb.M::wb.M]) / total for k in range(wb.M))
+    sums = terms[:M]                # sums[i] is the orbit sum of slot (lo + i) % M
+    for i in range(M, len(terms), M):
+        chunk = terms[i:i + M]
+        sums[:len(chunk)] = map(add, sums, chunk)
+    wide = total + err
+    slots = [s / wide for s in sums]        # int / int rounds once
+    if err and slots != [(s + err) / total for s in sums]:
+        return None
+    if len(sums) < M:               # slots the walk never reached
+        if (lo or lo + len(terms) <= n) and err / total:
+            return None             # a missed tail might reach them
+        slots += [0.0] * (M - len(sums))
+    r = -lo % M                     # slot k is slots[(k - lo) % M]
+    return tuple(slots[r:] + slots[:r] if r else slots)
+
+
+def _exact_fold(n: int, M: int, p: float) -> tuple[float, ...]:
+    """The exact fold: orbit sums of C(n, x) a**x b**(n - x) over d**n."""
+    a, d = p.as_integer_ratio()
+    b = d - a
+    slots, t, total = [0] * M, b**n, d**n
+    for x in range(n + 1):
+        slots[x % M] += t
+        t = t * (n - x) * a // ((x + 1) * b)
+    return tuple(s / total for s in slots)
 
 
 def _spectrum(wb: WrappedBinomial) -> np.ndarray | None:

@@ -47,6 +47,21 @@ def binomial_fold_numerators(n: int, m: int, p: float) -> tuple[list[int], int]:
     return slots, d**n
 
 
+def binomial_rows(p: float, top: int):
+    """(n, numerators, d**n) for n = 1..top: the exact Binomial(n, p) terms
+    as integers over d**n, p = a/d exactly, by Pascal's rule with weights,
+    N_{n+1}(x) = b N_n(x) + a N_n(x - 1) with b = d - a, so each row costs
+    n + 2 products and no division.  A row is the exact fold at any M > n."""
+    a, d = Fraction(p).as_integer_ratio()
+    b = d - a
+    row, den = [1], 1
+    for n in range(1, top + 1):
+        row = [b * x + a * y for x, y in zip([*row, 0], [0, *row])]
+        den *= d
+        yield n, row, den
+    assert sum(row) == den
+
+
 def binomial_fold_pmf(n: int, m: int, p: float) -> list[float]:
     """Wrapped binomial: the exact rational fold, each slot rounded once."""
     slots, den = binomial_fold_numerators(n, m, p)

@@ -654,6 +654,33 @@ def test_pmf_file_slot_count_is_checked_before_building_m_slots():
     assert peak < 2**20
 
 
+def test_writing_a_file_holds_no_second_copy_of_it(tmp_path, monkeypatch):
+    # the peak from the moment the command has returned its payload: main
+    # encodes and writes it a chunk at a time, not as one bytes copy
+    real = cli.cmd_lattice
+
+    def computed(args):
+        outputs = real(args)
+        tracemalloc.reset_peak()
+        held.append(tracemalloc.get_traced_memory()[0])
+        return outputs
+
+    held = []
+    monkeypatch.setattr(cli, "cmd_lattice", computed)
+    out = tmp_path / "pegs.json"
+    tracemalloc.start()
+    try:
+        assert run(["lattice", "--preset", "modules-1-12", "--format", "json",
+                    "--out", out]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = out.stat().st_size
+    assert size > 300_000
+    assert peak - held[0] < size // 2
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == LATTICE_GOLDEN["modules-1-12-json"][0]
+
+
 def test_plot_json_pmf_input(tmp_path):
     run(["pmf", "--n", 8, "--M", 24, "--format", "json",
          "--out", tmp_path / "p.json"])

@@ -162,7 +162,7 @@ def test_sweep_folds_each_law_once(monkeypatch):
     folds = []
     real = wrapped_binomial._binomial_terms
     monkeypatch.setattr(wrapped_binomial, "_binomial_terms",
-                        lambda n, p: folds.append(n) or real(n, p))
+                        lambda n, p, *walk: folds.append(n) or real(n, p, *walk))
     sweep_uniformity(24, 0.5, [8, 24, 100])
     assert folds == [8, 24, 100]
 

@@ -15,8 +15,9 @@ from cylgalton.wrapped_binomial import (TrigMoments, WrappedBinomial,
                                         _step_polar, centered_angle, full_pmf,
                                         trig_moments, tv_to_uniform)
 from oracles import (binomial_fold_exact, binomial_fold_numerators,
-                     binomial_fold_pmf, dp_cyclic_walk, mp_fold_window, tv,
-                     tv_to_uniform_bound_ref, tv_to_uniform_ref)
+                     binomial_fold_pmf, binomial_rows, dp_cyclic_walk,
+                     mp_fold_window, tv, tv_to_uniform_bound_ref,
+                     tv_to_uniform_ref)
 
 
 def cf_of(wb):
@@ -69,7 +70,8 @@ def test_fold_oracle_agreement(m, p):
 
 
 def test_log_space_path_matches_fold_oracle():
-    # n > 64 starts the walk from 1 instead of C(n, m)
+    # walks from a power of 2, but for (65, 24, 1/2), which is narrow
+    # enough to walk the exact C(65, x)
     for n, m, p in [(65, 24, 0.5), (100, 24, 0.3), (257, 7, 0.5), (1000, 24, 0.5)]:
         got = full_pmf(WrappedBinomial(n, m, p))
         want = binomial_fold_pmf(n, m, p)
@@ -135,6 +137,50 @@ def test_direct_route_is_the_exact_fold_rounded_once(n):
         for m in (7, 24, 360):
             want = tuple(sum(num[k::m]) / den for k in range(m))
             assert _direct_slots(WrappedBinomial(n, m, p)) == want
+
+
+def test_every_direct_slot_on_the_grid_is_the_correctly_rounded_exact_fold(monkeypatch):
+    # n = 1..300 at M = 7, 24, 360; one exact row, the fold at any M > n,
+    # serves all three
+    walks, folds = [], []
+    walk, fold = wrapped_binomial._binomial_terms, wrapped_binomial._exact_fold
+    monkeypatch.setattr(wrapped_binomial, "_binomial_terms",
+                        lambda n, p, *rest: walks.append((n, p)) or walk(n, p, *rest))
+    monkeypatch.setattr(wrapped_binomial, "_exact_fold",
+                        lambda n, m, p: folds.append((n, m, p)) or fold(n, m, p))
+    for p in (0.5, 0.3, 0.02):
+        for n, num, den in binomial_rows(p, 300):
+            for m in (7, 24, 360):
+                want = tuple(sum(num[k::m]) / den for k in range(m))
+                assert _direct_slots(WrappedBinomial(n, m, p)) == want
+    # Each law certifies on its first walk but the exact ties: at n = 1,
+    # slot 0 is 1 - 0.3 = b/d exactly, which needs 54 bits, so it lies on a
+    # rounding midpoint; the retry cannot split it and the exact fold does.
+    ties = [(1, m, 0.3) for m in (7, 24, 360)]
+    assert len(walks) == 3 * 300 * 3 + len(ties)
+    assert folds == ties
+
+
+def test_the_two_laws_the_floored_walk_rounded_wrong():
+    # the exact folds, which a floored walk with no bracket misses: by one
+    # ulp at n = 67, and at n = 1 by rounding the tie 1 - 0.3 up
+    probs = full_pmf(WrappedBinomial(67, 360, 0.5))
+    assert probs[22] == probs[45] == 0.0018380648467471927
+    assert full_pmf(WrappedBinomial(1, 7, 0.3))[:2] == (0.7, 0.3)
+
+
+def test_a_bracket_that_straddles_is_walked_again_deeper(monkeypatch):
+    # at 40 bits cut 38 below the mode, the bracket of (100, 24, 0.3) cannot
+    # certify every slot; the full-depth walk at 80 bits can
+    walks = []
+    walk = wrapped_binomial._binomial_terms
+    monkeypatch.setattr(wrapped_binomial, "_precision", lambda n, m, p: (40, 38))
+    monkeypatch.setattr(wrapped_binomial, "_binomial_terms",
+                        lambda *args: walks.append(args[2:]) or walk(*args))
+    monkeypatch.setattr(wrapped_binomial, "_exact_fold", None)
+    assert _direct_slots(WrappedBinomial(100, 24, 0.3)) == tuple(
+        binomial_fold_pmf(100, 24, 0.3))
+    assert walks == [(40, 38), (80, None)]
 
 
 @pytest.mark.parametrize("m", [1, 2, 7, 24, 60])
