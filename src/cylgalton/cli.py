@@ -301,7 +301,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         sim.add_argument("--compare", choices=("exact", "wn"),
                          help="append a comparison against the stated law")
         sim.add_argument("--chunk", type=int,
-                         help="upper bound on balls per processing block "
+                         help="upper bound on balls per tile "
                               "(result-invariant)")
         sim.add_argument("--format", choices=("csv", "json"), default="csv")
         sim.add_argument("--out", required=True)

@@ -18,31 +18,45 @@ float test (z >> 11) * 2**-53 < p: scaling by 2**53 is exact, and for an
 integer m, m < x iff m < ceil(x).  p = 1 gives the limit 2**64, so every
 ball goes right at every row.
 
-simulate works through the balls in blocks of at most 2**16 // n balls
-(and at most ``chunk``).  A thread holds one buffer set, reused for
-every block: the uint64 draws, hashed in place, a uint64 scratch for
-the hash's shifts, a uint64 step tile holding row k's offset
-(k + 1) * GOLDEN, built once per call, and a bool mask of right steps.
-That is 3 * 512 KiB + 64 KiB, inside a 2 MiB L2 cache.  A block's draws
-are its step tile plus each ball's key, and a ball's rightward count is
-the byte sum of its mask row.  The blocks are split into contiguous
-ranges, one per CPU the process may run on but no more than one per
-2**18 draws.  Each range runs on its own thread (numpy releases the GIL
-in these loops) with its own buffers and its own ``rights``, and the
-integer sums are added at the end; a run of at most 2**18 draws, such
-as 2,000 balls on 96 rows, starts no thread.  Because every draw
-depends on (seed, b, k) alone and integer sums do not depend on order,
-``rights`` is bit-identical for any chunk, block or thread split, and
-simulate_ball replays any single ball in isolation, with exactly the
-deflections it had in the full run.
+simulate works through the balls in tiles of at most 2**16 draws.  A
+tile is w = min(chunk, 2**16 // min(n, 256), balls / threads) balls
+wide and r = min(n, 2**16 // w) rows deep, row-major: row j holds one
+draw of each of the w balls, so the step add, the hash, the threshold
+and the count all run along contiguous ball vectors, and a ball's
+rightward count is the column sum of the tile's mask, added into a
+per-ball counts buffer.  A thread holds one buffer set, reused for
+every tile: the uint64 draws, hashed in place, a uint64 scratch for the
+hash's shifts, a uint64 step tile whose row j holds (j + 1) * GOLDEN
+for every ball, built once per call, and a bool mask of right steps.
+That is 3 * 512 KiB + 64 KiB, inside a 2 MiB L2 cache.  A board deeper
+than r runs its rows a tile at a time through the same step tile, with
+the keys shifted by k0 * GOLDEN for the tile that starts at row k0.
+This is exact, since in Z/2**64 key + (k0 + j + 1) * GOLDEN =
+(key + k0 * GOLDEN) + (j + 1) * GOLDEN, so no board needs a buffer of n
+draws.  The balls' keys are hashed, and their counts binned, once per
+group of tiles: as many whole tiles as fit in 2**13 balls (12 at
+n = 96), or one tile where a tile is wider (n < 8).
+
+The tiles are split into contiguous ranges, one per CPU the process may
+run on but no more than one per 2**18 draws; a tile is no wider than an
+even share of the balls, so a deep board with few balls still gives
+each range a tile.  Each range runs on its own thread (numpy releases
+the GIL in these loops) with its own buffers, and adds each group's
+bins into the one ``rights`` under a lock; a run of at most 2**18
+draws, such as 2,000 balls on 96 rows, starts no thread.  Because every
+draw depends on (seed, b, k) alone and integer sums do not depend on
+order, ``rights`` is bit-identical for any chunk, tile or thread split,
+and simulate_ball replays any single ball in isolation, with exactly
+the deflections it had in the full run.
 
 The buffer sets outlive the call, since what they hold never carries
 from one call to the next: a thread takes an idle set from a pool that
 every thread shares and gives it back when its range is done.  The pool
 keeps at most one set per CPU, so a run of small simulate calls maps
-its buffers once, not on every call.  Only a board of more than 2**16
-rows, whose one-ball block outgrows a set, takes a set of its own,
-dropped after the call.
+its buffers once, not on every call.  Besides its set, a thread holds
+only its group's keys, counts and bins, and a group's bins run from its
+least count to its greatest, not over 0..n.  So the working memory
+beyond ``rights`` itself grows neither with n nor with balls.
 
 The hash's last step, z ^= z >> 31, leaves the top 31 bits of z as they
 are.  So when the limit L is a multiple of 2**33, as at p = 1/2, p = 0
@@ -56,6 +70,7 @@ import concurrent.futures
 import math
 import os
 import queue
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,10 +89,17 @@ HISTOGRAM_COLUMNS = {"slot": int, "count": int, "frequency": float}
 DEFAULT_CHUNK = 1 << 16
 
 
-# Balls x rows per block: each of a thread's three uint64 buffers (draws,
-# scratch, step tile) is at most 512 KiB, so with the 64 KiB mask they
-# stay inside a 2 MiB L2 cache.
-_BLOCK_DRAWS = 1 << 16
+# Draws per tile: each of a thread's three uint64 buffers (draws, scratch,
+# step tile) is at most 512 KiB, so with the 64 KiB mask they stay inside
+# a 2 MiB L2 cache.
+_TILE_DRAWS = 1 << 16
+# Rows of a full-width tile: 256 rows leave it 256 balls wide, rows long
+# enough for the step add's broadcast and the column sum (1024-row tiles,
+# 64 balls wide, ran deep boards up to 15% slower).
+_TILE_ROWS = 1 << 8
+# Balls per key pass and per bincount, in whole tiles (one tile where a
+# tile is wider): from n = 8 on, a group's keys take at most 64 KiB.
+_GROUP_BALLS = 1 << 13
 # Least work worth a thread of its own: about a millisecond of hashing,
 # several times what starting the thread costs.
 _THREAD_DRAWS = 1 << 18
@@ -90,7 +112,7 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-# Idle buffer sets of _BLOCK_DRAWS entries each, shared by every thread of
+# Idle buffer sets of _TILE_DRAWS entries each, shared by every thread of
 # every call (the module docstring); at most one per CPU stays.
 _IDLE_BUFFERS: queue.LifoQueue = queue.LifoQueue(_cpu_count())
 
@@ -131,63 +153,78 @@ def _right_limit(p: float) -> int:
     return math.ceil(p * 2.0**53) << 11
 
 
-def _take_buffers(draws: int) -> list[np.ndarray]:
-    """A flat buffer set (draws, scratch, step tile, mask) of at least draws
-    entries: an idle pooled set when draws fits one, else a new set."""
-    if draws <= _BLOCK_DRAWS:
-        try:
-            return _IDLE_BUFFERS.get_nowait()
-        except queue.Empty:
-            draws = _BLOCK_DRAWS
-    return [*(np.empty(draws, dtype=np.uint64) for _ in range(3)),
-            np.empty(draws, dtype=bool)]
+def _take_buffers() -> list[np.ndarray]:
+    """A flat buffer set (draws, scratch, step tile, mask) of _TILE_DRAWS
+    entries: an idle pooled set, else a new one."""
+    try:
+        return _IDLE_BUFFERS.get_nowait()
+    except queue.Empty:
+        return [*(np.empty(_TILE_DRAWS, dtype=np.uint64) for _ in range(3)),
+                np.empty(_TILE_DRAWS, dtype=bool)]
 
 
 def _give_buffers(buffers: list[np.ndarray]) -> None:
-    """Keep a set of the pooled size for the next call, while the pool has room."""
-    if buffers[0].size == _BLOCK_DRAWS:
-        try:
-            _IDLE_BUFFERS.put_nowait(buffers)
-        except queue.Full:
-            pass
+    """Keep a set for the next call, while the pool has room."""
+    try:
+        _IDLE_BUFFERS.put_nowait(buffers)
+    except queue.Full:
+        pass
 
 
-def _count_rights(seed: int, lo: int, hi: int, n: int, limit: int,
-                  block: int) -> np.ndarray:
-    """Histogram of rightward counts over balls lo..hi-1, block by block.
+def _count_rights(seed: int, lo: int, hi: int, n: int, limit: int, width: int,
+                  rights: np.ndarray, lock: threading.Lock) -> None:
+    """Add the rightward counts of balls lo..hi-1 into rights, tile by tile.
 
-    The draws are those of _step_bits, except that the hash's last step
-    is left out when limit % 2**33 == 0.  Proof that no step changes
-    side: write L = l * 2**33 and y = z ^ (z >> 31).  As z >> 31 < 2**33,
-    y >> 33 == z >> 33, and for any w, w < L iff (w >> 33) < l, so
-    y < L iff z < L.  A row's count is at most n, so min_scalar_type(n)
-    holds it exactly.
+    A tile holds width balls on as many rows as _TILE_DRAWS allows,
+    row-major (module docstring).  The draws are those of _step_bits,
+    except that the hash's last step is left out when limit % 2**33 == 0.
+    Proof that no step changes side: write L = l * 2**33 and
+    y = z ^ (z >> 31).  As z >> 31 < 2**33, y >> 33 == z >> 33, and for
+    any w, w < L iff (w >> 33) < l, so y < L iff z < L.  A ball's count
+    is at most n, so min_scalar_type(n) holds it exactly, and so does a
+    row tile's sum.
     """
-    rights = np.zeros(n + 1, dtype=np.int64)
-    rows = min(block, hi - lo)
-    buffers = _take_buffers(rows * n)
-    z, tmp, tile, mask = (b[:rows * n].reshape(rows, n) for b in buffers)
-    tile[:] = np.arange(1, n + 1, dtype=np.uint64) * _GOLDEN
+    width = min(width, hi - lo)
+    rows = max(1, min(n, _TILE_DRAWS // width))
+    buffers = _take_buffers()
+    draws, scratch, steps, mask = buffers
+    steps = steps[:rows * width].reshape(rows, width)
+    steps[:] = (np.arange(1, rows + 1, dtype=np.uint64) * _GOLDEN)[:, None]
     bound = np.uint64(limit)
     finish = limit % 2**33 != 0
     count_type = np.min_scalar_type(n)
-    for start in range(lo, hi, block):
-        size = min(block, hi - start)
-        np.add(tile[:size], _ball_keys(seed, start, size)[:, None], out=z[:size])
-        np.less(_mix64(z[:size], tmp[:size], finish), bound, out=mask[:size])
-        rights += np.bincount(np.add.reduce(mask[:size].view(np.uint8), axis=1,
-                                            dtype=count_type),
-                              minlength=n + 1)
+    group = max(1, _GROUP_BALLS // width) * width
+    for start in range(lo, hi, group):
+        keys = _ball_keys(seed, start, min(group, hi - start))
+        counts = np.zeros(keys.size, dtype=count_type)
+        for first in range(0, keys.size, width):
+            size = min(width, keys.size - first)
+            for row in range(0, n, rows):
+                r = min(rows, n - row)
+                z, tmp, right = (b[:r * size].reshape(r, size)
+                                 for b in (draws, scratch, mask))
+                shifted = keys[first:first + size]
+                if row:
+                    shifted = shifted + np.uint64(row * int(_GOLDEN) % _UINT64_LIMIT)
+                np.add(steps[:r, :size], shifted, out=z)
+                np.less(_mix64(z, tmp, finish), bound, out=right)
+                counts[first:first + size] += np.add.reduce(
+                    right.view(np.uint8), axis=0, dtype=count_type)
+        low = int(counts.min())
+        counts -= low
+        binned = np.bincount(counts)
+        with lock:
+            rights[low:low + binned.size] += binned
     _give_buffers(buffers)
-    return rights
 
 
 def _split(balls: int, n: int, chunk: int) -> tuple[int, list[int]]:
-    """simulate's block size, and the ball bounds of each thread's range."""
-    block = min(chunk, max(1, _BLOCK_DRAWS // max(n, 1)))
-    blocks = -(-balls // block)
-    ranges = min(_cpu_count(), blocks, -(-balls * max(n, 1) // _THREAD_DRAWS))
-    return block, [min(balls, i * blocks // ranges * block) for i in range(ranges + 1)]
+    """simulate's tile width in balls, and the ball bounds of each thread's range."""
+    ranges = min(_cpu_count(), -(-balls * max(n, 1) // _THREAD_DRAWS))
+    width = min(chunk, _TILE_DRAWS // max(1, min(n, _TILE_ROWS)), -(-balls // ranges))
+    tiles = -(-balls // width)
+    ranges = min(ranges, tiles)
+    return width, [min(balls, i * tiles // ranges * width) for i in range(ranges + 1)]
 
 
 @dataclass(frozen=True)
@@ -231,25 +268,26 @@ def simulate(config: WalkConfig, chunk: int = DEFAULT_CHUNK) -> tuple[int, ...]:
     with x rightward deflections, x = 0..n.
 
     The slot counts are slot_counts(rights, config.M).  chunk is an upper
-    bound on balls per block; the result is a pure function of (seed,
+    bound on balls per tile; the result is a pure function of (seed,
     config), and ball b is simulate_ball(config, b).
     """
     if chunk < 1:
         raise ValueError(f"chunk must be >= 1, got {chunk}")
     n, balls = config.n, config.balls
     limit = _right_limit(config.p)
+    rights = np.zeros(n + 1, dtype=np.int64)
     if limit == _UINT64_LIMIT:
-        rights = np.zeros(n + 1, dtype=np.int64)
         rights[n] = balls
     else:
-        block, bounds = _split(balls, n, chunk)
-        jobs = [(config.seed, lo, hi, n, limit, block)
+        width, bounds = _split(balls, n, chunk)
+        lock = threading.Lock()     # one add into rights at a time
+        jobs = [(config.seed, lo, hi, n, limit, width, rights, lock)
                 for lo, hi in zip(bounds, bounds[1:])]
         if len(jobs) == 1:
-            rights = _count_rights(*jobs[0])
+            _count_rights(*jobs[0])
         else:
             with concurrent.futures.ThreadPoolExecutor(len(jobs)) as pool:
-                rights = sum(pool.map(lambda job: _count_rights(*job), jobs))
+                list(pool.map(lambda job: _count_rights(*job), jobs))
     return tuple(rights.tolist())
 
 

@@ -2,6 +2,7 @@ import concurrent.futures
 import hashlib
 import math
 import os
+import queue
 import sys
 import threading
 import tracemalloc
@@ -73,6 +74,10 @@ def _replayed_rights(config):
     return tuple(rights)
 
 
+def _digest(rights):
+    return hashlib.sha256(",".join(map(str, rights)).encode()).hexdigest()
+
+
 # Golden values of the stream: a change to the hash, the counters or the
 # threshold rule changes them, and with them every seeded output file.
 def test_stream_golden_rights():
@@ -89,27 +94,48 @@ def test_stream_golden_digest(monkeypatch, cpus):
         "66065daf20e5990873c02bac3da41919757d9fce4c5f28afc8c8fa777653cf90")
 
 
+# Boards deeper than one row tile, pinned from the ball-major kernel
+# that came before the row tiles: the first is CI's deep run.
+@pytest.mark.parametrize("cpus", [1, 3])
+@pytest.mark.parametrize("config, digest", [
+    (WalkConfig(n=10**4, M=24, p=0.5, balls=2000, seed=0),
+     "896e070933e38d34907c4b02459e74e5edc17dec340cc0cd3404c31b18b78c84"),
+    (WalkConfig(n=10**5, M=24, p=0.3, balls=40, seed=2**64 - 1),
+     "a535ec59a84116d54109e7258a7ca8fdb7677646f6600b7f3e3eb4540def53cc"),
+], ids=["n10000", "n100000"])
+def test_stream_golden_digest_of_deep_boards(monkeypatch, cpus, config, digest):
+    _affinity(monkeypatch, cpus)
+    assert _digest(simulate(config)) == digest
+
+
 @pytest.mark.parametrize("config", [
-    WalkConfig(n=96, M=24, p=0.37, balls=2001, seed=3),   # not a whole block
+    WalkConfig(n=96, M=24, p=0.37, balls=2001, seed=3),   # not a whole tile
     WalkConfig(n=30, M=31, p=0.9, balls=3000, seed=2**64 - 1),
     WalkConfig(n=5, M=3, p=0.0, balls=1000, seed=4),
     WalkConfig(n=5, M=3, p=1.0, balls=1000, seed=4),
     WalkConfig(n=0, M=1, p=0.5, balls=1000, seed=5),
     # Nearly every ball goes right at every row, so a row count reaches n:
     # 255 is the most a uint8 counter holds, 256 takes uint16 and 2**16
-    # (one-ball blocks) uint32.  1 - 2**-31 has a limit with 33 zero low
-    # bits, so the hash's last step is left out; 1 - 2**-53 does not.
+    # uint32.  1 - 2**-31 has a limit with 33 zero low bits, so the hash's
+    # last step is left out; 1 - 2**-53 does not.
     WalkConfig(n=255, M=24, p=1 - 2**-31, balls=4, seed=6),
     WalkConfig(n=255, M=24, p=1 - 2**-53, balls=4, seed=6),
     WalkConfig(n=256, M=24, p=1 - 2**-31, balls=4, seed=7),
     WalkConfig(n=256, M=24, p=1 - 2**-53, balls=4, seed=7),
     WalkConfig(n=2**16, M=24, p=1 - 2**-31, balls=3, seed=8),
     WalkConfig(n=2**16, M=24, p=1 - 2**-53, balls=3, seed=8),
+    # With 300 balls these boards run in tiles of fewer rows than n (256
+    # rows at full width), so the keys of every later row tile are
+    # shifted by k0 * GOLDEN.
+    WalkConfig(n=1024, M=24, p=1 - 2**-53, balls=300, seed=9),
+    WalkConfig(n=1025, M=24, p=0.37, balls=300, seed=10),
+    WalkConfig(n=3 * 1024 + 1, M=24, p=0.37, balls=300, seed=2**64 - 1),
 ], ids=["n96", "planar", "p0", "p1", "n0", "n255-short-hash", "n255-full-hash",
         "n256-short-hash", "n256-full-hash", "n65536-short-hash",
-        "n65536-full-hash"])
+        "n65536-full-hash", "n1024-row-tiles", "n1025-row-tiles",
+        "n3073-row-tiles"])
 def test_rights_do_not_depend_on_the_split(monkeypatch, config):
-    # Let every range of blocks take a thread, however little work it holds.
+    # Let every range of tiles take a thread, however little work it holds.
     monkeypatch.setattr(walk_sim, "_THREAD_DRAWS", 1)
     pools = []
     real_pool = concurrent.futures.ThreadPoolExecutor
@@ -127,10 +153,6 @@ def test_rights_do_not_depend_on_the_split(monkeypatch, config):
     assert seen == {_replayed_rights(config)}
     # p = 1 draws nothing; every other board ran on 2 and on 3 threads.
     assert set(pools) == (set() if config.p == 1.0 else {2, 3})
-
-
-def _digest(rights):
-    return hashlib.sha256(",".join(map(str, rights)).encode()).hexdigest()
 
 
 def test_two_threads_share_the_buffer_pool():
@@ -159,6 +181,25 @@ def test_two_threads_share_the_buffer_pool():
     assert seen == [{digest} for digest in configs.values()]
 
 
+def test_threads_add_into_one_histogram_without_losing_a_count(monkeypatch):
+    # Eight threads add their bins into the one rights under a lock, a
+    # group per tile; with the interpreter switching threads as often as it
+    # can, an add that raced another would lose counts.
+    config = WalkConfig(n=12, M=24, p=0.37, balls=20000, seed=13)
+    _affinity(monkeypatch, 1)
+    reference = simulate(config)
+    monkeypatch.setattr(walk_sim, "_THREAD_DRAWS", 1)
+    monkeypatch.setattr(walk_sim, "_GROUP_BALLS", 1)
+    _affinity(monkeypatch, 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)     # switch threads as often as the interpreter can
+    try:
+        runs = {simulate(config, chunk=7) for _ in range(3)}
+    finally:
+        sys.setswitchinterval(interval)
+    assert runs == {reference}
+
+
 def test_small_run_starts_no_thread(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a thread pool was started")
@@ -170,7 +211,7 @@ def test_small_run_starts_no_thread(monkeypatch):
 
 def test_working_memory_does_not_grow_with_chunk():
     # Each thread's buffers fit in 2 MiB (module docstring); 256 KiB covers
-    # the rest of the call.  A chunk above the block size changes neither.
+    # the rest of the call.  A chunk above the tile width changes neither.
     config = WalkConfig(96, 24, 0.5, 10**5, seed=1)
     bounds = []
     for chunk in (682, 10**6):
@@ -184,6 +225,25 @@ def test_working_memory_does_not_grow_with_chunk():
             tracemalloc.stop()
         assert peak < bounds[-1]
     assert bounds[0] == bounds[1]
+
+
+def test_working_memory_does_not_grow_with_rows(monkeypatch):
+    # A board deeper than one row tile runs its rows a tile at a time
+    # through the same buffer set, so the bound above holds at any n once
+    # the output is set aside: the int64 histogram, the list tolist makes
+    # of it and the returned tuple, 8 bytes a slot each.  An empty pool
+    # makes the call map, and so count, its own buffer sets.
+    monkeypatch.setattr(walk_sim, "_IDLE_BUFFERS", queue.LifoQueue(walk_sim._cpu_count()))
+    for n in (10**5, 10**6):
+        config = WalkConfig(n, 24, 0.5, 2, seed=1)
+        threads = len(_split(config.balls, config.n, walk_sim.DEFAULT_CHUNK)[1]) - 1
+        tracemalloc.start()
+        try:
+            simulate(config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - 3 * 8 * (n + 1) < threads * 2 * 2**20 + 2**18
 
 
 @settings(max_examples=300, deadline=None)
