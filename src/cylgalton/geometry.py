@@ -10,14 +10,13 @@ cylinder surface.  Presets cover the physical modular board (24 slots,
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import NamedTuple
 
 from .angular import TWO_PI, table_csv, table_json, wrap_angle
-
-REL_TOL = 1e-12
 
 # Clearance may be violated by up to this factor before it is a hard
 # error; rounded catalogue dimensions land slightly inside the margin.
@@ -39,92 +38,92 @@ class ClearanceWarning(UserWarning):
 
 @dataclass(frozen=True)
 class LatticeSpec:
-    """Geometric parameters of a peg board.
+    """Parameters of a peg board, checked when the spec is built.
 
-    For a wrapped (cylindrical) board the angular spacing ties the other
-    fields together: delta_theta = d / R and M * delta_theta = 2*pi.
-    For a flat board (wrap=False) M counts the collection bins (n + 1),
-    and R / delta_theta are unused and stored as 0.
+    Every board is given n rows h apart, the top row's height H and the
+    peg and ball radii.  A wrapped (cylindrical) board is given its radius
+    R and M slots and derives its spacings, delta_theta = 2*pi/M and
+    d = R*delta_theta.  A flat board (wrap=False, see planar) is given its
+    spacing flat_d instead: its R is 0, its delta_theta reads 0 and M
+    counts its n + 1 bins.  Building a spec raises LatticeError naming the
+    first violated invariant, a set field the board ignores included.
     """
 
-    R: float            # cylinder radius
+    R: float            # cylinder radius (wrapped board only)
     M: int              # angular slots (wrapped) or collection bins (flat)
-    delta_theta: float  # angular spacing between adjacent pegs
-    d: float            # horizontal arc spacing between adjacent pegs
     h: float            # vertical spacing between rows
     n: int              # number of peg rows
     H: float            # height of the top peg row
     r_peg: float
     r_ball: float
     wrap: bool = True
+    flat_d: float = 0.0  # peg spacing (flat board only)
 
     @classmethod
     def from_angular(cls, R: float, M: int, n: int, h: float,
                      r_peg: float, r_ball: float,
                      H: float | None = None) -> "LatticeSpec":
-        """Build a consistent cylindrical spec from radius and slot count.
-
-        delta_theta and d are derived (2*pi/M and R*2*pi/M), so the
-        coupling invariants hold exactly.  H defaults to n*h.
-        """
-        if M < 1:       # before 2*pi/M, so M = 0 fails like any other bad M
-            raise LatticeError(f"M must be >= 1, got {M}")
-        delta_theta = TWO_PI / M
-        return cls(R=R, M=M, delta_theta=delta_theta, d=R * delta_theta,
-                   h=h, n=n, H=n * h if H is None else H,
-                   r_peg=r_peg, r_ball=r_ball, wrap=True)
+        """Cylindrical board of radius R with M slots; H defaults to n*h."""
+        return cls(R=R, M=M, h=h, n=n, H=n * h if H is None else H,
+                   r_peg=r_peg, r_ball=r_ball)
 
     @classmethod
     def planar(cls, n: int, d: float, h: float,
                r_peg: float, r_ball: float) -> "LatticeSpec":
         """Flat triangular board with n rows and n+1 bins, no wrapping."""
-        return cls(R=0.0, M=n + 1, delta_theta=0.0, d=d, h=h, n=n,
-                   H=n * h, r_peg=r_peg, r_ball=r_ball, wrap=False)
+        return cls(R=0.0, M=n + 1, h=h, n=n, H=n * h, r_peg=r_peg,
+                   r_ball=r_ball, wrap=False, flat_d=d)
 
-    def validate(self) -> "LatticeSpec":
-        """Check all invariants; raise LatticeError naming the first violated one."""
-        if self.M < 1:
-            raise LatticeError(f"M must be >= 1, got {self.M}")
-        if self.wrap and self.n < 1:
-            raise LatticeError(f"n must be >= 1, got {self.n}")
-        if not self.wrap and self.n < 0:
-            raise LatticeError(f"n must be >= 0 for a flat board, got {self.n}")
-        lengths = ("d", "h", "r_peg", "r_ball")
+    @property
+    def delta_theta(self) -> float:
+        """Angular spacing between adjacent pegs (0 on a flat board)."""
+        return TWO_PI / self.M if self.wrap else 0.0
+
+    @property
+    def d(self) -> float:
+        """Horizontal arc spacing between adjacent pegs."""
+        return self.R * (TWO_PI / self.M) if self.wrap else self.flat_d
+
+    def __post_init__(self) -> None:
         if self.wrap:
-            # d is derived from R on a wrapped board, so R is checked first
-            lengths = ("R", *lengths)
-        for name in lengths:
-            value = getattr(self, name)
-            if not 0.0 < value < math.inf:
-                raise LatticeError(f"{name} must be finite and > 0, got {value!r}")
-        if self.wrap:
-            if not self.H > 0.0:
-                raise LatticeError(f"H must be > 0, got {self.H!r}")
-            if abs(self.delta_theta - self.d / self.R) > REL_TOL * abs(self.delta_theta):
-                raise LatticeError(
-                    f"delta_theta={self.delta_theta!r} is not d/R={self.d / self.R!r}")
-            if abs(self.M * self.delta_theta - TWO_PI) > REL_TOL * TWO_PI:
-                raise LatticeError(
-                    f"M*delta_theta={self.M * self.delta_theta!r} does not close the circle")
+            if self.M < 1:
+                raise LatticeError(f"M must be >= 1, got {self.M}")
+            if self.n < 1:
+                raise LatticeError(f"n must be >= 1, got {self.n}")
+            if self.flat_d:
+                raise LatticeError(f"flat_d must be 0 on a wrapped board, got {self.flat_d!r}")
+            lengths = ("R", "d")    # d is derived from R, so R is checked first
         else:
+            if self.n < 0:
+                raise LatticeError(f"n must be >= 0 for a flat board, got {self.n}")
             if self.M != self.n + 1:
                 raise LatticeError(
                     f"a flat board needs M = n+1 bins, got M={self.M}, n={self.n}")
+            if self.R:
+                raise LatticeError(f"R must be 0 on a flat board, got {self.R!r}")
+            lengths = ("d",)
+        for name in (*lengths, "h", "r_peg", "r_ball"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise LatticeError(f"{name} must be finite and > 0, got {value!r}")
+        if self.wrap and not self.H > 0.0:
+            raise LatticeError(f"H must be > 0, got {self.H!r}")
         gap = self.d - 2.0 * self.r_peg
         if not gap > 0.0:
             raise LatticeError(f"pegs overlap: d={self.d!r} <= 2*r_peg={2 * self.r_peg!r}")
         ratio = 2.0 * self.r_ball / gap
         if ratio >= 1.0:
             if ratio <= CLEARANCE_SLACK:
+                # warn where the spec was built, past __init__ and from_angular or planar
+                caller = 4 if sys._getframe(2).f_code.co_filename == __file__ else 3
                 warnings.warn(
                     f"ball diameter {2 * self.r_ball!r} barely exceeds the "
                     f"peg gap {gap!r} (ratio {ratio:.4f})", ClearanceWarning,
-                    stacklevel=2)
+                    stacklevel=caller)
             else:
                 raise LatticeError(
                     f"clearance violated: ball diameter {2 * self.r_ball!r} "
                     f">> peg gap {gap!r}")
-        return self
 
 
 class Peg(NamedTuple):
@@ -144,8 +143,6 @@ class Peg(NamedTuple):
 @dataclass(frozen=True)
 class BoardPreset:
     name: str
-    modules: int
-    rows_per_module: int
     spec: LatticeSpec
 
 
@@ -163,7 +160,6 @@ def build_lattice(spec: LatticeSpec) -> list[Peg]:
     each peg keeps the position of its own offset, as when every peg was
     placed on its own.
     """
-    spec.validate()
     if spec.wrap:
         def place(offset: float) -> tuple[float, float, float]:
             theta = wrap_angle(offset * spec.delta_theta)
@@ -187,8 +183,8 @@ def build_lattice(spec: LatticeSpec) -> list[Peg]:
 
 
 # Physical modular board: 24 slots around an 11.4 cm insertion board,
-# 8 rows per module.  d is derived from R and M so the angular coupling
-# holds exactly; the catalogue's rounded 1.5 cm spacing is nominal.
+# 8 rows per module.  d is derived from R and M; the catalogue's rounded
+# 1.5 cm spacing is nominal.
 # BOARD_DIMENSIONS: every module preset's lengths, and a custom board's defaults.
 BOARD_DIMENSIONS = {"R": 5.7, "h": 1.02, "r_peg": 0.1, "r_ball": 0.4}
 _MODULE_HEIGHT = 8.3
@@ -213,8 +209,7 @@ def _module_preset(name: str, modules: int) -> BoardPreset:
     n = _ROWS_PER_MODULE * modules
     spec = LatticeSpec.from_angular(M=_SLOTS, n=n, H=_MODULE_HEIGHT * modules,
                                     **BOARD_DIMENSIONS)
-    return BoardPreset(name=name, modules=modules,
-                       rows_per_module=_ROWS_PER_MODULE, spec=spec)
+    return BoardPreset(name=name, spec=spec)
 
 
 def planar_board(n: int = 10) -> BoardPreset:
@@ -224,8 +219,7 @@ def planar_board(n: int = 10) -> BoardPreset:
     on the source; this preset uses ten rows and eleven bins.
     """
     spec = LatticeSpec.planar(n=n, d=1.0, h=0.8, r_peg=0.1, r_ball=0.35)
-    return BoardPreset(name=PLANAR_PRESET_NAME, modules=0, rows_per_module=0,
-                       spec=spec)
+    return BoardPreset(name=PLANAR_PRESET_NAME, spec=spec)
 
 
 def preset_names() -> list[str]:

@@ -692,9 +692,27 @@ def test_plot_json_pmf_input(tmp_path):
 
 # --- golden bytes of the figure files ------------------------------------------
 
-# sha256 of the peg file and manifest of each preset and format: a change to
+# Custom boards, at an R and M no preset has: their spacings are derived.
+CUSTOM_BOARDS = {
+    "custom-M7-n20-R3.3-h0.9": ["--M", 7, "--n", 20, "--R", 3.3, "--h", 0.9],
+    "custom-M360-n12-R60": ["--M", 360, "--n", 12, "--R", 60],
+}
+
+# sha256 of the peg file and manifest of each board and format: a change to
 # the lattice or the table writers shows here.
 LATTICE_GOLDEN = {
+    "custom-M7-n20-R3.3-h0.9-csv": (
+        "bb846d080bdebe862e2da5e9de4dbc4fcdea3e78df41b7d2d0d854a2bb447f12",
+        "4c74704352dc36fc75fa02384f092a1c9e082ff5bbf266cf96d79ff6941ecd64"),
+    "custom-M7-n20-R3.3-h0.9-json": (
+        "0966943d1b88b7a5f3507e13bd20ebb602224b31ac01a42ef824c92aea2ab824",
+        "1b297929ba3288bf8ea8e17f79a744dec301f11d828deb856a7cf51fe5c15bde"),
+    "custom-M360-n12-R60-csv": (
+        "fff5332f898731bcb106aa3e3cd306690c13878534ce914866c79339d4d051a7",
+        "ee66670daf8f78df34381a783c7192b751a8edf743b9c9d92124a13e2107e075"),
+    "custom-M360-n12-R60-json": (
+        "a59752da27c9639e7954bc862baeeac3989658e5e4177affe425b5b89cdebf62",
+        "1606645fbdbcf2c1851704b2795bba344f82d15291a6e00838576721d31cef33"),
     "modules-1-csv": (
         "88b25990ed114b29215e7d8d84d4649907546beb9e7e9ed87b409f8c600109b7",
         "28caef9dcd54dd8d4ca19a19bb9f755753fe67f7664635825c362b510bbda8f5"),
@@ -757,8 +775,8 @@ def test_lattice_golden_bytes(tmp_path, monkeypatch, case):
     monkeypatch.chdir(tmp_path)     # the manifest records the relative --out
     name, fmt = case.rsplit("-", 1)
     data, manifest = LATTICE_GOLDEN[case]
-    assert run(["lattice", "--preset", name, "--format", fmt,
-                "--out", f"pegs.{fmt}"]) == 0
+    board = CUSTOM_BOARDS.get(name, ["--preset", name])
+    assert run(["lattice", *board, "--format", fmt, "--out", f"pegs.{fmt}"]) == 0
     written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                for p in tmp_path.iterdir()}
     assert written == {f"pegs.{fmt}": data, "pegs.manifest.json": manifest}

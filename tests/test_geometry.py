@@ -72,13 +72,18 @@ def test_successive_rows_stagger_by_half_spacing():
         assert abs(shift - spec.delta_theta / 2) < 1e-9
 
 
+MODULE_COUNTS = {"modules-1": 1, "modules-1-2": 2, "modules-1-3": 3,
+                 "modules-1-4": 4, "modules-1-5": 5, "modules-1-6": 6,
+                 "modules-1-9": 9, "modules-1-12": 12}
+
+
 @pytest.mark.parametrize("name", preset_names())
 def test_presets_validate_and_build(name):
     board = preset(name)
     pegs = build_lattice(board.spec)
     if board.spec.wrap:
         assert board.spec.M == 24
-        assert board.spec.n == 8 * board.modules
+        assert board.spec.n == 8 * MODULE_COUNTS[name]
         assert len(pegs) == sum(min(board.spec.M, i + 1)
                                 for i in range(board.spec.n))
     else:
@@ -112,21 +117,24 @@ def test_planar_board_bins():
 
 
 def test_invalid_specs_name_the_violation():
-    good = preset("modules-1").spec
-    with pytest.raises(LatticeError, match="delta_theta"):
-        LatticeSpec(R=good.R, M=good.M, delta_theta=good.delta_theta,
-                    d=good.d * 1.01, h=good.h, n=good.n, H=good.H,
-                    r_peg=good.r_peg, r_ball=good.r_ball).validate()
     with pytest.raises(LatticeError, match="n must be"):
         LatticeSpec.from_angular(R=5.7, M=24, n=0, h=1.0,
-                                 r_peg=0.1, r_ball=0.3).validate()
+                                 r_peg=0.1, r_ball=0.3)
     with pytest.raises(LatticeError, match="h must be"):
         LatticeSpec.from_angular(R=5.7, M=24, n=8, h=-1.0,
-                                 r_peg=0.1, r_ball=0.3).validate()
-    with pytest.raises(LatticeError, match="circle"):
-        LatticeSpec(R=5.7, M=24, delta_theta=0.9 * TWO_PI / 24,
-                    d=5.7 * 0.9 * TWO_PI / 24, h=1.0, n=8, H=8.0,
-                    r_peg=0.1, r_ball=0.3).validate()
+                                 r_peg=0.1, r_ball=0.3)
+    # a flat board names the n it was given, not its derived bin count
+    with pytest.raises(LatticeError, match="n must be >= 0 for a flat board, got -1"):
+        planar_board(-1)
+    with pytest.raises(LatticeError, match="n must be >= 0 for a flat board, got -2"):
+        LatticeSpec.planar(n=-2, d=1.0, h=0.8, r_peg=0.1, r_ball=0.35)
+    # a field the board ignores may not be set
+    with pytest.raises(LatticeError, match="flat_d must be 0 on a wrapped board"):
+        LatticeSpec(R=5.7, M=24, h=1.0, n=8, H=8.0, r_peg=0.1, r_ball=0.3,
+                    flat_d=1.0)
+    with pytest.raises(LatticeError, match="R must be 0 on a flat board"):
+        LatticeSpec(R=5.7, M=11, h=0.8, n=10, H=8.0, r_peg=0.1, r_ball=0.35,
+                    wrap=False, flat_d=1.0)
 
 
 def test_clearance_warning_vs_error():
@@ -134,12 +142,17 @@ def test_clearance_warning_vs_error():
     spec = LatticeSpec.from_angular(R=5.7, M=24, n=8, h=1.02,
                                     r_peg=0.1, r_ball=0.4)
     gap = spec.d - 2 * spec.r_peg
-    with pytest.warns(ClearanceWarning):
+    with pytest.warns(ClearanceWarning) as built:
         LatticeSpec.from_angular(R=5.7, M=24, n=8, h=1.02, r_peg=0.1,
-                                 r_ball=0.51 * gap).validate()
+                                 r_ball=0.51 * gap)
+    with pytest.warns(ClearanceWarning) as constructed:
+        LatticeSpec(R=5.7, M=24, h=1.02, n=8, H=8.16, r_peg=0.1,
+                    r_ball=0.51 * gap)
+    # either way the warning points at the code that built the spec
+    assert [w.filename for w in (*built, *constructed)] == [__file__] * 2
     with pytest.raises(LatticeError, match="clearance"):
         LatticeSpec.from_angular(R=5.7, M=24, n=8, h=1.02, r_peg=0.1,
-                                 r_ball=0.6 * gap).validate()
+                                 r_ball=0.6 * gap)
 
 
 def test_csv_export_shapes():

@@ -209,12 +209,15 @@ def test_small_run_starts_no_thread(monkeypatch):
     assert sum(simulate(WalkConfig(n=96, M=24, p=0.5, balls=2000, seed=1))) == 2000
 
 
-def test_working_memory_does_not_grow_with_chunk():
+def test_working_memory_does_not_grow_with_chunk(monkeypatch):
     # Each thread's buffers fit in 2 MiB (module docstring); 256 KiB covers
     # the rest of the call.  A chunk above the tile width changes neither.
+    # An empty pool before each call makes it map, and so count, its own
+    # buffer sets.
     config = WalkConfig(96, 24, 0.5, 10**5, seed=1)
     bounds = []
     for chunk in (682, 10**6):
+        monkeypatch.setattr(walk_sim, "_IDLE_BUFFERS", queue.LifoQueue(walk_sim._cpu_count()))
         threads = len(_split(config.balls, config.n, chunk)[1]) - 1
         bounds.append(threads * 2 * 2**20 + 2**18)
         tracemalloc.start()
