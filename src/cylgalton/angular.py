@@ -8,13 +8,13 @@ package computes is not checked again; a law read from a file is checked
 where it enters (_slot_pmf): nonnegative masses summing to 1 within
 SUM_TOL.
 
-Every CSV and JSON data file is one table (table_csv, table_json,
-read_table), and the writers work column by column, as read_table
-reads: the rows are transposed once and each column's texts come from
-one map.  A column that repeats formats each of its distinct numbers
-once and looks the rest up, so a lattice of thousands of pegs formats a
-few hundred numbers.  Zeros are never shared: 0.0 == -0.0, and each zero
-is formatted on its own, so -0.0 keeps its sign.
+A table (table_csv, table_json, read_table) holds what read_table reads
+back, by one rule, _KINDS: an int column holds integers, a float column
+integers and finite floats, never bool or str; a writer raises a
+ValueError naming the column for anything else.  The writers work column
+by column, and a column that repeats formats each distinct number once,
+so a lattice of thousands of pegs formats a few hundred.  Zeros are never
+shared: 0.0 == -0.0, so each is formatted on its own and -0.0 keeps its sign.
 """
 
 from __future__ import annotations
@@ -88,86 +88,84 @@ def spectral_tv(diff) -> list[float]:
     return [0.5 * math.fsum(row.tolist()) / diff.shape[1] for row in folded]
 
 
-# The one table format of every CSV and JSON data file.  Fields are written
-# with repr(), the shortest text that reads back as the same number.
+# The one table format of every CSV and JSON data file.  Per column kind:
+# its name in messages, and the number types it holds (the module's rule).
+_KINDS = {int: ("an integer", (int,)), float: ("a number", (int, float))}
+
+
+def _check(values, kind) -> set:
+    """values' set of types, or a ValueError saying what one of them is not in
+    a column of kind; a subclass of int or float (np.float64) is its base."""
+    name, holds = _KINDS[kind]
+    types = set(map(type, values))
+    if not all(t is not bool and issubclass(t, holds) for t in types):
+        raise ValueError(f"must be {name}")
+    try:
+        if kind is float and not all(map(math.isfinite, values)):
+            raise ValueError("must be finite")
+    except OverflowError:       # an int beyond a float
+        raise ValueError(f"must be {name}") from None
+    return types
+
 
 class _Reprs(dict):
-    """The texts of a column's distinct nonzero values.  Any other key, a
-    zero above all, is formatted afresh: 0.0 == -0.0, so a stored zero would
-    lend one zero's sign to the other."""
+    """The texts of a column's distinct nonzero values; any other key, a
+    zero above all, is formatted afresh (a stored zero would lend its sign)."""
 
     def __missing__(self, value):
         return repr(value)
 
 
-def _column_reprs(column: tuple, kinds: set) -> Iterator[str]:
-    """repr of each value of column, whose value types are kinds.
-
-    A column of ints alone or of exact floats alone that repeats, at most
-    half its values distinct, formats each distinct value once and looks
-    the rest up; any other column, mixed (1 with 1.0 or True, np.float64)
-    or all distinct, is formatted value by value.
-    """
-    if kinds == {int} or kinds == {float}:
-        distinct = set(column)
-        if 2 * len(distinct) <= len(column):
-            distinct.discard(0)
-            return map(_Reprs(zip(distinct, map(repr, distinct))).__getitem__, column)
-    return map(repr, column)
-
-
-def _columns(rows) -> tuple[list, list[tuple] | None, list[set] | None]:
-    """The rows as a list, their columns and each column's set of value
-    types; the columns and the sets are None when the rows differ in
-    length."""
+def _column_texts(columns: dict, rows) -> list[Iterator[str]]:
+    """Each column's texts, in the order of columns (name -> int or float):
+    repr, the shortest text that reads back as the same number; [] for no
+    rows.  A column of ints alone or floats alone (1 == 1.0) that repeats,
+    at most half its values distinct, formats each distinct value once."""
     rows = list(rows)
     try:
-        columns = list(zip(*rows, strict=True))
+        cells = list(zip(*rows, strict=True))
     except ValueError:
-        return rows, None, None
-    return rows, columns, [set(map(type, column)) for column in columns]
+        raise ValueError("table rows differ in length") from None
+    if rows and not 0 < len(cells) == len(columns):
+        raise ValueError(f"table rows hold {len(cells)} fields for {len(columns)} columns")
+    texts = []
+    for (name, kind), column in zip(columns.items(), cells):
+        try:
+            types = _check(column, kind)
+        except ValueError as exc:
+            raise ValueError(f"column {name} {exc}") from None
+        if not types <= {int, float}:   # as json.dumps: not 'np.float64(0.5)'
+            column = [float(v) if isinstance(v, float) else int(v) for v in column]
+        if len(types) == 1 and 2 * len(distinct := set(column)) <= len(column):
+            distinct.discard(0)
+            texts.append(map(_Reprs(zip(distinct, map(repr, distinct))).__getitem__, column))
+        else:
+            texts.append(map(repr, column))
+    return texts
 
 
-def table_csv(columns, rows) -> str:
-    """A header line of the column names, then one line per row; the rows
-    are sequences of one length."""
-    rows, cells, kinds = _columns(rows)
-    if cells is None:
-        raise ValueError("table rows differ in length")
-    lines = zip(*map(_column_reprs, cells, kinds)) if cells else [()] * len(rows)
+def table_csv(columns: dict, rows) -> str:
+    """A header line of the column names, then one line per row."""
+    lines = zip(*_column_texts(columns, rows))
     return "\n".join([",".join(columns), *map(",".join, lines)]) + "\n"
 
 
-def table_json(head: dict, key: str, columns, rows) -> str:
-    """head's fields, then key: a list of one {column: value} object per row.
-
-    The text is json.dumps(doc, indent=2) + "\n".  Rows of ints and finite
-    floats, one per column, the package's own, are laid out here directly,
-    as json.dumps writes them (int.__repr__, float.__repr__), from the same
-    column texts as table_csv; anything else goes through json.dumps.
-    """
-    rows, cells, kinds = _columns(rows)
-    try:
-        direct = (kinds and key not in head and len(cells) == len(columns)
-                  and all(kind <= {int, float} for kind in kinds)
-                  and all(float not in kind or all(map(math.isfinite, column))
-                          for column, kind in zip(cells, kinds)))
-    except OverflowError:       # an int beyond a float
-        direct = False
-    if not direct:
-        doc = {**head, key: [dict(zip(columns, row)) for row in rows]}
-        return json.dumps(doc, indent=2) + "\n"
+def table_json(head: dict, key: str, columns: dict, rows) -> str:
+    """head's fields, then key: a list of one {column: value} object per row,
+    as json.dumps(doc, indent=2) + "\n" writes it.  json.dumps writes the
+    head, and the rows are table_csv's column texts.  A head that holds key
+    is a ValueError."""
+    if key in head:
+        raise ValueError(f"the head holds the table key {key!r}")
+    texts = _column_texts(columns, rows)
+    text = json.dumps({**head, key: []}, indent=2)
+    if not texts:
+        return text + "\n"
     row_format = "    {\n" + ",\n".join(
         f"      {json.dumps(name).replace('%', '%%')}: %s" for name in columns) + "\n    }"
-    body = ",\n".join(map(row_format.__mod__, zip(*map(_column_reprs, cells, kinds))))
-    text = json.dumps({**head, key: []}, indent=2)
+    body = ",\n".join(map(row_format.__mod__, zip(*texts)))
     # one join: a chain of + would make a copy of body at each step
     return "".join([text[:-len("[]\n}")], "[\n", body, "\n  ]\n}\n"])
-
-
-# Per column kind: its name in messages, and the JSON types it takes: never
-# str or bool, and an integer serves as a float.
-_KINDS = {int: ("an integer", {int}), float: ("a number", {int, float})}
 
 
 def row_locator(text: str, key: str, row: int) -> str:
@@ -179,27 +177,23 @@ def row_locator(text: str, key: str, row: int) -> str:
 
 
 def _typed(values, kind, is_json: bool) -> list:
-    """values as kind, or a ValueError saying what one of them is not."""
-    name, json_types = _KINDS[kind]
+    """values as kind, or a ValueError saying what one of them is not: a
+    JSON field must be a number of its kind already, a CSV field is text."""
     try:
-        if is_json and not set(map(type, values)) <= json_types:
-            raise ValueError
-        column = list(map(kind, values))
-    except (ValueError, OverflowError):     # OverflowError: JSON int beyond a float
-        raise ValueError(f"must be {name}") from None
-    if kind is float and not all(map(math.isfinite, column)):
-        raise ValueError("must be finite")
-    return column
+        column = values if is_json else list(map(kind, values))
+    except ValueError:
+        raise ValueError(f"must be {_KINDS[kind][0]}") from None
+    _check(column, kind)
+    return list(map(kind, column)) if is_json else column
 
 
 def read_table(text: str, columns: dict, key: str) -> tuple[dict, list[tuple]]:
     """Parse what table_csv or table_json wrote: (head, rows).
 
     Text starting with "{" is JSON, else CSV.  columns maps each name to
-    int or float.  CSV fields go through int() or float(); JSON fields
-    must already be numbers of their kind.  Floats must be finite.  An
-    error is a ParseError naming the CSV line or JSON row of the first
-    bad field.  head is a JSON document's other fields, {} for CSV.
+    int or float; a field breaking the module's rule, or a CSV field that
+    int() or float() does not take, is a ParseError naming the CSV line or
+    JSON row of the first.  head is a JSON document's other fields, {} for CSV.
     """
     is_json = text.lstrip().startswith("{")
     if is_json:
@@ -261,12 +255,9 @@ def _slot_rows(pmf, bounds) -> list[tuple[int, float, float, float]]:
 
 
 def pmf_to_csv(pmf, bounds=None) -> str:
-    """Render a slot law, any sequence of M masses, as a CSV table with
-    full round-trip float precision.
-
-    bounds, one (theta_lo, theta_hi) pair per slot, relabels the slot
-    arcs (e.g. centered ones); the default is each slot's own arc.
-    """
+    """A slot law, any sequence of M masses, as a CSV table.  bounds, one
+    (theta_lo, theta_hi) pair per slot, relabels the slot arcs (e.g.
+    centered ones); the default is each slot's own arc."""
     return table_csv(PMF_COLUMNS, _slot_rows(pmf, bounds))
 
 

@@ -142,14 +142,11 @@ def cmd_wn(args) -> Outputs:
     thetas = [TWO_PI * i / args.samples for i in range(args.samples)]
     rows = zip(thetas, wrapped_normal.density(wn, np.array(thetas)).tolist())
     bins = wrapped_normal.bin_probs(wn, args.M)
-    if args.format == "json":
-        text = table_json({}, "samples", DENSITY_COLUMNS, rows)
-        bins_text = pmf_to_json_dict(bins)
-    else:
-        text = table_csv(DENSITY_COLUMNS, rows)
-        bins_text = pmf_to_csv(bins)
     out = Path(args.out)
-    return [(out, text), (_sidecar(out, "bins"), bins_text)]
+    if args.format == "json":
+        return [(out, table_json({}, "samples", DENSITY_COLUMNS, rows)),
+                (_sidecar(out, "bins"), pmf_to_json_dict(bins))]
+    return [(out, table_csv(DENSITY_COLUMNS, rows)), (_sidecar(out, "bins"), pmf_to_csv(bins))]
 
 
 def _comparison_target(args, config: walk_sim.WalkConfig) -> tuple[float, ...]:
@@ -319,7 +316,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         pl = sub.add_parser("plot", help="render distributions to SVG")
         pl.add_argument("--style", choices=("ring", "cylinder"), required=True)
         pl.add_argument("inputs", nargs="+",
-                        help="PMF files (ring) or one density CSV (cylinder)")
+                        help="PMF tables (ring) or one density table (cylinder)")
         pl.add_argument("--out", required=True)
         pl.set_defaults(func=cmd_plot)
 

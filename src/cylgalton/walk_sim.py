@@ -68,6 +68,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import math
+import operator
 import os
 import queue
 import threading
@@ -291,6 +292,16 @@ def simulate(config: WalkConfig, chunk: int = DEFAULT_CHUNK) -> tuple[int, ...]:
     return tuple(rights.tolist())
 
 
+def _counts(counts) -> list[int]:
+    """counts as ints, by operator.index: a float count is a ValueError."""
+    counts = list(counts)       # the error names a count, so it reads them twice
+    try:
+        return list(map(operator.index, counts))
+    except TypeError:
+        bad = next(c for c in counts if not hasattr(type(c), "__index__"))
+        raise ValueError(f"counts must be integers, got {bad!r}") from None
+
+
 def slot_counts(rights, M: int) -> tuple[int, ...]:
     """The landing count of each of M slots: rights folded mod M.
 
@@ -299,18 +310,17 @@ def slot_counts(rights, M: int) -> tuple[int, ...]:
     """
     if M < 1:
         raise ValueError(f"M must be >= 1, got {M}")
-    rights = [int(c) for c in rights]
+    rights = _counts(rights)
     return tuple(sum(rights[k::M]) for k in range(M))
 
 
 def unwrapped_stats(rights, m_slots: int) -> tuple[float, float]:
     """Sample mean and variance (ddof=1) of the unwrapped angle S_n * dtheta / 2.
 
-    rights[x], x = 0..n, counts the balls with x rightward deflections
-    (S_n = 2x - n).
-    Both moments come from exact integer sums; only the final ratios round.
+    rights[x], x = 0..n, counts the balls with x rightward deflections, and
+    S_n = 2x - n.  Both moments are exact integer sums; only the ratios round.
     """
-    counts = [int(c) for c in rights]
+    counts = _counts(rights)
     balls = sum(counts)
     if balls < 1:
         raise ValueError("no balls to summarise")
@@ -326,6 +336,7 @@ def unwrapped_stats(rights, m_slots: int) -> tuple[float, float]:
 
 def histogram_to_csv(counts) -> str:
     """Slot, count and frequency of each slot; the frequencies divide by sum(counts)."""
+    counts = _counts(counts)
     if min(counts) < 0:
         raise ValueError(f"counts must be >= 0, got {min(counts)}")
     total = sum(counts)

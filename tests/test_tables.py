@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cylgalton.angular import (PMF_COLUMNS, ParseError, pmf_from_csv,
@@ -72,7 +72,7 @@ def test_json_rejects_what_is_not_a_number_of_its_kind(table, data):
     token = data.draw(st.sampled_from(spoiled))
     cells = [list(r) for r in rows]
     cells[row][list(columns).index(name)] = "@SPOILED@"
-    text = table_json({}, "rows", columns, cells).replace('"@SPOILED@"', token)
+    text = dumps({}, "rows", columns, cells).replace('"@SPOILED@"', token)
     with pytest.raises(ParseError) as caught:
         read_table(text, columns, "rows")
     if token in ("nan", "inf"):     # not JSON at all
@@ -161,58 +161,90 @@ def test_table_json_writes_what_json_dumps_writes_for_an_empty_table(head):
         head, "rows", DENSITY_COLUMNS, [])
 
 
-ODD_VALUES = st.sampled_from([math.nan, math.inf, -math.inf, True, None, "x", 10**400,
-                              np.float64(0.5)])
-
-
 @settings(max_examples=25, deadline=None)
-@given(table=tables(), odd=st.none() | ODD_VALUES, data=st.data())
-def test_table_json_writes_what_json_dumps_writes(table, odd, data):
+@given(table=tables())
+def test_table_json_writes_what_json_dumps_writes(table):
     columns, rows = table
-    if odd is not None:     # a value the direct layout does not take
-        row = data.draw(st.integers(0, len(rows) - 1))
-        rows[row] = (odd, *rows[row][1:])
     assert table_json({"M": 7}, "rows", columns, rows) == dumps(
         {"M": 7}, "rows", columns, rows)
+
+
+# A writer takes a value exactly when read_table takes it back from the JSON
+# that json.dumps writes for it (json.dumps cannot write an np.int64), and
+# what it takes reads back equal.  Anything else is a ValueError naming the
+# column.
+WRITER_VALUES = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf, "True": True,
+                 "None": None, "str": "x", "10**400": 10**400,
+                 "np.float64": np.float64(0.5), "np.int64": np.int64(3),
+                 "float": 0.25, "int": -3}
+
+
+@pytest.mark.parametrize("value", WRITER_VALUES.values(), ids=WRITER_VALUES)
+@pytest.mark.parametrize("kind", [int, float], ids=["int", "float"])
+@settings(max_examples=5, deadline=None)
+@given(table=tables(), data=st.data())
+def test_writers_take_exactly_what_read_table_takes_back(kind, value, table, data):
+    columns, rows = table
+    names = [name for name in columns if columns[name] is kind]
+    assume(names)       # the density table has no int column
+    name = data.draw(st.sampled_from(names))
+    row = data.draw(st.integers(0, len(rows) - 1))
+    rows[row] = tuple(value if c == name else v for c, v in zip(columns, rows[row]))
+    try:
+        read_table(dumps({}, "rows", columns, rows), columns, "rows")
+        takes = True
+    except (TypeError, ParseError):
+        takes = False
+    for write in (lambda: table_csv(columns, rows),
+                  lambda: table_json({}, "rows", columns, rows)):
+        if takes:
+            assert read_table(write(), columns, "rows") == ({}, rows)
+        else:
+            with pytest.raises(ValueError, match=f"^column {name} must be "):
+                write()
+
+
+def test_a_subclass_of_float_is_written_as_a_float():
+    floats = [0.5, -0.0, 0.5, 0.0, 0.5, 0.5]
+    for rows in ([(x,) for x in floats], [(np.float64(x),) for x in floats]):
+        assert table_csv({"v": float}, rows) == "v\n0.5\n-0.0\n0.5\n0.0\n0.5\n0.5\n"
 
 
 # table_csv writes column by column and formats each distinct value of a
 # repeating column once; its text must be the row-by-row reference's.
 
-ANY_VALUE = (FLOATS | INTS | st.sampled_from([math.nan, math.inf, -math.inf, True, False])
-             | st.builds(np.float64, FLOATS))
+# what a column of each kind holds: a float column also holds integers
+VALUES = {int: INTS, float: FLOATS | INTS}
 
 
 @st.composite
 def columns_of_values(draw):
-    """(names, rows): each column drawn free, all distinct, or from a small
-    pool of values so that it repeats."""
-    width, count = draw(st.integers(0, 4)), draw(st.integers(0, 30))
-    columns = []
+    """(columns, rows): each column of a drawn kind, its values drawn free,
+    all distinct, or from a small pool of values so that it repeats."""
+    width, count = draw(st.integers(1, 4)), draw(st.integers(0, 30))
+    kinds, columns = [], []
     for _ in range(width):
+        kinds.append(draw(st.sampled_from([int, float])))
         shape = draw(st.sampled_from(["free", "distinct", "repeats"]))
         if shape == "repeats":
-            pool = draw(st.lists(ANY_VALUE, min_size=1, max_size=3))
+            pool = draw(st.lists(VALUES[kinds[-1]], min_size=1, max_size=3))
             column = draw(st.lists(st.sampled_from(pool), min_size=count, max_size=count))
         else:
-            column = draw(st.lists(ANY_VALUE if shape == "free" else FLOATS | INTS,
-                                   min_size=count, max_size=count,
+            column = draw(st.lists(VALUES[kinds[-1]], min_size=count, max_size=count,
                                    unique_by=(lambda v: (type(v), repr(v)))
                                    if shape == "distinct" else None))
         columns.append(column)
-    rows = list(zip(*columns)) if columns else [()] * count
-    return [f"c{k}" for k in range(width)], rows
+    return {f"c{k}": kind for k, kind in enumerate(kinds)}, list(zip(*columns))
 
 
 @settings(max_examples=80, deadline=None)
 @given(table=columns_of_values())
-@example(table=(["z", "w"], [(0.0, 1.5), (-0.0, 1.5), (0.0, 1.5), (-0.0, 2.5)]))
-@example(table=(["mixed"], [(1,), (1.0,), (True,), (1,), (1.0,), (True,)]))
-@example(table=(["odd"], [(math.nan,), (math.inf,), (-math.inf,), (math.nan,)] * 2))
-@example(table=(["np"], [(np.float64(0.5),), (np.float64(-0.0),), (np.float64(0.5),)]))
-@example(table=(["repeats", "distinct"], [(k % 3 * 0.1, k / 7) for k in range(12)]))
-@example(table=(["a", "b"], []))
-@example(table=([], [(), ()]))
+@example(table=({"z": float, "w": float},
+                 [(0.0, 1.5), (-0.0, 1.5), (0.0, 1.5), (-0.0, 2.5)]))
+@example(table=({"mixed": float}, [(1,), (1.0,), (1,), (1.0,), (1,), (1.0,)]))
+@example(table=({"repeats": float, "distinct": float},
+                [(k % 3 * 0.1, k / 7) for k in range(12)]))
+@example(table=({"a": float, "b": int}, []))
 def test_table_csv_writes_what_the_row_by_row_reference_writes(table):
     columns, rows = table
     assert table_csv(columns, rows) == table_csv_ref(columns, rows)
@@ -225,8 +257,27 @@ def test_table_csv_writes_what_the_row_by_row_reference_writes(table):
 def test_table_csv_rejects_rows_of_different_lengths():
     with pytest.raises(ValueError, match="table rows differ in length"):
         table_csv(DENSITY_COLUMNS, [(0.0, 1.0), (0.5,)])
-    rows = [(0.0, 1.0), (0.5,)]     # table_json's own layout cannot take them
-    assert table_json({}, "rows", DENSITY_COLUMNS, rows) == dumps({}, "rows", DENSITY_COLUMNS, rows)
+    with pytest.raises(ValueError, match="table rows differ in length"):
+        table_json({}, "rows", DENSITY_COLUMNS, [(0.0, 1.0), (0.5,)])
+
+
+@pytest.mark.parametrize("columns,rows", [
+    (DENSITY_COLUMNS, [(0.5,), (0.25,)]),
+    (DENSITY_COLUMNS, [(0.5, 1.0, 2.0)]),
+    (DENSITY_COLUMNS, [(), ()]),
+    ({}, [(), ()]),
+], ids=["narrow", "wide", "empty-rows", "no-columns"])
+def test_writers_reject_rows_that_do_not_fit_the_columns(columns, rows):
+    # read_table could not give such rows back
+    with pytest.raises(ValueError, match="^table rows hold "):
+        table_csv(columns, rows)
+    with pytest.raises(ValueError, match="^table rows hold "):
+        table_json({}, "rows", columns, rows)
+
+
+def test_table_json_rejects_a_head_that_holds_its_key():
+    with pytest.raises(ValueError, match="^the head holds the table key 'rows'$"):
+        table_json({"rows": 1}, "rows", DENSITY_COLUMNS, [(0.5, 1.0)])
 
 
 @pytest.mark.parametrize("name", preset_names())

@@ -3,6 +3,7 @@ import hashlib
 import math
 import os
 import queue
+import re
 import sys
 import threading
 import tracemalloc
@@ -433,6 +434,31 @@ def test_slot_counts_of_numpy_rights_are_ints():
     counts = slot_counts(np.array([3, 1, 4, 1, 5], dtype=np.int64), 2)
     assert counts == (12, 2)
     assert all(type(c) is int for c in counts)
+
+
+# A count is an integer: a numpy integer counts as its int, and a float
+# count is an error, never truncated (2.7 is not 2).
+
+def test_histogram_csv_of_numpy_counts_is_that_of_their_ints():
+    text = walk_sim.histogram_to_csv(np.array([3, 1], dtype=np.int64))
+    assert text == walk_sim.histogram_to_csv((3, 1)) == (
+        "slot,count,frequency\n0,3,0.75\n1,1,0.25\n")
+
+
+@pytest.mark.parametrize("counts,bad", [
+    ((2.7, 1, 0.5), "2.7"), ((3, 1.0), "1.0"),
+    ((np.float64(2.0), 1), "np.float64(2.0)"), ((3, "1"), "'1'"), ((3, None), "None"),
+], ids=["float", "whole-float", "numpy-float", "str", "none"])
+def test_a_count_that_is_not_an_integer_is_named(counts, bad):
+    message = f"^counts must be integers, got {re.escape(bad)}$"
+    with pytest.raises(ValueError, match=message):
+        walk_sim.histogram_to_csv(counts)
+    with pytest.raises(ValueError, match=message):
+        slot_counts(counts, 2)
+    with pytest.raises(ValueError, match=message):
+        slot_counts(iter(counts), 2)
+    with pytest.raises(ValueError, match=message):
+        unwrapped_stats(counts, 24)
 
 
 @pytest.mark.parametrize("m", [0, -1])
