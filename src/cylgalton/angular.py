@@ -15,6 +15,9 @@ ValueError naming the column for anything else.  The writers work column
 by column, and a column that repeats formats each distinct number once,
 so a lattice of thousands of pegs formats a few hundred.  Zeros are never
 shared: 0.0 == -0.0, so each is formatted on its own and -0.0 keeps its sign.
+A JSON table holds its rows' columns and its kind's head fields and
+nothing else: each reader passes read_table's head to check_head (PMF_HEAD
+for pmf_from_json, no head field for pmf_from_csv or a density).
 """
 
 from __future__ import annotations
@@ -27,8 +30,9 @@ TWO_PI = 2.0 * math.pi
 
 SUM_TOL = 1e-12
 
-# Column name -> type, for the PMF table.
+# Column name -> type, for the PMF table, and its JSON head (see check_head).
 PMF_COLUMNS = {"slot": int, "theta_lo": float, "theta_hi": float, "prob": float}
+PMF_HEAD = {"kind": "angular_pmf", "M": int}
 
 
 class ParseError(ValueError):
@@ -187,13 +191,34 @@ def _typed(values, kind, is_json: bool) -> list:
     return list(map(kind, column)) if is_json else column
 
 
+def check_head(head: dict, fields: dict) -> None:
+    """head, as read_table returns it, must hold exactly the fields a table
+    kind names, each a number of the kind fields gives (int or float) or
+    the one value it gives; else a ParseError."""
+    for name in head:
+        if name not in fields:
+            raise ParseError(f"unknown field {name!r}")
+    for name, want in fields.items():
+        if name not in head:
+            raise ParseError(f"missing field {name!r}")
+        try:
+            if want in _KINDS:
+                _check([head[name]], want)
+            elif head[name] != want:
+                raise ValueError(f"must be {want!r}")
+        except ValueError as exc:
+            raise ParseError(f"{name} {exc}, got {head[name]!r}") from None
+
+
 def read_table(text: str, columns: dict, key: str) -> tuple[dict, list[tuple]]:
     """Parse what table_csv or table_json wrote: (head, rows).
 
     Text starting with "{" is JSON, else CSV.  columns maps each name to
-    int or float; a field breaking the module's rule, or a CSV field that
-    int() or float() does not take, is a ParseError naming the CSV line or
-    JSON row of the first.  head is a JSON document's other fields, {} for CSV.
+    int or float; a field breaking the module's rule, a CSV field that
+    int() or float() does not take, or a JSON row field that is not a
+    column, is a ParseError naming the CSV line or JSON row of the first.
+    head is a JSON document's other fields, {} for CSV; the caller checks
+    it (check_head).
     """
     is_json = text.lstrip().startswith("{")
     if is_json:
@@ -214,13 +239,13 @@ def read_table(text: str, columns: dict, key: str) -> tuple[dict, list[tuple]]:
     if not rows:
         raise ParseError(f"no {key}", None if is_json else "line 2")
     try:
-        cells = ([[row[name] for row in rows] for name in columns] if is_json
-                 else list(zip(*rows, strict=True)))
-        if len(cells) != len(columns):
+        if set(map(len, rows)) != {len(columns)}:
             raise ValueError
+        cells = ([[row[name] for row in rows] for name in columns] if is_json
+                 else list(zip(*rows)))
     except (KeyError, TypeError, ValueError):
         row = next(i for i, row in enumerate(rows) if not (
-            isinstance(row, dict) and row.keys() >= columns.keys() if is_json
+            isinstance(row, dict) and row.keys() == columns.keys() if is_json
             else len(row) == len(columns)))
         raise ParseError(f"expected the {len(columns)} fields {', '.join(columns)}",
                          row_locator(text, key, row)) from None
@@ -263,15 +288,13 @@ def pmf_to_csv(pmf, bounds=None) -> str:
 
 def pmf_to_json_dict(pmf, bounds=None) -> str:
     """The slot law as a JSON table (text), M in its head; bounds as in pmf_to_csv."""
-    head = {"kind": "angular_pmf", "M": len(pmf)}
+    head = {"kind": PMF_HEAD["kind"], "M": len(pmf)}
     return table_json(head, "slots", PMF_COLUMNS, _slot_rows(pmf, bounds))
 
 
-def _slot_pmf(m, rows: list) -> tuple[float, ...]:
+def _slot_pmf(m: int, rows: list) -> tuple[float, ...]:
     """The slot law of M = m slots from its rows: slots 0..m-1 each once, in
     any order, with nonnegative masses summing to 1 within SUM_TOL."""
-    if type(m) is not int:
-        raise ParseError(f"M must be an integer, got {m!r}")
     rows.sort()
     # the count first, so a claimed M builds nothing larger than the file
     if len(rows) != m or [row[0] for row in rows] != list(range(m)):
@@ -287,12 +310,14 @@ def _slot_pmf(m, rows: list) -> tuple[float, ...]:
 
 
 def pmf_from_csv(text: str) -> tuple[float, ...]:
-    """Parse what pmf_to_csv wrote."""
-    _, rows = read_table(text, PMF_COLUMNS, "slots")
+    """Parse what pmf_to_csv wrote: a table with no head field."""
+    head, rows = read_table(text, PMF_COLUMNS, "slots")
+    check_head(head, {})
     return _slot_pmf(len(rows), rows)
 
 
 def pmf_from_json(text: str) -> tuple[float, ...]:
     """Parse what pmf_to_json_dict wrote; its M must count the slots."""
     head, rows = read_table(text, PMF_COLUMNS, "slots")
-    return _slot_pmf(head.get("M"), rows)
+    check_head(head, PMF_HEAD)
+    return _slot_pmf(head["M"], rows)

@@ -5,11 +5,15 @@ computes: it returns its files as an ordered list of (path, payload)
 pairs and does no I/O of its own.  main() then writes every payload and
 a manifest (<out stem>.manifest.json) built from the same list, echoing
 the command, parameters, seed, output paths, and tool version.  A
-command that fails writes nothing.  Data files are UTF-8 with LF line
-endings and full round-trip float precision, so identical invocations
-produce byte-identical files.  ``simulate --planar`` is the cylinder
-walk with M = n + 1.  A board flag that --preset or --planar fixes is
-an error; the manifest records it as null, any other as the value used.
+command that fails writes nothing: one that raises has written no file
+yet, and when a write fails main() removes every file this call already
+wrote (a directory it made stays).  An --out that names no file ('.',
+'', '..') is an error before anything is computed.  Data files are
+UTF-8 with LF line endings and full round-trip float precision, so
+identical invocations produce byte-identical files.  ``simulate
+--planar`` is the cylinder walk with M = n + 1.  A board flag that
+--preset or --planar fixes is an error; the manifest records it as
+null, any other as the value used.
 
 main() builds only the subparser that argv[0] names, or the whole parser
 when argv[0] is not a command name (an option, ``--``, an unknown word);
@@ -21,6 +25,16 @@ command name; so ``cylgalton -- bogus`` names ``bogus``, and a bare
 ``--`` is still a missing command.  A word after it that reads as an
 option is still the command word: ``cylgalton -- --version`` is the
 whole parser's invalid-choice error naming ``'--version'``.
+
+A process builds each command's parser, and the whole parser, once:
+build_parser caches them, so a later main() call in the same process
+only parses; a one-shot process builds its one parser either way and
+gains nothing.  A parser build_parser returns is shared and must not be
+mutated.  Sharing is safe: argparse keeps no state of a parse on the
+parser and reads the help width (COLUMNS) when it formats help, no
+default is mutable, and a command changes only its own Namespace.
+main() dispatches by name, to the module's ``cmd_<command>`` as it reads
+at call time, so a replaced one still runs.
 
 Only the commands that compute a law load numpy: pmf, wn, simulate and
 sweep.  Their first call binds the numeric layer, wrapped_binomial,
@@ -37,6 +51,7 @@ Errors exit nonzero with a single line on stderr:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -44,9 +59,9 @@ from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
-from .angular import (TWO_PI, ParseError, pmf_from_csv, pmf_from_json,
-                      pmf_to_csv, pmf_to_json_dict, read_table, row_locator,
-                      table_csv, table_json)
+from .angular import (TWO_PI, ParseError, check_head, pmf_from_csv,
+                      pmf_from_json, pmf_to_csv, pmf_to_json_dict, read_table,
+                      row_locator, table_csv, table_json)
 from .geometry import (BOARD_DIMENSIONS, LatticeSpec, build_lattice,
                        export_pegs, preset, preset_names)
 from .svgplot import cylinder_svg, ring_svg
@@ -77,7 +92,7 @@ def _sidecar(out: Path, tag: str, suffix: str | None = None) -> Path:
 
 def _manifest(args: argparse.Namespace, outputs: Outputs) -> tuple[Path, str]:
     config = {k: v for k, v in sorted(vars(args).items())
-              if k not in ("func", "command") and not k.startswith("_")}
+              if k != "command" and not k.startswith("_")}
     doc = {
         "command": args.command,
         "config": config,
@@ -215,7 +230,8 @@ def cmd_sweep(args) -> Outputs:
 def _read_density(path: Path) -> list[tuple[float, float]]:
     """(theta, f) samples of a density table; f must be >= 0."""
     text = path.read_text(encoding="utf-8")
-    _, samples = read_table(text, DENSITY_COLUMNS, "samples")
+    head, samples = read_table(text, DENSITY_COLUMNS, "samples")
+    check_head(head, {})
     for row, (_, f) in enumerate(samples):
         if f < 0.0:
             raise ParseError(f"f must be >= 0, got {f!r}",
@@ -236,7 +252,16 @@ def cmd_plot(args) -> Outputs:
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The cylgalton parser; given one of COMMANDS, only that subparser is built."""
+    """The cylgalton parser; given one of COMMANDS, only that subparser is
+    built.  The same parser for the same command, every call (see the
+    module docstring)."""
+    # a function over the cache, not the cache itself, so that a caller
+    # wrapping the module's functions (perfbench's tracer) still finds it
+    return _parser(command)
+
+
+@functools.cache
+def _parser(command: str | None) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cylgalton",
         description="Cylindrical Galton board: exact slot laws, lattice "
@@ -260,7 +285,6 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
                              help=f"{what}, cm (default {BOARD_DIMENSIONS[name]})")
         lat.add_argument("--format", choices=("csv", "json"), default="csv")
         lat.add_argument("--out", required=True)
-        lat.set_defaults(func=cmd_lattice)
 
     if command in (None, "pmf"):
         pm = sub.add_parser("pmf", help="exact slot distribution after n rows")
@@ -273,7 +297,6 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
                         help="label slots with centered angles in (-pi, pi]")
         pm.add_argument("--format", choices=("csv", "json"), default="csv")
         pm.add_argument("--out", required=True)
-        pm.set_defaults(func=cmd_pmf)
 
     if command in (None, "wn"):
         wn = sub.add_parser("wn", help="wrapped normal density samples and bin masses")
@@ -283,7 +306,6 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         wn.add_argument("--samples", type=int, default=720)
         wn.add_argument("--format", choices=("csv", "json"), default="csv")
         wn.add_argument("--out", required=True)
-        wn.set_defaults(func=cmd_wn)
 
     if command in (None, "simulate"):
         sim = sub.add_parser("simulate", help="seeded Monte Carlo of the ball walk")
@@ -302,7 +324,6 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
                               "(result-invariant)")
         sim.add_argument("--format", choices=("csv", "json"), default="csv")
         sim.add_argument("--out", required=True)
-        sim.set_defaults(func=cmd_simulate)
 
     if command in (None, "sweep"):
         sw = sub.add_parser("sweep", help="convergence ladder over row counts")
@@ -310,7 +331,6 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         sw.add_argument("--p", type=float, default=0.5)
         sw.add_argument("--n", required=True, help="comma-separated row counts")
         sw.add_argument("--out", required=True)
-        sw.set_defaults(func=cmd_sweep)
 
     if command in (None, "plot"):
         pl = sub.add_parser("plot", help="render distributions to SVG")
@@ -318,7 +338,6 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         pl.add_argument("inputs", nargs="+",
                         help="PMF tables (ring) or one density table (cylinder)")
         pl.add_argument("--out", required=True)
-        pl.set_defaults(func=cmd_plot)
 
     return parser
 
@@ -333,25 +352,30 @@ def main(argv=None) -> int:
                 f"(choose from {', '.join(map(repr, COMMANDS))})")
     command = argv[0] if argv and argv[0] in COMMANDS else None
     args = build_parser(command).parse_args(argv)
+    written = []
     try:
-        outputs = args.func(args)
+        if Path(args.out).name in ("", ".."):
+            raise ValueError(f"--out must name a file, got {args.out!r}")
+        outputs = globals()["cmd_" + args.command](args)
         for path, payload in [*outputs, _manifest(args, outputs)]:
             path.parent.mkdir(parents=True, exist_ok=True)
             with path.open("wb") as fh:
+                written.append(path)
                 for i in range(0, len(payload), _WRITE_CHUNK):
                     fh.write(payload[i:i + _WRITE_CHUNK].encode("utf-8"))
     except ParseError as exc:
-        print(f"error: parse: {exc}", file=sys.stderr)
-        return 1
+        error = f"parse: {exc}"
     except (ValueError, LookupError, ArithmeticError) as exc:
         kind = type(exc).__name__
-        message = str(exc).splitlines()[0] if str(exc) else kind
-        print(f"error: {kind}: {message}", file=sys.stderr)
-        return 1
+        error = f"{kind}: {str(exc).splitlines()[0] if str(exc) else kind}"
     except OSError as exc:
-        print(f"error: OSError: {exc}", file=sys.stderr)
-        return 1
-    return 0
+        error = f"OSError: {exc}"
+    else:
+        return 0
+    for path in written:
+        path.unlink(missing_ok=True)
+    print(f"error: {error}", file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

@@ -547,6 +547,17 @@ def test_plot_cylinder_reads_json_density(tmp_path, capsys):
     assert_single_line_error(capsys, "error: parse: line 1: expected a 'samples' list")
 
 
+def test_plot_cylinder_takes_no_head_field(tmp_path, capsys):
+    run(["wn", "--mu", 1.0, "--sigma", 0.7, "--samples", 9, "--format", "json",
+         "--out", tmp_path / "d.json"])
+    doc = json.loads((tmp_path / "d.json").read_text())
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"kind": "angular_pmf", **doc}))
+    assert run(["plot", "--style", "cylinder", bad, "--out", tmp_path / "x.svg"]) == 1
+    assert_single_line_error(capsys, "error: parse: unknown field 'kind'")
+    assert not (tmp_path / "x.svg").exists()
+
+
 @pytest.mark.parametrize("fmt,row,where", [
     ("csv", "{},{}", "line 3: "), ("json", '{{"theta": {}, "f": {}}}', "samples[1]: "),
 ], ids=["csv", "json"])
@@ -885,6 +896,39 @@ def test_failed_command_leaves_output_dir_as_found(tmp_path, capsys, bad):
     assert before.read_text() == "untouched\n"
 
 
+def test_a_failed_write_removes_the_files_the_call_wrote(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    Path("x.manifest.json").mkdir()     # the last write of the call fails
+    assert run(["pmf", "--n", 5, "--M", 4, "--moments", "--out", "x.csv"]) == 1
+    assert_single_line_error(capsys, "error: OSError: ")
+    assert [p.name for p in tmp_path.iterdir()] == ["x.manifest.json"]
+
+
+@pytest.mark.parametrize("out", [".", "", "..", "sub/.."])
+def test_an_out_that_names_no_file_is_rejected_before_computing(tmp_path, monkeypatch,
+                                                                capsys, out):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "cmd_pmf", lambda args: pytest.fail("pmf computed"))
+    assert run(["pmf", "--n", 5, "--M", 4, "--out", out]) == 1
+    assert capsys.readouterr().err == f"error: ValueError: --out must name a file, got {out!r}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_every_file_the_package_writes_as_a_table_reads_back(tmp_path):
+    files = {"pmf.csv": [], "centered.json": ["--centered", "--format", "json"]}
+    for name, extra in files.items():
+        assert run(["pmf", "--n", 30, "--M", 24, *extra, "--out", tmp_path / name]) == 0
+    for fmt in ("csv", "json"):
+        assert run(["wn", "--mu", 0.5, "--sigma", 0.7, "--samples", 36, "--format", fmt,
+                    "--out", tmp_path / f"wn.{fmt}"]) == 0
+    laws = [pmf_from_csv((tmp_path / name).read_text()) for name in ("pmf.csv", "wn.bins.csv")]
+    assert [pmf_from_json((tmp_path / name).read_text())
+            for name in ("centered.json", "wn.bins.json")] == laws
+    assert (cli._read_density(tmp_path / "wn.json")
+            == cli._read_density(tmp_path / "wn.csv"))
+    assert len(cli._read_density(tmp_path / "wn.json")) == 36
+
+
 def test_every_public_name_resolves_once():
     assert len(set(cylgalton.__all__)) == len(cylgalton.__all__)
     for name in cylgalton.__all__:
@@ -995,6 +1039,63 @@ def test_console_script_reads_sys_argv(tmp_path, monkeypatch, capsys, case):
     (_, code), (out, err) = parse_outcome(cli.build_parser().parse_args, argv, capsys)
     proc = run_module(argv)
     assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+
+
+# --- one parser per command per process ----------------------------------------
+
+def test_build_parser_returns_one_parser_per_command():
+    assert cli.build_parser("pmf") is cli.build_parser("pmf")
+    assert cli.build_parser() is cli.build_parser(None)
+    assert len({id(cli.build_parser(c)) for c in (None, *cli.COMMANDS)}) == 7
+
+
+MIXED_SEQUENCE = [
+    ["lattice", "--preset", "modules-1", "--out", "lat.csv"],
+    ["pmf", "--n", 24, "--M", 24, "--moments", "--out", "pmf.csv"],
+    ["pmf", "--n", 5, "--M", 0, "--out", "bad.csv"],
+    ["wn", "--mu", 0.5, "--sigma", 0.7, "--samples", 36, "--out", "wn.csv"],
+    ["sweep", "--M", 24, "--n", "1,8,100", "--out", "sweep.csv"],
+    ["simulate", "--n", 8, "--balls", 200, "--seed", 5, "--compare", "exact",
+     "--out", "sim.csv"],
+    ["plot", "--style", "ring", "pmf.csv", "wn.bins.csv", "--out", "ring.svg"],
+]
+
+
+def test_one_process_writes_what_a_process_per_command_writes(tmp_path, monkeypatch, capsys):
+    outcomes = []
+    for where in ("fresh", "first", "again"):
+        (tmp_path / where).mkdir()
+        monkeypatch.chdir(tmp_path / where)
+        if where == "fresh":
+            procs = [run_module(argv) for argv in MIXED_SEQUENCE]
+            codes, errs = [p.returncode for p in procs], [p.stderr for p in procs]
+        else:   # the second pass reuses every parser the first one built
+            codes = [run(argv) for argv in MIXED_SEQUENCE]
+            lines = iter(capsys.readouterr().err.splitlines(keepends=True))
+            errs = [next(lines) if code else "" for code in codes]
+        files = {f.name: f.read_bytes() for f in Path().iterdir()}
+        outcomes.append((codes, errs, files))
+    assert outcomes[0][0] == [0, 0, 1, 0, 0, 0, 0]
+    assert outcomes[0][1][2] == "error: ValueError: M must be >= 1, got 0\n"
+    assert len(outcomes[0][2]) == 15      # 6 manifests and 9 files they list
+    assert outcomes[1] == outcomes[0]
+    assert outcomes[2] == outcomes[0]
+
+
+def test_a_shared_parser_reads_the_help_width_when_it_prints(monkeypatch, capsys):
+    cli.build_parser("pmf")     # built before COLUMNS changes
+    helps = []
+    for columns in ("80", "120"):
+        monkeypatch.setenv("COLUMNS", columns)
+        with pytest.raises(SystemExit):
+            main(["pmf", "-h"])
+        with pytest.raises(SystemExit):
+            cli._parser.__wrapped__("pmf").parse_args(["pmf", "-h"])
+        got, fresh = capsys.readouterr().out.split("usage: ")[1:]
+        assert got == fresh
+        helps.append(got)
+    assert helps[0] != helps[1]
+    assert max(map(len, helps[0].splitlines())) <= 80 < max(map(len, helps[1].splitlines()))
 
 
 def _probe(code):

@@ -8,9 +8,10 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from cylgalton.angular import (PMF_COLUMNS, ParseError, pmf_from_csv,
-                               pmf_from_json, pmf_to_csv, pmf_to_json_dict,
-                               read_table, table_csv, table_json)
+from cylgalton.angular import (PMF_COLUMNS, ParseError, check_head,
+                               pmf_from_csv, pmf_from_json, pmf_to_csv,
+                               pmf_to_json_dict, read_table, table_csv,
+                               table_json)
 from cylgalton.cli import DENSITY_COLUMNS
 from cylgalton.diagnostics import SWEEP_COLUMNS
 from cylgalton.geometry import (PEG_COLUMNS, build_lattice, export_pegs, preset,
@@ -104,6 +105,80 @@ def test_json_that_json_loads_cannot_hold_is_a_parse_error(rows, message):
     # json.loads raises a plain ValueError or a RecursionError here
     with pytest.raises(ParseError, match=message):
         read_table('{"samples": ' + rows + "}", DENSITY_COLUMNS, "samples")
+
+
+@settings(max_examples=100, deadline=None)
+@given(table=tables(), data=st.data())
+def test_json_rejects_a_row_field_that_is_not_a_column(table, data):
+    # the CSV reader rejects an extra column by its header; JSON names the row
+    columns, rows = table
+    row = data.draw(st.integers(0, len(rows) - 1))
+    doc = {"rows": [dict(zip(columns, r)) for r in rows]}
+    doc["rows"][row]["bogus"] = data.draw(st.sampled_from([0, 0.5, "x", None]))
+    message = rf"^rows\[{row}\]: expected the {len(columns)} fields {', '.join(columns)}$"
+    with pytest.raises(ParseError, match=message):
+        read_table(json.dumps(doc), columns, "rows")
+
+
+@pytest.mark.parametrize("head,doc,message", [
+    ({}, {"kind": "x"}, "unknown field 'kind'"),
+    ({"M": int}, {"M": 3, "N": 3}, "unknown field 'N'"),
+    ({"M": int}, {}, "missing field 'M'"),
+    ({"M": int}, {"M": 3.0}, "M must be an integer, got 3.0"),
+    ({"M": int}, {"M": False}, "M must be an integer, got False"),
+    ({"x": float}, {"x": "0.5"}, "x must be a number, got '0.5'"),
+    ({"kind": "angular_pmf"}, {"kind": "density"},
+     "kind must be 'angular_pmf', got 'density'"),
+], ids=["unknown", "unknown-beside-known", "missing", "float-for-int", "bool-for-int",
+        "string-for-float", "other-value"])
+def test_a_table_kind_takes_only_its_own_head_fields(head, doc, message):
+    text = json.dumps({**doc, "samples": [{"theta": 0.5, "f": 1.0}]})
+    read, _ = read_table(text, DENSITY_COLUMNS, "samples")
+    assert read == doc
+    with pytest.raises(ParseError, match=f"^{message}$"):
+        check_head(read, head)
+
+
+def test_a_table_kind_reads_its_own_head_back():
+    rows = [(0.5, 1.0)]
+    text = table_json({"M": 3, "x": 0.5, "kind": "k"}, "samples", DENSITY_COLUMNS, rows)
+    head, back = read_table(text, DENSITY_COLUMNS, "samples")
+    assert (head, back) == ({"M": 3, "x": 0.5, "kind": "k"}, rows)
+    check_head(head, {"M": int, "x": float, "kind": "k"})
+    # a CSV table has no head
+    assert read_table(table_csv(DENSITY_COLUMNS, rows), DENSITY_COLUMNS,
+                      "samples") == ({}, rows)
+
+
+@pytest.mark.parametrize("change,message", [
+    ({"kind": "density"}, "kind must be 'angular_pmf', got 'density'"),
+    ({"kind": None}, "kind must be 'angular_pmf', got None"),
+    ({"extra": 1}, "unknown field 'extra'"),
+], ids=["density-kind", "null-kind", "extra-field"])
+def test_pmf_from_json_takes_only_a_pmf_head(change, message):
+    doc = json.loads(pmf_to_json_dict((0.25, 0.75)))
+    with pytest.raises(ParseError, match=f"^{message}$"):
+        pmf_from_json(json.dumps({**doc, **change}))
+
+
+@pytest.mark.parametrize("name", ["kind", "M"])
+def test_pmf_from_json_needs_each_head_field(name):
+    doc = json.loads(pmf_to_json_dict((0.25, 0.75)))
+    del doc[name]
+    with pytest.raises(ParseError, match=f"^missing field '{name}'$"):
+        pmf_from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("change,message", [
+    ({"kind": "density", "M": 99}, "unknown field 'kind'"),
+    ({"M": 2}, "unknown field 'M'"),
+], ids=["foreign-kind", "pmf-head"])
+def test_pmf_from_csv_takes_no_head_field(change, message):
+    # JSON text reaches read_table's JSON branch; a head is pmf_from_json's
+    doc = {"slots": json.loads(pmf_to_json_dict((0.25, 0.75)))["slots"]}
+    assert pmf_from_csv(json.dumps(doc)) == (0.25, 0.75)
+    with pytest.raises(ParseError, match=f"^{message}$"):
+        pmf_from_csv(json.dumps({**change, **doc}))
 
 
 def test_the_first_bad_field_in_file_order_is_reported():
