@@ -112,6 +112,14 @@ def _check(values, kind) -> set:
     return types
 
 
+def check_number(name: str, value) -> None:
+    """A ValueError naming name unless value is a number as a float column
+    holds it: an int or a float, never bool; np.float64 is one, np.float32 not."""
+    word, holds = _KINDS[float]
+    if isinstance(value, bool) or not isinstance(value, holds):
+        raise ValueError(f"{name} must be {word}, got {value!r}")
+
+
 class _Reprs(dict):
     """The texts of a column's distinct nonzero values; any other key, a
     zero above all, is formatted afresh (a stored zero would lend its sign)."""

@@ -15,26 +15,21 @@ identical invocations produce byte-identical files.  ``simulate
 --preset or --planar fixes is an error; the manifest records it as
 null, any other as the value used.
 
-main() builds only the subparser that argv[0] names, or the whole parser
-when argv[0] is not a command name (an option, ``--``, an unknown word);
-a later token never selects one, so ``cylgalton -h pmf`` is the top-level
-help.  Either way --help, --version and every usage and error line read
-as the whole parser's.  A leading ``--`` is dropped when a word follows
-it, because argparse on Python 3.11 takes the ``--`` itself for the
-command name; so ``cylgalton -- bogus`` names ``bogus``, and a bare
-``--`` is still a missing command.  A word after it that reads as an
-option is still the command word: ``cylgalton -- --version`` is the
-whole parser's invalid-choice error naming ``'--version'``.
+A leading ``--`` is dropped when a word follows it, because argparse on
+Python 3.11 takes the ``--`` itself for the command name: so
+``cylgalton -- bogus`` names ``bogus``, ``cylgalton -- --version`` is the
+invalid-choice error naming ``'--version'``, and a bare ``--`` is a
+missing command.
 
-A process builds each command's parser, and the whole parser, once:
-build_parser caches them, so a later main() call in the same process
-only parses; a one-shot process builds its one parser either way and
-gains nothing.  A parser build_parser returns is shared and must not be
-mutated.  Sharing is safe: argparse keeps no state of a parse on the
-parser and reads the help width (COLUMNS) when it formats help, no
-default is mutable, and a command changes only its own Namespace.
-main() dispatches by name, to the module's ``cmd_<command>`` as it reads
-at call time, so a replaced one still runs.
+A process builds its one parser once (build_parser caches it), so a
+later main() call only parses.  A one-shot process pays the whole build,
+about 1 ms against 0.2-0.3 ms for one command's subparser, small beside
+its interpreter start.  The parser is shared and must not be mutated:
+argparse keeps no state of a parse on it and reads the help width
+(COLUMNS) when it formats help, no default is mutable, and a command
+changes only its own Namespace.  main() dispatches by name, to the
+module's ``cmd_<command>`` as it reads at call time, so a replaced one
+still runs.
 
 Only the commands that compute a law load numpy: pmf, wn, simulate and
 sweep.  Their first call binds the numeric layer, wrapped_binomial,
@@ -251,93 +246,81 @@ def cmd_plot(args) -> Outputs:
     return [(Path(args.out), svg)]
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The cylgalton parser; given one of COMMANDS, only that subparser is
-    built.  The same parser for the same command, every call (see the
-    module docstring)."""
+def build_parser() -> argparse.ArgumentParser:
+    """The cylgalton parser: the same one every call (see the module
+    docstring)."""
     # a function over the cache, not the cache itself, so that a caller
     # wrapping the module's functions (perfbench's tracer) still finds it
-    return _parser(command)
+    return _parser()
 
 
 @functools.cache
-def _parser(command: str | None) -> argparse.ArgumentParser:
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cylgalton",
         description="Cylindrical Galton board: exact slot laws, lattice "
                     "geometry, seeded Monte Carlo, and figure output.")
     parser.add_argument("--version", action="version", version=__version__)
-    # A parser built for one command still shows all of them in the top
-    # usage.  The full parser keeps no metavar, so its missing-command
-    # error names the dest, "command".
-    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    sub = parser.add_subparsers(dest="command", required=True)
 
-    if command in (None, "lattice"):
-        lat = sub.add_parser("lattice", help="emit peg coordinates for a board")
-        lat.add_argument("--preset", choices=preset_names(),
-                         help="documented board preset")
-        lat.add_argument("--M", type=int, help="angular slots (custom board)")
-        lat.add_argument("--n", type=int, help="peg rows (custom board)")
-        for name, what in (("R", "cylinder radius"), ("h", "row spacing"),
-                           ("r_peg", "peg radius"), ("r_ball", "ball radius")):
-            lat.add_argument("--" + name.replace("_", "-"), type=float,
-                             help=f"{what}, cm (default {BOARD_DIMENSIONS[name]})")
-        lat.add_argument("--format", choices=("csv", "json"), default="csv")
-        lat.add_argument("--out", required=True)
+    lat = sub.add_parser("lattice", help="emit peg coordinates for a board")
+    lat.add_argument("--preset", choices=preset_names(),
+                     help="documented board preset")
+    lat.add_argument("--M", type=int, help="angular slots (custom board)")
+    lat.add_argument("--n", type=int, help="peg rows (custom board)")
+    for name, what in (("R", "cylinder radius"), ("h", "row spacing"),
+                       ("r_peg", "peg radius"), ("r_ball", "ball radius")):
+        lat.add_argument("--" + name.replace("_", "-"), type=float,
+                         help=f"{what}, cm (default {BOARD_DIMENSIONS[name]})")
+    lat.add_argument("--format", choices=("csv", "json"), default="csv")
+    lat.add_argument("--out", required=True)
 
-    if command in (None, "pmf"):
-        pm = sub.add_parser("pmf", help="exact slot distribution after n rows")
-        pm.add_argument("--n", type=int, required=True, help="peg rows")
-        pm.add_argument("--M", type=int, required=True, help="angular slots")
-        pm.add_argument("--p", type=float, default=0.5, help="rightward probability")
-        pm.add_argument("--moments", action="store_true",
-                        help="also write first trigonometric moments")
-        pm.add_argument("--centered", action="store_true",
-                        help="label slots with centered angles in (-pi, pi]")
-        pm.add_argument("--format", choices=("csv", "json"), default="csv")
-        pm.add_argument("--out", required=True)
+    pm = sub.add_parser("pmf", help="exact slot distribution after n rows")
+    pm.add_argument("--n", type=int, required=True, help="peg rows")
+    pm.add_argument("--M", type=int, required=True, help="angular slots")
+    pm.add_argument("--p", type=float, default=0.5, help="rightward probability")
+    pm.add_argument("--moments", action="store_true",
+                    help="also write first trigonometric moments")
+    pm.add_argument("--centered", action="store_true",
+                    help="label slots with centered angles in (-pi, pi]")
+    pm.add_argument("--format", choices=("csv", "json"), default="csv")
+    pm.add_argument("--out", required=True)
 
-    if command in (None, "wn"):
-        wn = sub.add_parser("wn", help="wrapped normal density samples and bin masses")
-        wn.add_argument("--mu", type=float, required=True)
-        wn.add_argument("--sigma", type=float, required=True)
-        wn.add_argument("--M", type=int, default=24, help="slots for bin masses")
-        wn.add_argument("--samples", type=int, default=720)
-        wn.add_argument("--format", choices=("csv", "json"), default="csv")
-        wn.add_argument("--out", required=True)
+    wn = sub.add_parser("wn", help="wrapped normal density samples and bin masses")
+    wn.add_argument("--mu", type=float, required=True)
+    wn.add_argument("--sigma", type=float, required=True)
+    wn.add_argument("--M", type=int, default=24, help="slots for bin masses")
+    wn.add_argument("--samples", type=int, default=720)
+    wn.add_argument("--format", choices=("csv", "json"), default="csv")
+    wn.add_argument("--out", required=True)
 
-    if command in (None, "simulate"):
-        sim = sub.add_parser("simulate", help="seeded Monte Carlo of the ball walk")
-        sim.add_argument("--n", type=int, required=True, help="peg rows")
-        sim.add_argument("--M", type=int, help="angular slots (default 24)")
-        sim.add_argument("--planar", action="store_true",
-                         help="flat board: bins 0..n, no wrapping (M = n + 1)")
-        sim.add_argument("--p", type=float, default=0.5)
-        sim.add_argument("--balls", type=int, default=2000,
-                         help="ball count (default matches the demonstration run)")
-        sim.add_argument("--seed", type=int, default=0, help="64-bit seed")
-        sim.add_argument("--compare", choices=("exact", "wn"),
-                         help="append a comparison against the stated law")
-        sim.add_argument("--chunk", type=int,
-                         help="upper bound on balls per tile "
-                              "(result-invariant)")
-        sim.add_argument("--format", choices=("csv", "json"), default="csv")
-        sim.add_argument("--out", required=True)
+    sim = sub.add_parser("simulate", help="seeded Monte Carlo of the ball walk")
+    sim.add_argument("--n", type=int, required=True, help="peg rows")
+    sim.add_argument("--M", type=int, help="angular slots (default 24)")
+    sim.add_argument("--planar", action="store_true",
+                     help="flat board: bins 0..n, no wrapping (M = n + 1)")
+    sim.add_argument("--p", type=float, default=0.5)
+    sim.add_argument("--balls", type=int, default=2000,
+                     help="ball count (default matches the demonstration run)")
+    sim.add_argument("--seed", type=int, default=0, help="64-bit seed")
+    sim.add_argument("--compare", choices=("exact", "wn"),
+                     help="append a comparison against the stated law")
+    sim.add_argument("--chunk", type=int,
+                     help="upper bound on balls per tile (result-invariant)")
+    sim.add_argument("--format", choices=("csv", "json"), default="csv")
+    sim.add_argument("--out", required=True)
 
-    if command in (None, "sweep"):
-        sw = sub.add_parser("sweep", help="convergence ladder over row counts")
-        sw.add_argument("--M", type=int, required=True)
-        sw.add_argument("--p", type=float, default=0.5)
-        sw.add_argument("--n", required=True, help="comma-separated row counts")
-        sw.add_argument("--out", required=True)
+    sw = sub.add_parser("sweep", help="convergence ladder over row counts")
+    sw.add_argument("--M", type=int, required=True)
+    sw.add_argument("--p", type=float, default=0.5)
+    sw.add_argument("--n", required=True, help="comma-separated row counts")
+    sw.add_argument("--out", required=True)
 
-    if command in (None, "plot"):
-        pl = sub.add_parser("plot", help="render distributions to SVG")
-        pl.add_argument("--style", choices=("ring", "cylinder"), required=True)
-        pl.add_argument("inputs", nargs="+",
-                        help="PMF tables (ring) or one density table (cylinder)")
-        pl.add_argument("--out", required=True)
+    pl = sub.add_parser("plot", help="render distributions to SVG")
+    pl.add_argument("--style", choices=("ring", "cylinder"), required=True)
+    pl.add_argument("inputs", nargs="+",
+                    help="PMF tables (ring) or one density table (cylinder)")
+    pl.add_argument("--out", required=True)
 
     return parser
 
@@ -350,8 +333,7 @@ def main(argv=None) -> int:
             build_parser().error(
                 f"argument command: invalid choice: {argv[0]!r} "
                 f"(choose from {', '.join(map(repr, COMMANDS))})")
-    command = argv[0] if argv and argv[0] in COMMANDS else None
-    args = build_parser(command).parse_args(argv)
+    args = build_parser().parse_args(argv)
     written = []
     try:
         if Path(args.out).name in ("", ".."):

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .angular import TWO_PI, spectral_tv, table_csv, tv_distance
+from .angular import TWO_PI, check_number, spectral_tv, table_csv, tv_distance
 from .wrapped_binomial import WrappedBinomial, _direct_slots, _spectral_rows, _spectrum
 from .wrapped_normal import WrappedNormal, _term_count, bin_probs, slot_coefficients
 
@@ -202,6 +202,7 @@ def sweep_uniformity(M: int, p: float, n_list) -> list[SweepRow]:
     if not ns:
         raise ValueError("--n must be a nonempty list of row counts")
     ns = sorted(set(ns))
+    check_number("--p", p)      # a str would make the range test a TypeError
     if ns[0] < 1:
         raise ValueError(f"tv_wn needs every n >= 1, where the normal limit "
                          f"is not degenerate; got n={ns[0]}")

@@ -85,6 +85,10 @@ class LatticeSpec:
         return self.R * (TWO_PI / self.M) if self.wrap else self.flat_d
 
     def __post_init__(self) -> None:
+        for name in ("n", "M"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise LatticeError(f"{name} must be an int, got {value!r}")
         if self.wrap:
             if self.M < 1:
                 raise LatticeError(f"M must be >= 1, got {self.M}")

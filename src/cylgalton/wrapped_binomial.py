@@ -76,8 +76,8 @@ from operator import add
 
 import numpy as np
 
-from .angular import (TWO_PI, spectral_masses, spectral_tv, tv_distance,
-                      wrap_angle, wrap_to_pi)
+from .angular import (TWO_PI, check_number, spectral_masses, spectral_tv,
+                      tv_distance, wrap_angle, wrap_to_pi)
 
 # Laws with n <= _EXACT_LIMIT always take the direct route.
 _EXACT_LIMIT = 64
@@ -172,6 +172,7 @@ class WrappedBinomial:
             raise ValueError(f"n must be >= 0, got {self.n}")
         if self.M < 1:
             raise ValueError(f"M must be >= 1, got {self.M}")
+        check_number("p", self.p)
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"p must be in [0, 1], got {self.p!r}")
 

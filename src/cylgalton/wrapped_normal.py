@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .angular import TWO_PI, spectral_masses, wrap_angle
+from .angular import TWO_PI, check_number, spectral_masses, wrap_angle
 
 # sigma^2 above which density() takes the cosine series.
 FOURIER_SWITCH = 4.0
@@ -62,6 +62,8 @@ class WrappedNormal:
     sigma2: float
 
     def __post_init__(self):
+        check_number("mu", self.mu)
+        check_number("sigma2", self.sigma2)
         if not math.isfinite(self.mu):
             raise ValueError(f"mu must be finite, got {self.mu!r}")
         if not 0.0 < self.sigma2 < math.inf:

@@ -958,7 +958,7 @@ def test_module_entry_point_error_is_single_line(tmp_path):
     assert len(proc.stderr.strip().splitlines()) == 1
 
 
-# --- parsing: main builds only the subparser argv[0] names ---------------------
+# --- parsing: main parses every argv with the whole parser --------------------
 
 PARSE_CASES = {
     **{command: [*argv, "--out", "o.dat"] for command, argv in WRITE_CASES.items()},
@@ -996,12 +996,9 @@ def test_main_parses_as_the_whole_parser(tmp_path, monkeypatch, capsys, case):
     monkeypatch.chdir(tmp_path)
     monkeypatch.setenv("COLUMNS", "80")
     parsed = []
-    for command in cli.COMMANDS:    # bound by build_parser, so both parsers see it
+    for command in cli.COMMANDS:
         monkeypatch.setattr(cli, f"cmd_{command}", lambda args: parsed.append(args) or [])
-    whole = cli.build_parser
-    built = []
-    monkeypatch.setattr(cli, "build_parser",
-                        lambda command=None: built.append(command) or whole(command))
+    whole = cli._parser.__wrapped__
 
     got = parse_outcome(lambda a: main(a) == 0 and parsed.pop(), argv, capsys)
     # main drops a "--" that a word follows
@@ -1013,7 +1010,6 @@ def test_main_parses_as_the_whole_parser(tmp_path, monkeypatch, capsys, case):
         result, (out, err) = parse_outcome(whole().parse_args, ["unknown"], capsys)
         assert got == (result, (out, err.replace("'unknown'", repr(plain[0]))))
         assert len(err.splitlines()) == 2 and repr(plain[0]) in got[1].err
-    assert built == [plain[0] if plain and plain[0] in cli.COMMANDS else None]
 
 
 @pytest.mark.parametrize("command", sorted(WRITE_CASES))
@@ -1041,12 +1037,10 @@ def test_console_script_reads_sys_argv(tmp_path, monkeypatch, capsys, case):
     assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
 
 
-# --- one parser per command per process ----------------------------------------
+# --- one parser per process ----------------------------------------------------
 
 def test_build_parser_returns_one_parser_per_command():
-    assert cli.build_parser("pmf") is cli.build_parser("pmf")
-    assert cli.build_parser() is cli.build_parser(None)
-    assert len({id(cli.build_parser(c)) for c in (None, *cli.COMMANDS)}) == 7
+    assert cli.build_parser() is cli.build_parser()
 
 
 MIXED_SEQUENCE = [
@@ -1082,15 +1076,23 @@ def test_one_process_writes_what_a_process_per_command_writes(tmp_path, monkeypa
     assert outcomes[2] == outcomes[0]
 
 
+def test_every_command_runs_on_one_parser(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for argv in MIXED_SEQUENCE:
+        run(argv)
+    capsys.readouterr()
+    assert cli._parser.cache_info().currsize == 1
+
+
 def test_a_shared_parser_reads_the_help_width_when_it_prints(monkeypatch, capsys):
-    cli.build_parser("pmf")     # built before COLUMNS changes
+    cli.build_parser()      # built before COLUMNS changes
     helps = []
     for columns in ("80", "120"):
         monkeypatch.setenv("COLUMNS", columns)
         with pytest.raises(SystemExit):
             main(["pmf", "-h"])
         with pytest.raises(SystemExit):
-            cli._parser.__wrapped__("pmf").parse_args(["pmf", "-h"])
+            cli._parser.__wrapped__().parse_args(["pmf", "-h"])
         got, fresh = capsys.readouterr().out.split("usage: ")[1:]
         assert got == fresh
         helps.append(got)

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import mpmath
@@ -179,6 +180,14 @@ def test_sweep_rejects_a_degenerate_p_before_any_row(monkeypatch, p):
     monkeypatch.setattr(wrapped_binomial, "_cf_polar", None)
     with pytest.raises(ValueError, match=r"^--p must be in \(0, 1\) for the tv_wn column"):
         sweep_uniformity(24, p, [5, 500])
+
+
+@pytest.mark.parametrize("bad", [np.float32(0.3), "0.3", True])
+def test_sweep_p_must_be_an_int_or_a_float(monkeypatch, bad):
+    # _spectral_rows reads p raw: np.float32 would put tv_wn 1.5e-5 off
+    monkeypatch.setattr(wrapped_binomial, "_cf_polar", None)
+    with pytest.raises(ValueError, match=f"^--p must be a number, got {re.escape(repr(bad))}"):
+        sweep_uniformity(24, bad, [100, 1000])
 
 
 # Across the n = 64 cut, both sides of the spectral test, and n up to 3*10^6.

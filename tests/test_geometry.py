@@ -128,6 +128,8 @@ def test_invalid_specs_name_the_violation():
         planar_board(-1)
     with pytest.raises(LatticeError, match="n must be >= 0 for a flat board, got -2"):
         LatticeSpec.planar(n=-2, d=1.0, h=0.8, r_peg=0.1, r_ball=0.35)
+    with pytest.raises(LatticeError, match="^n must be an int, got 8.0$"):
+        LatticeSpec.planar(n=8.0, d=1.0, h=0.8, r_peg=0.1, r_ball=0.35)
     # a field the board ignores may not be set
     with pytest.raises(LatticeError, match="flat_d must be 0 on a wrapped board"):
         LatticeSpec(R=5.7, M=24, h=1.0, n=8, H=8.0, r_peg=0.1, r_ball=0.3,
@@ -135,6 +137,14 @@ def test_invalid_specs_name_the_violation():
     with pytest.raises(LatticeError, match="R must be 0 on a flat board"):
         LatticeSpec(R=5.7, M=11, h=0.8, n=10, H=8.0, r_peg=0.1, r_ball=0.35,
                     wrap=False, flat_d=1.0)
+
+
+@pytest.mark.parametrize("field, M, n", [
+    ("M", 24.5, 8), ("M", True, 8), ("M", 24.0, 30), ("n", 24, 8.0), ("n", 24, False)])
+def test_slot_and_row_counts_must_be_ints(field, M, n):
+    bad = M if field == "M" else n
+    with pytest.raises(LatticeError, match=f"^{field} must be an int, got {bad!r}$"):
+        LatticeSpec.from_angular(R=5.7, M=M, n=n, h=1.02, r_peg=0.1, r_ball=0.3)
 
 
 def test_clearance_warning_vs_error():

@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -408,6 +409,19 @@ def test_slot_and_row_counts_must_be_ints(bad):
         WrappedBinomial(bad, 24, 0.5)
     with pytest.raises(ValueError, match=f"M must be an int, got {bad!r}"):
         WrappedBinomial(100, bad, 0.5)
+
+
+@pytest.mark.parametrize("bad", [np.float32(0.3), "0.5", True, None, 1j])
+def test_p_must_be_an_int_or_a_float(bad):
+    # np.float32 would run the spectral route in float32, off by ~1e-10
+    with pytest.raises(ValueError, match=f"p must be a number, got {re.escape(repr(bad))}"):
+        WrappedBinomial(1000, 24, bad)
+
+
+def test_p_may_be_a_float_subclass_or_an_int():
+    assert full_pmf(WrappedBinomial(1000, 24, np.float64(0.3))) == full_pmf(
+        WrappedBinomial(1000, 24, 0.3))
+    assert full_pmf(WrappedBinomial(8, 24, 1)) == full_pmf(WrappedBinomial(8, 24, 1.0))
 
 
 def test_invalid_parameters_rejected():

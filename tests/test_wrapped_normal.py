@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -50,6 +51,23 @@ def test_rejects_nonpositive_variance():
 def test_rejects_non_finite_mean(mu):
     with pytest.raises(ValueError, match="mu must be finite"):
         WrappedNormal(mu, 1.0)
+
+
+@pytest.mark.parametrize("bad", [np.float32(0.5), "0.5", True, None])
+def test_mu_and_sigma2_must_be_ints_or_floats(bad):
+    # np.float32 would take density_wrapped's normaliser in float32
+    with pytest.raises(ValueError, match=f"mu must be a number, got {re.escape(repr(bad))}"):
+        WrappedNormal(bad, 1.0)
+    with pytest.raises(ValueError, match=f"sigma2 must be a number, got {re.escape(repr(bad))}"):
+        WrappedNormal(0.5, bad)
+
+
+def test_mu_and_sigma2_may_be_float_subclasses_or_ints():
+    grid = np.linspace(0.0, TWO_PI, 7)
+    assert density(WrappedNormal(np.float64(0.5), np.float64(0.3)), grid).tolist() == \
+        density(WrappedNormal(0.5, 0.3), grid).tolist()
+    assert density(WrappedNormal(1, 2), grid).tolist() == \
+        density(WrappedNormal(1.0, 2.0), grid).tolist()
 
 
 @pytest.mark.parametrize("sigma2", [0.01, 1.0, 3.99, 4.0, 4.01, 25.0])
