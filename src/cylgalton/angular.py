@@ -8,22 +8,29 @@ package computes is not checked again; a law read from a file is checked
 where it enters (_slot_pmf): nonnegative masses summing to 1 within
 SUM_TOL.
 
+The package's two input rules live here.  The number rule, _KINDS: an
+int is an integer, a float an integer or a float, never a bool or str,
+and a subclass of int or float (np.float64, not np.float32) is its base;
+check_number applies it to a parameter, and a table column holds finite
+numbers by it.  The count rule, check_counts: a count is an integer >= 0,
+and a numpy integer counts as its int, a float or bool never does.
+
 A table (table_csv, table_json, read_table) holds what read_table reads
-back, by one rule, _KINDS: an int column holds integers, a float column
-integers and finite floats, never bool or str; a writer raises a
-ValueError naming the column for anything else.  The writers work column
-by column, and a column that repeats formats each distinct number once,
-so a lattice of thousands of pegs formats a few hundred.  Zeros are never
-shared: 0.0 == -0.0, so each is formatted on its own and -0.0 keeps its sign.
-A JSON table holds its rows' columns and its kind's head fields and
-nothing else: each reader passes read_table's head to check_head (PMF_HEAD
-for pmf_from_json, no head field for pmf_from_csv or a density).
+back, by the number rule: a writer raises a ValueError naming the column
+for anything else.  The writers work column by column, and a column that
+repeats formats each distinct number once, so a lattice of thousands of
+pegs formats a few hundred.  Zeros are never shared: 0.0 == -0.0, so each
+is formatted on its own and -0.0 keeps its sign.  A JSON table holds its
+rows' columns and its kind's head fields and nothing else: each reader
+passes read_table's head to check_head (PMF_HEAD for pmf_from_json, no
+head field for pmf_from_csv or a density).
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 from collections.abc import Iterator
 
 TWO_PI = 2.0 * math.pi
@@ -92,14 +99,14 @@ def spectral_tv(diff) -> list[float]:
     return [0.5 * math.fsum(row.tolist()) / diff.shape[1] for row in folded]
 
 
-# The one table format of every CSV and JSON data file.  Per column kind:
-# its name in messages, and the number types it holds (the module's rule).
+# The number rule (module docstring), per kind: its name in messages, and
+# the number types it holds.
 _KINDS = {int: ("an integer", (int,)), float: ("a number", (int, float))}
 
 
 def _check(values, kind) -> set:
     """values' set of types, or a ValueError saying what one of them is not in
-    a column of kind; a subclass of int or float (np.float64) is its base."""
+    a column of kind: the number rule, and a float column's values finite."""
     name, holds = _KINDS[kind]
     types = set(map(type, values))
     if not all(t is not bool and issubclass(t, holds) for t in types):
@@ -112,12 +119,27 @@ def _check(values, kind) -> set:
     return types
 
 
-def check_number(name: str, value) -> None:
-    """A ValueError naming name unless value is a number as a float column
-    holds it: an int or a float, never bool; np.float64 is one, np.float32 not."""
-    word, holds = _KINDS[float]
+def check_number(name: str, value, kind=float) -> None:
+    """A ValueError naming name unless value is a number of kind (int or
+    float) by the number rule; a float may still be nan or inf."""
+    word, holds = _KINDS[kind]
     if isinstance(value, bool) or not isinstance(value, holds):
         raise ValueError(f"{name} must be {word}, got {value!r}")
+
+
+def check_counts(counts) -> list[int]:
+    """counts, any iterable, as a list of ints by the count rule, or a
+    ValueError naming the first count that is not an integer, or the least
+    one below 0."""
+    counts = list(counts)       # the error names a count, so it reads them twice
+    odd = {t for t in set(map(type, counts)) if t is bool or not hasattr(t, "__index__")}
+    if odd:
+        bad = next(c for c in counts if type(c) in odd)
+        raise ValueError(f"counts must be integers, got {bad!r}")
+    counts = list(map(operator.index, counts))
+    if counts and min(counts) < 0:
+        raise ValueError(f"counts must be >= 0, got {min(counts)}")
+    return counts
 
 
 class _Reprs(dict):

@@ -164,9 +164,6 @@ def _comparison_target(args, config: walk_sim.WalkConfig) -> tuple[float, ...]:
         return wrapped_binomial.full_pmf(config.law)
     if args.planar:
         raise ValueError("--compare wn needs a wrapped board (drop --planar)")
-    if config.n < 1:
-        raise ValueError("--compare wn needs n >= 1: the normal limit of a "
-                         "board with no rows is degenerate")
     return diagnostics.normal_limit_pmf(config.law)
 
 

@@ -15,10 +15,9 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
-from .angular import TWO_PI, check_number, spectral_tv, table_csv, tv_distance
-from .wrapped_binomial import WrappedBinomial, _direct_slots, _spectral_rows, _spectrum
+from .angular import (TWO_PI, check_counts, check_number, spectral_tv, table_csv,
+                      tv_distance)
+from .wrapped_binomial import WrappedBinomial, _direct_slots, _spectral_rows
 from .wrapped_normal import WrappedNormal, _term_count, bin_probs, slot_coefficients
 
 # Minimum expected count per retained chi-square cell.
@@ -108,12 +107,11 @@ def compare(counts, qs) -> ComparisonReport:
     relative.  A count observed where q = 0 makes kl and chi2 inf and the
     p-value 0.
     """
+    counts = check_counts(counts)
     if len(counts) != len(qs):
         raise ValueError(
             f"dimension mismatch: histogram has {len(counts)} bins, "
             f"PMF has {len(qs)}")
-    if min(counts) < 0:
-        raise ValueError(f"counts must be >= 0, got {min(counts)}")
     total = sum(counts)
     if total < 1:
         raise ValueError("no balls to compare")
@@ -135,18 +133,20 @@ def _normal_limit(wb: WrappedBinomial) -> WrappedNormal:
     """The normal limit of wb's slot law, in the slot-index frame.
 
     The unwrapped angle has mean n(2p - 1)*dtheta/2 and variance
-    n*p*(1 - p)*dtheta^2, degenerate unless n >= 1 and 0 < p < 1.  Slot
-    k's landing atom sits at centered angle (2k - n)*dtheta/2, so the
-    limit is integrated over atom-centered intervals: its mean is moved
-    by (n + 1)*dtheta/2 (+n*dtheta/2 moves the centered frame onto slot
-    indices, +dtheta/2 centers the bins on the atoms).
+    n*p*(1 - p)*dtheta^2, degenerate unless n >= 1 and 0 < p < 1, a rule
+    tested here alone.  Slot k's landing atom sits at centered angle
+    (2k - n)*dtheta/2, so the limit is integrated over atom-centered
+    intervals: its mean is moved by (n + 1)*dtheta/2 (+n*dtheta/2 moves
+    the centered frame onto slot indices, +dtheta/2 centers the bins on
+    the atoms).
     """
     n, M, p = wb.n, wb.M, wb.p
     if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+        raise ValueError(f"the normal limit needs n >= 1, got n={n}: "
+                         f"a board with no rows has a degenerate limit")
     if not 0.0 < p < 1.0:
-        raise ValueError(
-            f"p={p!r} gives a degenerate (zero-variance) limit; need 0 < p < 1")
+        raise ValueError(f"the normal limit needs 0 < p < 1, got p={p!r}: "
+                         f"the limit is degenerate (zero variance)")
     dtheta = TWO_PI / M
     mu = n * (2.0 * p - 1.0) * dtheta / 2.0 + (n + 1) * dtheta / 2.0
     return WrappedNormal(mu, n * p * (1.0 - p) * dtheta**2)
@@ -158,22 +158,9 @@ def normal_limit_pmf(wb: WrappedBinomial) -> tuple[float, ...]:
 
 
 def wb_wn_tv(wb: WrappedBinomial) -> float:
-    """TV between the exact slot law and its discretised normal limit.
-
-    On the exact law's spectral route the distance comes from the t != 0
-    differences cf(t) - c(t) of the two laws' DFT coefficients, each law's
-    kept down to underflow, so a tiny distance keeps its relative
-    accuracy; otherwise from the slot vectors.
-    """
-    cf = _spectrum(wb)
-    if cf is None:
-        return tv_distance(_direct_slots(wb), normal_limit_pmf(wb))
-    return _spectral_wn_tvs(cf[None], [_normal_limit(wb)])[0]
-
-
-def _spectral_wn_tvs(cf: np.ndarray, limits) -> list[float]:
-    """wb_wn_tv of spectral-route laws, from their (rows, M) cf and their normal limits."""
-    return spectral_tv(cf - slot_coefficients(limits, cf.shape[1], floor=_LIMIT_FLOOR))
+    """TV between the exact slot law and its discretised normal limit: the
+    tv_wn of the one-row sweep of wb."""
+    return sweep_uniformity(wb.M, wb.p, [wb.n])[0].tv_wn
 
 
 class SweepRow(NamedTuple):
@@ -187,37 +174,34 @@ class SweepRow(NamedTuple):
 def sweep_uniformity(M: int, p: float, n_list) -> list[SweepRow]:
     """Distances to the uniform and normal limits for each row count, sorted by n.
 
-    Each row reads the same bits as tv_to_uniform and wb_wn_tv of its law
+    Each row's tv_uniform reads the same bits as tv_to_uniform of its law
     alone.  Rows go in batches of at most _BATCH_ENTRIES complex entries,
     each row counting its M cf values and its normal-limit terms, so
     memory grows only with the output.  The route rule (_spectral_rows)
     sorts a batch: its spectral rows take each distance from one FFT of
     every row of their (rows, M) cf; each other row takes its direct slot
-    masses once, and both distances from them.
+    masses once, and both distances from them.  On the spectral route tv_wn
+    comes from the t != 0 differences cf(t) - c(t) of the two laws' DFT
+    coefficients, each law's kept down to underflow, so a tiny distance
+    keeps its relative accuracy.
     """
     ns = list(n_list)
     for n in ns:
-        if isinstance(n, bool) or not isinstance(n, int):
-            raise ValueError(f"--n row counts must be ints, got {n!r}")
+        check_number("--n row count", n, int)
     if not ns:
         raise ValueError("--n must be a nonempty list of row counts")
-    ns = sorted(set(ns))
-    check_number("--p", p)      # a str would make the range test a TypeError
-    if ns[0] < 1:
-        raise ValueError(f"tv_wn needs every n >= 1, where the normal limit "
-                         f"is not degenerate; got n={ns[0]}")
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"--p must be in (0, 1) for the tv_wn column, where "
-                         f"the normal limit is not degenerate; got {p!r}")
-    rows, todo = [], ns
+    check_number("--p", p)      # named as the flag; WrappedBinomial would say p
+    rows, todo = [], sorted(set(ns))
     while todo:
-        # rows are sorted by n, so the first row's limit has the most terms
+        # rows are sorted by n, so the first row's limit has the most terms,
+        # and a degenerate limit fails here, before any row is computed
         first = _normal_limit(WrappedBinomial(todo[0], M, p))
         size = max(1, _BATCH_ENTRIES // (M + _term_count(first, _LIMIT_FLOOR)))
         batch, todo = todo[:size], todo[size:]
         ns_s, cf = _spectral_rows(batch, M, p)
         limits = [_normal_limit(WrappedBinomial(n, M, p)) for n in ns_s]
-        rows += map(SweepRow, ns_s, spectral_tv(cf), _spectral_wn_tvs(cf, limits))
+        rows += map(SweepRow, ns_s, spectral_tv(cf), spectral_tv(
+            cf - slot_coefficients(limits, M, floor=_LIMIT_FLOOR)))
         for n in sorted(set(batch).difference(ns_s)):
             wb = WrappedBinomial(n, M, p)
             slots = _direct_slots(wb)

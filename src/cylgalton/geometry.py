@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import NamedTuple
 
-from .angular import TWO_PI, table_csv, table_json, wrap_angle
+from .angular import TWO_PI, check_number, table_csv, table_json, wrap_angle
 
 # Clearance may be violated by up to this factor before it is a hard
 # error; rounded catalogue dimensions land slightly inside the margin.
@@ -45,8 +45,10 @@ class LatticeSpec:
     R and M slots and derives its spacings, delta_theta = 2*pi/M and
     d = R*delta_theta.  A flat board (wrap=False, see planar) is given its
     spacing flat_d instead: its R is 0, its delta_theta reads 0 and M
-    counts its n + 1 bins.  Building a spec raises LatticeError naming the
-    first violated invariant, a set field the board ignores included.
+    counts its n + 1 bins.  Each count and length obeys the number rule
+    (angular), wrap is a bool, and H is finite and > 0, or 0 with no rows.
+    Building a spec raises LatticeError naming the first violated
+    invariant, a set field the board ignores included.
     """
 
     R: float            # cylinder radius (wrapped board only)
@@ -85,10 +87,13 @@ class LatticeSpec:
         return self.R * (TWO_PI / self.M) if self.wrap else self.flat_d
 
     def __post_init__(self) -> None:
-        for name in ("n", "M"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise LatticeError(f"{name} must be an int, got {value!r}")
+        if not isinstance(self.wrap, bool):
+            raise LatticeError(f"wrap must be a bool, got {self.wrap!r}")
+        for name in ("n", "M", "R", "h", "H", "r_peg", "r_ball", "flat_d"):
+            try:
+                check_number(name, getattr(self, name), int if name in ("n", "M") else float)
+            except ValueError as exc:
+                raise LatticeError(str(exc)) from None
         if self.wrap:
             if self.M < 1:
                 raise LatticeError(f"M must be >= 1, got {self.M}")
@@ -106,12 +111,10 @@ class LatticeSpec:
             if self.R:
                 raise LatticeError(f"R must be 0 on a flat board, got {self.R!r}")
             lengths = ("d",)
-        for name in (*lengths, "h", "r_peg", "r_ball"):
+        for name in (*lengths, "h", "r_peg", "r_ball", "H"):
             value = getattr(self, name)
-            if not 0.0 < value < math.inf:
+            if not (0.0 < value < math.inf or name == "H" and value == self.n == 0):
                 raise LatticeError(f"{name} must be finite and > 0, got {value!r}")
-        if self.wrap and not self.H > 0.0:
-            raise LatticeError(f"H must be > 0, got {self.H!r}")
         gap = self.d - 2.0 * self.r_peg
         if not gap > 0.0:
             raise LatticeError(f"pegs overlap: d={self.d!r} <= 2*r_peg={2 * self.r_peg!r}")

@@ -68,7 +68,6 @@ from __future__ import annotations
 
 import concurrent.futures
 import math
-import operator
 import os
 import queue
 import threading
@@ -76,7 +75,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .angular import table_csv
+from .angular import check_counts, check_number, table_csv
 from .wrapped_binomial import WrappedBinomial
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
@@ -239,10 +238,8 @@ class WalkConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("balls", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"{name} must be an int, got {value!r}")
+        check_number("balls", self.balls, int)
+        check_number("seed", self.seed, int)
         if not 0 <= self.seed < _UINT64_LIMIT:
             raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
         self.law    # validates n, M and p
@@ -256,6 +253,7 @@ class WalkConfig:
 
 def simulate_ball(config: WalkConfig, ball_index: int) -> tuple[int, ...]:
     """Replay one ball of simulate(config): its +-1 deflection per row."""
+    check_number("ball_index", ball_index, int)
     if not 0 <= ball_index < config.balls:
         raise ValueError(f"ball_index {ball_index} out of range [0, {config.balls})")
     z = np.empty((1, config.n), dtype=np.uint64)
@@ -272,6 +270,7 @@ def simulate(config: WalkConfig, chunk: int = DEFAULT_CHUNK) -> tuple[int, ...]:
     bound on balls per tile; the result is a pure function of (seed,
     config), and ball b is simulate_ball(config, b).
     """
+    check_number("chunk", chunk, int)
     if chunk < 1:
         raise ValueError(f"chunk must be >= 1, got {chunk}")
     n, balls = config.n, config.balls
@@ -292,25 +291,16 @@ def simulate(config: WalkConfig, chunk: int = DEFAULT_CHUNK) -> tuple[int, ...]:
     return tuple(rights.tolist())
 
 
-def _counts(counts) -> list[int]:
-    """counts as ints, by operator.index: a float count is a ValueError."""
-    counts = list(counts)       # the error names a count, so it reads them twice
-    try:
-        return list(map(operator.index, counts))
-    except TypeError:
-        bad = next(c for c in counts if not hasattr(type(c), "__index__"))
-        raise ValueError(f"counts must be integers, got {bad!r}") from None
-
-
 def slot_counts(rights, M: int) -> tuple[int, ...]:
     """The landing count of each of M slots: rights folded mod M.
 
     Slot k holds the balls with x = k (mod M) rightward deflections; on a
     flat board, M = n + 1, the fold is the identity.
     """
+    check_number("M", M, int)
     if M < 1:
         raise ValueError(f"M must be >= 1, got {M}")
-    rights = _counts(rights)
+    rights = check_counts(rights)
     return tuple(sum(rights[k::M]) for k in range(M))
 
 
@@ -320,7 +310,10 @@ def unwrapped_stats(rights, m_slots: int) -> tuple[float, float]:
     rights[x], x = 0..n, counts the balls with x rightward deflections, and
     S_n = 2x - n.  Both moments are exact integer sums; only the ratios round.
     """
-    counts = _counts(rights)
+    check_number("m_slots", m_slots, int)
+    if m_slots < 1:
+        raise ValueError(f"m_slots must be >= 1, got {m_slots}")
+    counts = check_counts(rights)
     balls = sum(counts)
     if balls < 1:
         raise ValueError("no balls to summarise")
@@ -336,9 +329,7 @@ def unwrapped_stats(rights, m_slots: int) -> tuple[float, float]:
 
 def histogram_to_csv(counts) -> str:
     """Slot, count and frequency of each slot; the frequencies divide by sum(counts)."""
-    counts = _counts(counts)
-    if min(counts) < 0:
-        raise ValueError(f"counts must be >= 0, got {min(counts)}")
+    counts = check_counts(counts)
     total = sum(counts)
     if total < 1:
         raise ValueError("no balls to write")

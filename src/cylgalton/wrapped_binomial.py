@@ -164,10 +164,8 @@ class WrappedBinomial:
     p: float
 
     def __post_init__(self):
-        for name in ("n", "M"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"{name} must be an int, got {value!r}")
+        check_number("n", self.n, int)
+        check_number("M", self.M, int)
         if self.n < 0:
             raise ValueError(f"n must be >= 0, got {self.n}")
         if self.M < 1:
@@ -336,6 +334,7 @@ def centered_angle(wb: WrappedBinomial, k: int) -> float:
     The walk starts at angle 0 and moves half a slot per row, so slot k
     (k rightward deflections mod M) lands at (2k - n) * delta_theta / 2.
     """
+    check_number("k", k, int)
     if not 0 <= k < wb.M:
         raise ValueError(f"slot {k} out of range [0, {wb.M})")
     return wrap_to_pi((2 * k - wb.n) * math.pi / wb.M)

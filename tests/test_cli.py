@@ -347,7 +347,8 @@ def test_simulate_wn_compare_needs_wrapping(tmp_path, capsys):
 
 @pytest.mark.parametrize("board,message", [
     (["--planar"], "error: ValueError: --compare wn needs a wrapped board"),
-    (["--p", 0], "error: ValueError: p=0.0 gives a degenerate"),
+    (["--p", 0], "error: ValueError: the normal limit needs 0 < p < 1, got p=0.0: "
+                 "the limit is degenerate (zero variance)"),
     (["--planar", "--M", 7],
      "error: ValueError: --planar fixes the board at M = n + 1; drop --M"),
 ], ids=["planar", "p0", "planar-M"])
@@ -368,7 +369,8 @@ def test_simulate_wn_compare_names_itself_on_a_board_with_no_rows(tmp_path, caps
     assert run(["simulate", "--n", 0, "--balls", 100, "--compare", "wn",
                 "--out", tmp_path / "x.csv"]) == 1
     assert_single_line_error(
-        capsys, "error: ValueError: --compare wn needs n >= 1: the normal limit")
+        capsys, "error: ValueError: the normal limit needs n >= 1, got n=0: "
+                "a board with no rows has a degenerate limit")
     assert not (tmp_path / "x.csv").exists()
 
 
@@ -407,7 +409,9 @@ def test_sweep_names_the_flag_of_an_empty_row_list(tmp_path, capsys):
 
 def test_sweep_rejects_zero_rows(tmp_path, capsys):
     assert run(["sweep", "--M", 7, "--n", "0,1,5,50", "--out", tmp_path / "s.csv"]) == 1
-    assert_single_line_error(capsys, "error: ValueError: tv_wn needs every n >= 1")
+    assert_single_line_error(
+        capsys, "error: ValueError: the normal limit needs n >= 1, got n=0: "
+                "a board with no rows has a degenerate limit")
     assert list(tmp_path.iterdir()) == []
 
 
@@ -416,7 +420,8 @@ def test_sweep_rejects_a_degenerate_p(tmp_path, capsys, p):
     assert run(["sweep", "--M", 24, "--p", p, "--n", "5,50",
                 "--out", tmp_path / "s.csv"]) == 1
     assert_single_line_error(
-        capsys, "error: ValueError: --p must be in (0, 1) for the tv_wn column")
+        capsys, f"error: ValueError: the normal limit needs 0 < p < 1, got p={float(p)}: "
+                "the limit is degenerate (zero variance)")
     assert list(tmp_path.iterdir()) == []
 
 

@@ -1,7 +1,9 @@
 import json
 import math
 import random
+import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -128,7 +130,7 @@ def test_invalid_specs_name_the_violation():
         planar_board(-1)
     with pytest.raises(LatticeError, match="n must be >= 0 for a flat board, got -2"):
         LatticeSpec.planar(n=-2, d=1.0, h=0.8, r_peg=0.1, r_ball=0.35)
-    with pytest.raises(LatticeError, match="^n must be an int, got 8.0$"):
+    with pytest.raises(LatticeError, match="^n must be an integer, got 8.0$"):
         LatticeSpec.planar(n=8.0, d=1.0, h=0.8, r_peg=0.1, r_ball=0.35)
     # a field the board ignores may not be set
     with pytest.raises(LatticeError, match="flat_d must be 0 on a wrapped board"):
@@ -139,12 +141,40 @@ def test_invalid_specs_name_the_violation():
                     wrap=False, flat_d=1.0)
 
 
-@pytest.mark.parametrize("field, M, n", [
-    ("M", 24.5, 8), ("M", True, 8), ("M", 24.0, 30), ("n", 24, 8.0), ("n", 24, False)])
-def test_slot_and_row_counts_must_be_ints(field, M, n):
-    bad = M if field == "M" else n
-    with pytest.raises(LatticeError, match=f"^{field} must be an int, got {bad!r}$"):
-        LatticeSpec.from_angular(R=5.7, M=M, n=n, h=1.02, r_peg=0.1, r_ball=0.3)
+_WRAPPED = dict(R=5.7, M=24, h=1.02, n=8, H=8.3, r_peg=0.1, r_ball=0.4)
+_FLAT = dict(R=0.0, M=11, h=0.8, n=10, H=8.0, r_peg=0.1, r_ball=0.35, wrap=False,
+             flat_d=1.0)
+
+
+@pytest.mark.parametrize("board, field, bad, message", [
+    pytest.param(board, field, bad, message,
+                 id=f"{'wrapped' if board is _WRAPPED else 'flat'}-{field}-{bad!r}")
+    for board, field, bad, message in [
+        (_WRAPPED, "h", np.float32(1.02), "h must be a number, got np.float32(1.02)"),
+        (_WRAPPED, "R", np.float32(5.7), "R must be a number, got np.float32(5.7)"),
+        (_WRAPPED, "R", "5.7", "R must be a number, got '5.7'"),
+        (_WRAPPED, "r_ball", True, "r_ball must be a number, got True"),
+        (_FLAT, "flat_d", np.float32(1.0), "flat_d must be a number, got np.float32(1.0)"),
+        (_WRAPPED, "H", math.inf, "H must be finite and > 0, got inf"),
+        (_WRAPPED, "H", 0.0, "H must be finite and > 0, got 0.0"),
+        (_FLAT, "H", -5.0, "H must be finite and > 0, got -5.0"),
+        (_FLAT, "H", math.nan, "H must be finite and > 0, got nan"),
+        (_FLAT, "H", 0.0, "H must be finite and > 0, got 0.0"),
+        (_WRAPPED, "H", np.float32(8.3), "H must be a number, got np.float32(8.3)"),
+        (_WRAPPED, "wrap", "no", "wrap must be a bool, got 'no'"),
+        (_FLAT, "wrap", 0, "wrap must be a bool, got 0"),
+    ]])
+def test_every_field_follows_the_number_rule(board, field, bad, message):
+    with pytest.raises(LatticeError, match=f"^{re.escape(message)}$"):
+        LatticeSpec(**{**board, field: bad})
+
+
+def test_a_board_with_no_rows_may_have_its_top_row_at_zero():
+    spec = LatticeSpec.planar(n=0, d=1.0, h=0.8, r_peg=0.1, r_ball=0.35)
+    assert spec.H == 0.0 and build_lattice(spec) == []
+    assert LatticeSpec(**{**_FLAT, "n": 0, "M": 1, "H": 0.0}) == spec
+    with pytest.raises(LatticeError, match="^H must be finite and > 0, got -1.0$"):
+        LatticeSpec(**{**_FLAT, "n": 0, "M": 1, "H": -1.0})
 
 
 def test_clearance_warning_vs_error():

@@ -403,14 +403,6 @@ def test_a_zero_angle_wraps_to_plus_zero(zero):
         assert out == 0.0 and math.copysign(1.0, out) == 1.0, (wrap.__name__, out)
 
 
-@pytest.mark.parametrize("bad", [True, False, 2.5, 24.0, "24"])
-def test_slot_and_row_counts_must_be_ints(bad):
-    with pytest.raises(ValueError, match=f"n must be an int, got {bad!r}"):
-        WrappedBinomial(bad, 24, 0.5)
-    with pytest.raises(ValueError, match=f"M must be an int, got {bad!r}"):
-        WrappedBinomial(100, bad, 0.5)
-
-
 @pytest.mark.parametrize("bad", [np.float32(0.3), "0.5", True, None, 1j])
 def test_p_must_be_an_int_or_a_float(bad):
     # np.float32 would run the spectral route in float32, off by ~1e-10

@@ -291,11 +291,14 @@ def test_limit_params_biased_walk():
 
 
 def test_limit_params_rejects_degenerate_bias():
-    with pytest.raises(ValueError, match="degenerate"):
+    with pytest.raises(ValueError, match=r"^the normal limit needs 0 < p < 1, got p=0.0: "
+                                         r"the limit is degenerate \(zero variance\)$"):
         normal_limit_pmf(WrappedBinomial(8, 24, 0.0))
-    with pytest.raises(ValueError, match="degenerate"):
+    with pytest.raises(ValueError, match=r"^the normal limit needs 0 < p < 1, got p=1.0: "
+                                         r"the limit is degenerate \(zero variance\)$"):
         normal_limit_pmf(WrappedBinomial(8, 24, 1.0))
-    with pytest.raises(ValueError, match="n must be"):
+    with pytest.raises(ValueError, match="^the normal limit needs n >= 1, got n=0: "
+                                         "a board with no rows has a degenerate limit$"):
         normal_limit_pmf(WrappedBinomial(0, 24, 0.5))
 
 
