@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from cylgalton.diagnostics import compare, sweep_uniformity
+from cylgalton.diagnostics import compare
 from cylgalton.geometry import LatticeError, LatticeSpec
 from cylgalton.walk_sim import (WalkConfig, histogram_to_csv, simulate,
                                 simulate_ball, slot_counts, unwrapped_stats)
@@ -30,8 +30,6 @@ _INTEGER_PARAMETERS = [
     ("LatticeSpec", "M", LatticeError, lambda b: _lattice(M=b), [24.5, True]),
     ("LatticeSpec-30-rows", "M", LatticeError, lambda b: _lattice(M=b, n=30), [24.0]),
     ("LatticeSpec", "n", LatticeError, lambda b: _lattice(n=b), [8.0, False]),
-    ("sweep_uniformity", "--n row count", ValueError,
-     lambda b: sweep_uniformity(24, 0.5, [8, b]), [2.7, True, "3"]),
     ("WalkConfig", "balls", ValueError, lambda b: WalkConfig(8, 24, 0.5, b), [10.0, True]),
     ("WalkConfig", "seed", ValueError, lambda b: WalkConfig(8, 24, 0.5, 10, b),
      [1.0, True, np.uint64(1)]),
