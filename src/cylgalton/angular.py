@@ -4,16 +4,17 @@ Slot k (zero-based) covers the half-open arc [2*pi*k/M, 2*pi*(k+1)/M).
 A slot law is a tuple of M floats, slot k's mass at index k, and M is
 its length.  It is the common currency between the exact distributions,
 the Monte Carlo simulator, the diagnostics, and the CLI.  A law the
-package computes is not checked again; a law read from a file is checked
-where it enters (_slot_pmf): nonnegative masses summing to 1 within
-SUM_TOL.
+package computes is not checked again; a law given to it is checked where
+it enters, a file's in _slot_pmf and compare's qs.
 
-The package's two input rules live here.  The number rule, _KINDS: an
+The package's three input rules live here.  The number rule, _KINDS: an
 int is an integer, a float an integer or a float, never a bool or str,
 and a subclass of int or float (np.float64, not np.float32) is its base;
-check_number applies it to a parameter, and a table column holds finite
-numbers by it.  The count rule, check_counts: a count is an integer >= 0,
-and a numpy integer counts as its int, a float or bool never does.
+check_number applies it to a parameter, with the parameter's least value
+if it has one, and a table column holds finite numbers by it.  The count
+rule, check_counts: a count is an integer >= 0, and a numpy integer
+counts as its int, a float or bool never does.  The law rule, check_law:
+a law's masses are nonnegative and sum to 1 within SUM_TOL.
 
 A table (table_csv, table_json, read_table) holds what read_table reads
 back, by the number rule: a writer raises a ValueError naming the column
@@ -119,12 +120,26 @@ def _check(values, kind) -> set:
     return types
 
 
-def check_number(name: str, value, kind=float) -> None:
+def check_number(name: str, value, kind=float, least=None) -> None:
     """A ValueError naming name unless value is a number of kind (int or
-    float) by the number rule; a float may still be nan or inf."""
+    float) by the number rule, and >= least if least is given; a float
+    with no least may still be nan or inf."""
     word, holds = _KINDS[kind]
     if isinstance(value, bool) or not isinstance(value, holds):
         raise ValueError(f"{name} must be {word}, got {value!r}")
+    if least is not None and not value >= least:
+        raise ValueError(f"{name} must be >= {least}, got {value!r}")
+
+
+def check_law(qs) -> None:
+    """The law rule for qs, any sequence of slot masses: a ValueError naming
+    the first mass that is not >= 0, or the sum if it is not 1 within SUM_TOL."""
+    for k, q in enumerate(qs):
+        if not q >= 0.0:
+            raise ValueError(f"slot {k} has negative probability {q!r}")
+    total = math.fsum(qs)
+    if abs(total - 1.0) > SUM_TOL:
+        raise ValueError(f"slot probabilities sum to {total!r}, not 1")
 
 
 def check_counts(counts) -> list[int]:
@@ -324,18 +339,16 @@ def pmf_to_json_dict(pmf, bounds=None) -> str:
 
 def _slot_pmf(m: int, rows: list) -> tuple[float, ...]:
     """The slot law of M = m slots from its rows: slots 0..m-1 each once, in
-    any order, with nonnegative masses summing to 1 within SUM_TOL."""
+    any order, with masses that keep the law rule (check_law)."""
     rows.sort()
     # the count first, so a claimed M builds nothing larger than the file
     if len(rows) != m or [row[0] for row in rows] != list(range(m)):
         raise ParseError(f"M={m} needs slots 0..M-1, each exactly once")
     probs = tuple(row[3] for row in rows)
-    for k, q in enumerate(probs):
-        if not q >= 0.0:
-            raise ParseError(f"slot {k} has negative probability {q!r}")
-    total = math.fsum(probs)
-    if abs(total - 1.0) > SUM_TOL:
-        raise ParseError(f"slot probabilities sum to {total!r}, not 1")
+    try:
+        check_law(probs)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
     return probs
 
 

@@ -54,9 +54,9 @@ from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
-from .angular import (TWO_PI, ParseError, check_head, pmf_from_csv,
-                      pmf_from_json, pmf_to_csv, pmf_to_json_dict, read_table,
-                      row_locator, table_csv, table_json)
+from .angular import (TWO_PI, ParseError, check_head, check_number,
+                      pmf_from_csv, pmf_from_json, pmf_to_csv, pmf_to_json_dict,
+                      read_table, row_locator, table_csv, table_json)
 from .geometry import (BOARD_DIMENSIONS, LatticeSpec, build_lattice,
                        export_pegs, preset, preset_names)
 from .svgplot import cylinder_svg, ring_svg
@@ -146,8 +146,7 @@ def cmd_wn(args) -> Outputs:
     if not (0.0 < args.sigma < _SIGMA_MAX and args.sigma**2 > 0.0):
         raise ValueError(f"--sigma must be > 0 with a finite, nonzero square, "
                          f"got {args.sigma!r}")
-    if args.samples < 1:
-        raise ValueError(f"samples must be >= 1, got {args.samples}")
+    check_number("samples", args.samples, int, 1)
     wn = wrapped_normal.WrappedNormal(mu=args.mu, sigma2=args.sigma**2)
     thetas = [TWO_PI * i / args.samples for i in range(args.samples)]
     rows = zip(thetas, wrapped_normal.density(wn, np.array(thetas)).tolist())
@@ -220,7 +219,7 @@ def cmd_sweep(args) -> Outputs:
 
 
 def _read_density(path: Path) -> list[tuple[float, float]]:
-    """(theta, f) samples of a density table; f must be >= 0."""
+    """(theta, f) samples of a density table; no f is below 0."""
     text = path.read_text(encoding="utf-8")
     head, samples = read_table(text, DENSITY_COLUMNS, "samples")
     check_head(head, {})

@@ -15,8 +15,8 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .angular import (TWO_PI, check_counts, check_number, spectral_tv, table_csv,
-                      tv_distance)
+from .angular import (TWO_PI, check_counts, check_law, check_number, spectral_tv,
+                      table_csv, tv_distance)
 from .wrapped_binomial import WrappedBinomial, _direct_slots, _spectral_rows
 from .wrapped_normal import WrappedNormal, _term_count, bin_probs, slot_coefficients
 
@@ -77,8 +77,7 @@ def chi2_tail(x: float, dof: int) -> float:
     each is taken in log space with lgamma and the sum with fsum, which
     keeps the result within about 1e-12 relative up to dof 3599.
     """
-    if dof < 1:
-        raise ValueError(f"dof must be >= 1, got {dof}")
+    check_number("dof", dof, int, 1)
     if not x > 0.0:
         return 1.0
     if x == math.inf:
@@ -98,16 +97,17 @@ def compare(counts, qs) -> ComparisonReport:
 
     counts[k] is the number of balls that landed in slot k, such as
     walk_sim.slot_counts of a run's rights; N = sum(counts).  qs is the
-    law, any sequence of its M slot masses, such as full_pmf's.  KL is the
-    sample-vs-model divergence sum(e * log(e / q)) over cells with q > 0,
-    with empty empirical cells replaced by eps = 1/(10N) so the sum stays
-    finite.  Chi-square cells are pooled cyclically until each expects
-    >= 5, and the p-value is chi2_tail(chi2, dof), the regularised upper
-    incomplete gamma at dof/2 in closed form, within about 1e-12
-    relative.  A count observed where q = 0 makes kl and chi2 inf and the
-    p-value 0.
+    law, any sequence of its M slot masses by the law rule (check_law),
+    such as full_pmf's.  KL is the sample-vs-model divergence
+    sum(e * log(e / q)) over cells with q > 0, with empty empirical cells
+    replaced by eps = 1/(10N) so the sum stays finite.  Chi-square cells
+    are pooled cyclically until each expects >= 5, and the p-value is
+    chi2_tail(chi2, dof), the regularised upper incomplete gamma at dof/2
+    in closed form, within about 1e-12 relative.  A count observed where
+    q = 0 makes kl and chi2 inf and the p-value 0.
     """
     counts = check_counts(counts)
+    check_law(qs)
     if len(counts) != len(qs):
         raise ValueError(
             f"dimension mismatch: histogram has {len(counts)} bins, "

@@ -89,22 +89,19 @@ class LatticeSpec:
     def __post_init__(self) -> None:
         if not isinstance(self.wrap, bool):
             raise LatticeError(f"wrap must be a bool, got {self.wrap!r}")
+        # a flat board's M is n + 1, checked below
+        least = {"n": 1, "M": 1} if self.wrap else {"n": 0, "M": None}
         for name in ("n", "M", "R", "h", "H", "r_peg", "r_ball", "flat_d"):
             try:
-                check_number(name, getattr(self, name), int if name in ("n", "M") else float)
+                check_number(name, getattr(self, name), int if name in least else float,
+                             least.get(name))
             except ValueError as exc:
                 raise LatticeError(str(exc)) from None
         if self.wrap:
-            if self.M < 1:
-                raise LatticeError(f"M must be >= 1, got {self.M}")
-            if self.n < 1:
-                raise LatticeError(f"n must be >= 1, got {self.n}")
             if self.flat_d:
                 raise LatticeError(f"flat_d must be 0 on a wrapped board, got {self.flat_d!r}")
             lengths = ("R", "d")    # d is derived from R, so R is checked first
         else:
-            if self.n < 0:
-                raise LatticeError(f"n must be >= 0 for a flat board, got {self.n}")
             if self.M != self.n + 1:
                 raise LatticeError(
                     f"a flat board needs M = n+1 bins, got M={self.M}, n={self.n}")

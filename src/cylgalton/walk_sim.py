@@ -238,13 +238,11 @@ class WalkConfig:
     seed: int = 0
 
     def __post_init__(self):
-        check_number("balls", self.balls, int)
+        check_number("balls", self.balls, int, 1)
         check_number("seed", self.seed, int)
         if not 0 <= self.seed < _UINT64_LIMIT:
             raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
         self.law    # validates n, M and p
-        if self.balls < 1:
-            raise ValueError(f"balls must be >= 1, got {self.balls}")
 
     @property
     def law(self) -> WrappedBinomial:     # the exact slot law of the walk
@@ -270,9 +268,7 @@ def simulate(config: WalkConfig, chunk: int = DEFAULT_CHUNK) -> tuple[int, ...]:
     bound on balls per tile; the result is a pure function of (seed,
     config), and ball b is simulate_ball(config, b).
     """
-    check_number("chunk", chunk, int)
-    if chunk < 1:
-        raise ValueError(f"chunk must be >= 1, got {chunk}")
+    check_number("chunk", chunk, int, 1)
     n, balls = config.n, config.balls
     limit = _right_limit(config.p)
     rights = np.zeros(n + 1, dtype=np.int64)
@@ -297,9 +293,7 @@ def slot_counts(rights, M: int) -> tuple[int, ...]:
     Slot k holds the balls with x = k (mod M) rightward deflections; on a
     flat board, M = n + 1, the fold is the identity.
     """
-    check_number("M", M, int)
-    if M < 1:
-        raise ValueError(f"M must be >= 1, got {M}")
+    check_number("M", M, int, 1)
     rights = check_counts(rights)
     return tuple(sum(rights[k::M]) for k in range(M))
 
@@ -310,9 +304,7 @@ def unwrapped_stats(rights, m_slots: int) -> tuple[float, float]:
     rights[x], x = 0..n, counts the balls with x rightward deflections, and
     S_n = 2x - n.  Both moments are exact integer sums; only the ratios round.
     """
-    check_number("m_slots", m_slots, int)
-    if m_slots < 1:
-        raise ValueError(f"m_slots must be >= 1, got {m_slots}")
+    check_number("m_slots", m_slots, int, 1)
     counts = check_counts(rights)
     balls = sum(counts)
     if balls < 1:

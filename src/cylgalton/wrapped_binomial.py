@@ -164,12 +164,8 @@ class WrappedBinomial:
     p: float
 
     def __post_init__(self):
-        check_number("n", self.n, int)
-        check_number("M", self.M, int)
-        if self.n < 0:
-            raise ValueError(f"n must be >= 0, got {self.n}")
-        if self.M < 1:
-            raise ValueError(f"M must be >= 1, got {self.M}")
+        check_number("n", self.n, int, 0)
+        check_number("M", self.M, int, 1)
         check_number("p", self.p)
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"p must be in [0, 1], got {self.p!r}")

@@ -205,8 +205,6 @@ def bin_probs(wn: WrappedNormal, M: int) -> tuple[float, ...]:
     docstring for both and their omitted-mass bounds).  Masses that
     roundoff leaves below 0 are set to 0.
     """
-    check_number("M", M, int)
-    if M < 1:
-        raise ValueError(f"M must be >= 1, got {M}")
+    check_number("M", M, int, 1)
     route = _fourier_bins if _takes_fourier(wn.sigma, M) else _cdf_bins
     return tuple(np.maximum(route(wn, M), 0.0).tolist())

@@ -539,6 +539,25 @@ def test_cylinder_lightens_the_rear_half():
     assert (back, front) == ("#b8cce0", "#4878a8")
 
 
+def test_plot_cylinder_takes_one_density_file(tmp_path, capsys):
+    run(["wn", "--mu", 0.0, "--sigma", 0.7, "--samples", 9, "--out", tmp_path / "d.csv"])
+    assert run(["plot", "--style", "cylinder", tmp_path / "d.csv", tmp_path / "d.csv",
+                "--out", tmp_path / "x.svg"]) == 1
+    assert_single_line_error(
+        capsys, "error: ValueError: cylinder style takes exactly one density file\n")
+    assert not (tmp_path / "x.svg").exists()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: ring_svg([]), "ring_svg needs at least one distribution"),
+    (lambda: cylinder_svg([]), "cylinder_svg needs at least one sample"),
+    (lambda: cylinder_svg([(0.0, 0.0), (1.0, 0.0)]), "all density samples are zero"),
+], ids=["no-law", "no-sample", "zero-density"])
+def test_svg_writers_need_something_to_draw(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
 def test_plot_cylinder_reads_json_density(tmp_path, capsys):
     for fmt in ("csv", "json"):
         run(["wn", "--mu", 1.0, "--sigma", 0.7, "--samples", 90, "--format", fmt,

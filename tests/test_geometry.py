@@ -126,9 +126,9 @@ def test_invalid_specs_name_the_violation():
         LatticeSpec.from_angular(R=5.7, M=24, n=8, h=-1.0,
                                  r_peg=0.1, r_ball=0.3)
     # a flat board names the n it was given, not its derived bin count
-    with pytest.raises(LatticeError, match="n must be >= 0 for a flat board, got -1"):
+    with pytest.raises(LatticeError, match="^n must be >= 0, got -1$"):
         planar_board(-1)
-    with pytest.raises(LatticeError, match="n must be >= 0 for a flat board, got -2"):
+    with pytest.raises(LatticeError, match="^n must be >= 0, got -2$"):
         LatticeSpec.planar(n=-2, d=1.0, h=0.8, r_peg=0.1, r_ball=0.35)
     with pytest.raises(LatticeError, match="^n must be an integer, got 8.0$"):
         LatticeSpec.planar(n=8.0, d=1.0, h=0.8, r_peg=0.1, r_ball=0.35)
@@ -163,6 +163,9 @@ _FLAT = dict(R=0.0, M=11, h=0.8, n=10, H=8.0, r_peg=0.1, r_ball=0.35, wrap=False
         (_WRAPPED, "H", np.float32(8.3), "H must be a number, got np.float32(8.3)"),
         (_WRAPPED, "wrap", "no", "wrap must be a bool, got 'no'"),
         (_FLAT, "wrap", 0, "wrap must be a bool, got 0"),
+        (_FLAT, "M", 10, "a flat board needs M = n+1 bins, got M=10, n=10"),
+        (_FLAT, "r_peg", 0.5, "pegs overlap: d=1.0 <= 2*r_peg=1.0"),
+        (_WRAPPED, "r_peg", 0.75, "pegs overlap: d=1.4922565104551517 <= 2*r_peg=1.5"),
     ]])
 def test_every_field_follows_the_number_rule(board, field, bad, message):
     with pytest.raises(LatticeError, match=f"^{re.escape(message)}$"):

@@ -1,5 +1,6 @@
-"""The package's two input rules (angular): every integer parameter follows
-the number rule, and every count the count rule, each with one message."""
+"""The package's input rules (angular): every integer parameter follows
+the number rule, its least value included, every count the count rule,
+and every law compare takes the law rule, each with one message."""
 
 import math
 import re
@@ -7,7 +8,8 @@ import re
 import numpy as np
 import pytest
 
-from cylgalton.diagnostics import compare
+from cylgalton.cli import build_parser, cmd_wn
+from cylgalton.diagnostics import chi2_tail, compare
 from cylgalton.geometry import LatticeError, LatticeSpec
 from cylgalton.walk_sim import (WalkConfig, histogram_to_csv, simulate,
                                 simulate_ball, slot_counts, unwrapped_stats)
@@ -44,6 +46,7 @@ _INTEGER_PARAMETERS = [
     ("simulate", "chunk", ValueError, lambda b: simulate(_CONFIG, chunk=b), [2.5, True]),
     ("bin_probs", "M", ValueError, lambda b: bin_probs(WrappedNormal(0.5, 0.3), b),
      [24.0, True, np.int64(24)]),
+    ("chi2_tail", "dof", ValueError, lambda b: chi2_tail(3.0, b), [True, 2.5]),
 ]
 
 
@@ -56,10 +59,46 @@ def test_integer_parameters_follow_the_number_rule(error, call, name, bad):
         call(bad)
 
 
-def test_unwrapped_stats_needs_a_slot():
-    for m_slots in (0, -1):
-        with pytest.raises(ValueError, match=f"^m_slots must be >= 1, got {m_slots}$"):
-            unwrapped_stats((1, 2, 3), m_slots)
+def _wn_samples(samples):
+    return cmd_wn(build_parser().parse_args(
+        ["wn", "--mu", "0", "--sigma", "1", "--samples", str(samples), "--out", "x.csv"]))
+
+
+# (where, parameter name, least value, error type, call with the bad value, bad values)
+_LEAST_VALUES = [
+    ("WrappedBinomial", "n", 0, ValueError, lambda b: WrappedBinomial(b, 24, 0.5), [-1]),
+    ("WrappedBinomial", "M", 1, ValueError, lambda b: WrappedBinomial(100, b, 0.5), [0, -3]),
+    ("LatticeSpec", "M", 1, LatticeError, lambda b: _lattice(M=b), [0]),
+    ("LatticeSpec", "n", 1, LatticeError, lambda b: _lattice(n=b), [0]),
+    ("LatticeSpec-flat", "n", 0, LatticeError,
+     lambda b: LatticeSpec.planar(n=b, d=1.0, h=0.8, r_peg=0.1, r_ball=0.35), [-1]),
+    ("WalkConfig", "balls", 1, ValueError, lambda b: WalkConfig(8, 24, 0.5, b), [0]),
+    ("simulate", "chunk", 1, ValueError, lambda b: simulate(_CONFIG, chunk=b), [0]),
+    ("slot_counts", "M", 1, ValueError, lambda b: slot_counts((1, 2, 3), b), [0]),
+    ("unwrapped_stats", "m_slots", 1, ValueError, lambda b: unwrapped_stats((1, 2, 3), b),
+     [0, -1]),
+    ("bin_probs", "M", 1, ValueError, lambda b: bin_probs(WrappedNormal(0.5, 0.3), b), [0]),
+    ("chi2_tail", "dof", 1, ValueError, lambda b: chi2_tail(3.0, b), [0]),
+    ("wn", "samples", 1, ValueError, _wn_samples, [0]),
+]
+
+
+@pytest.mark.parametrize("error, call, name, least, bad", [
+    pytest.param(error, call, name, least, bad, id=f"{where}.{name}-{bad!r}")
+    for where, name, least, error, call, bads in _LEAST_VALUES for bad in bads])
+def test_parameters_hold_their_least_value(error, call, name, least, bad):
+    with pytest.raises(error, match=f"^{re.escape(name)} must be >= {least}, got {bad}$"):
+        call(bad)
+
+
+@pytest.mark.parametrize("qs, message", [
+    ((0.5, math.nan), "slot 1 has negative probability nan"),
+    ((0.7, 0.7), "slot probabilities sum to 1.4, not 1"),
+    ((math.inf, 0.0), "slot probabilities sum to inf, not 1"),
+], ids=["nan", "sum", "inf"])
+def test_compare_takes_only_a_law(qs, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        compare((1, 2), qs)
 
 
 @pytest.mark.parametrize("counts, bad", [

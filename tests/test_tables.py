@@ -89,6 +89,11 @@ def test_csv_rejects_a_non_finite_or_non_numeric_float(field):
         read_table(text, DENSITY_COLUMNS, "samples")
 
 
+def test_csv_needs_its_header():
+    with pytest.raises(ParseError, match=r"^line 1: expected header 'theta,f'$"):
+        read_table("theta,g\n0.5,1.0\n", DENSITY_COLUMNS, "samples")
+
+
 def test_json_integer_serves_as_a_float_but_not_beyond_its_range():
     doc = {"samples": [{"theta": 1, "f": 2}]}
     assert read_table(json.dumps(doc), DENSITY_COLUMNS, "samples") == ({}, [(1.0, 2.0)])

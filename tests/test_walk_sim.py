@@ -52,6 +52,13 @@ def test_single_ball_replay_matches_full_run():
     assert tuple(counts) == slot_counts(rights, 5)
 
 
+@pytest.mark.parametrize("ball_index", [10, -1])
+def test_simulate_ball_replays_only_a_ball_of_the_run(ball_index):
+    config = WalkConfig(n=4, M=24, p=0.5, balls=10)
+    with pytest.raises(ValueError, match=rf"^ball_index {ball_index} out of range \[0, 10\)$"):
+        simulate_ball(config, ball_index)
+
+
 def test_identical_seed_identical_histogram():
     config = WalkConfig(n=16, M=24, p=0.5, balls=5000, seed=42)
     assert simulate(config) == simulate(config)

@@ -387,6 +387,12 @@ def test_centered_angles_of_the_one_module_board():
     assert angles[4] == pytest.approx(0.0, abs=1e-15)
 
 
+@pytest.mark.parametrize("k", [24, -1])
+def test_centered_angle_takes_only_a_slot_of_the_board(k):
+    with pytest.raises(ValueError, match=rf"^slot {k} out of range \[0, 24\)$"):
+        centered_angle(WrappedBinomial(8, 24, 0.5), k)
+
+
 def test_angles_must_be_finite():
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match=f"angle must be finite, got {bad!r}"):
