@@ -133,11 +133,16 @@ def check_number(name: str, value, kind=float, least=None) -> None:
 
 def check_law(qs) -> None:
     """The law rule for qs, any sequence of slot masses: a ValueError naming
-    the first mass that is not >= 0, or the sum if it is not 1 within SUM_TOL."""
+    the first mass that is nan or below 0, or the sum if it is not 1 within
+    SUM_TOL (inf, if finite masses sum past the float range)."""
     for k, q in enumerate(qs):
         if not q >= 0.0:
-            raise ValueError(f"slot {k} has negative probability {q!r}")
-    total = math.fsum(qs)
+            raise ValueError(f"slot {k} has negative probability {q!r}" if q < 0.0
+                             else f"slot {k} has probability {q!r}, not a number")
+    try:
+        total = math.fsum(qs)
+    except OverflowError:
+        total = math.inf
     if abs(total - 1.0) > SUM_TOL:
         raise ValueError(f"slot probabilities sum to {total!r}, not 1")
 

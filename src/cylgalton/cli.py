@@ -309,7 +309,9 @@ def _parser() -> argparse.ArgumentParser:
     sw = sub.add_parser("sweep", help="convergence ladder over row counts")
     sw.add_argument("--M", type=int, required=True)
     sw.add_argument("--p", type=float, default=0.5)
-    sw.add_argument("--n", required=True, help="comma-separated row counts")
+    sw.add_argument("--n", required=True,
+                    help="comma-separated row counts (a list that starts with - "
+                         "needs --n=, as in --n=-3,5)")
     sw.add_argument("--out", required=True)
 
     pl = sub.add_parser("plot", help="render distributions to SVG")

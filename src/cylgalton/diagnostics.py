@@ -175,15 +175,23 @@ def sweep_uniformity(M: int, p: float, n_list) -> list[SweepRow]:
     """Distances to the uniform and normal limits for each row count, sorted by n.
 
     Each row's tv_uniform reads the same bits as tv_to_uniform of its law
-    alone.  Rows go in batches of at most _BATCH_ENTRIES complex entries,
-    each row counting its M cf values and its normal-limit terms, so
-    memory grows only with the output.  The route rule (_spectral_rows)
-    sorts a batch: its spectral rows take each distance from one FFT of
-    every row of their (rows, M) cf; each other row takes its direct slot
-    masses once, and both distances from them.  On the spectral route tv_wn
-    comes from the t != 0 differences cf(t) - c(t) of the two laws' DFT
-    coefficients, each law's kept down to underflow, so a tiny distance
-    keeps its relative accuracy.
+    alone, so it carries that function's bound on either route.  Rows go in
+    batches of at most _BATCH_ENTRIES complex entries, each row counting its
+    M cf values and its normal-limit terms, so memory grows only with the
+    output.  The spectral test (_spectral_rows, B = sum_{t>=1} |cf(t)| <=
+    1/2, at any n) sorts a batch: its spectral rows take each distance from
+    one FFT of every row of their (rows, M) cf; each other row takes its
+    direct slot masses once, and both distances from them.  tv_wn's bound:
+    * Spectral: tv_wn comes from the t != 0 differences cf(t) - c(t) of
+      the two laws' DFT coefficients, each law's kept down to underflow and
+      relative-accurate to about delta (tv_to_uniform), so it is off by at
+      most about delta/2 * sum_{t>=1} (|cf(t)| + |c(t)|).  As 2 tv_wn >=
+      max_t |cf(t) - c(t)|, a tiny distance keeps its relative accuracy,
+      less only what the coefficients' own cancellation costs.
+    * Direct: the M correctly rounded slots less the normal limit's bins
+      (wrapped_normal.bin_probs, with its bounds), each difference rounded
+      once and then one fsum: off by half the bins' L1 error plus about
+      2**-53 * (1 + 2 tv_wn).
     """
     ns = list(n_list)
     for n in ns:

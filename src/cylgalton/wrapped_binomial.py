@@ -12,7 +12,8 @@ Slot probabilities come from one of two routes, a pure function of
 characteristic function at integer frequency t, and
 B = sum_{t=1}^{M-1} |cf(t)|.
 
-* Spectral, when n > 64 and B <= 1/2.  Slot k's mass is the inverse
+* Spectral, when B <= 1/2 (for the slot law, also n > 64; see the route
+  rule below).  Slot k's mass is the inverse
   DFT (1/M) * sum_t cf(t) * exp(-2*pi*i*t*k/M) (the wrapped-distribution
   identity of Mardia & Jupp, Directional Statistics, 2000, sections 3.5
   and 4.3), evaluated by one length-M FFT: O(M log M) time and O(M)
@@ -25,11 +26,11 @@ B = sum_{t=1}^{M-1} |cf(t)|.
   t != 0 coefficients alone, so a tiny distance keeps its relative
   accuracy instead of being the rounding noise of subtracting numbers
   near 1/M.
-* Direct, otherwise: small n, near-degenerate p, or a board too wide
-  for the law to have spread round it (a slot of mass 0, as when n < M,
-  forces B >= 1).  With p = a/d exactly, the terms are integers walked up
-  and down from the mode by the ratio (n - x)a / ((x + 1)(d - a)), each
-  step floored.  Past the mode every ratio is at most 1, so a term j
+* Direct, otherwise: B > 1/2, from too few rows, near-degenerate p or a
+  board too wide for the law to have spread round it (a slot of mass 0,
+  as when n < M, forces B >= 1); or a slot law with n <= 64.  With
+  p = a/d exactly, the terms are integers walked up and down from the
+  mode by the ratio (n - x)a / ((x + 1)(d - a)), each step floored.  Past the mode every ratio is at most 1, so a term j
   steps out is low by fewer than j units.
   - Precision: any M consecutive x hold a term of every slot, so the
     smallest slot is at least the smaller end term of the M around the
@@ -61,11 +62,17 @@ B = sum_{t=1}^{M-1} |cf(t)|.
   So every slot is the correctly rounded exact fold.
 
 A law is its parameters: every function of it computes what it needs.
-The route rule is _spectral_rows, one function for a list of row counts
+The route rule has two clauses, each for its own question.  The spectral
+test, B <= 1/2, is _spectral_rows, one function for a list of row counts
 at fixed (M, p), which also returns the cf of the spectral rows: the one
 formula _cf_polar, outer products of the row counts with the polar form
-of w(t) from _step_polar.  _spectrum applies it to one law, and
-sweep_uniformity (diagnostics) to the rows of a ladder, in batches.
+of w(t) from _step_polar.  It alone routes the distances, at any n:
+tv_to_uniform applies it to one law, and sweep_uniformity (diagnostics)
+to the rows of a ladder, in batches, so a distance whose coefficients are
+small enough is formed from them and keeps its relative accuracy.  The
+slot law adds n > 64 (_spectrum, the route of full_pmf): a law that small
+is walked directly, cheaply, so that its slots are correctly rounded
+rather than a few eps off.
 """
 
 from __future__ import annotations
@@ -79,7 +86,7 @@ import numpy as np
 from .angular import (TWO_PI, check_number, spectral_masses, spectral_tv,
                       tv_distance, wrap_angle, wrap_to_pi)
 
-# Laws with n <= _EXACT_LIMIT always take the direct route.
+# Slot laws with n <= _EXACT_LIMIT always take the direct route.
 _EXACT_LIMIT = 64
 
 # The spectral route needs sum_{t>=1} |cf(t)| <= _SPECTRAL_BOUND, which
@@ -217,7 +224,9 @@ def _exact_fold(n: int, M: int, p: float) -> tuple[float, ...]:
 
 
 def _spectrum(wb: WrappedBinomial) -> np.ndarray | None:
-    """cf(t) for t = 0..M-1 when wb takes the spectral route, else None."""
+    """cf(t) for t = 0..M-1 when wb's slot law takes the spectral route, else None."""
+    if wb.n <= _EXACT_LIMIT:
+        return None
     spectral, cf = _spectral_rows([wb.n], wb.M, wb.p)
     return cf[0] if spectral else None
 
@@ -274,18 +283,16 @@ def _cf_rows(ns, step: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
 
 
 def _spectral_rows(ns, M: int, p: float) -> tuple[list[int], np.ndarray]:
-    """The route rule, for the laws (n, M, p) of the row counts in ns.
+    """The spectral test, for the laws (n, M, p) of the row counts in ns.
 
-    Returns the row counts whose law takes the spectral route, n > 64 and
-    sum_{t>=1} |cf(t)| <= 1/2, in the order of ns, and their cf as one
-    (rows, M) array.  No cf is formed when every n <= 64.
+    Returns the row counts whose B = sum_{t>=1} |cf(t)| is at most 1/2, in
+    the order of ns, and their cf as one (rows, M) array.  It reads no row
+    count's size: the distances route by it alone, and the slot law adds
+    its own n > 64 clause (_spectrum).
     """
-    wide = [n for n in ns if n > _EXACT_LIMIT]
-    if not wide:
-        return [], np.empty((0, M), dtype=complex)
-    cf = _cf_rows(wide, _step_polar(M, p))
+    cf = _cf_rows(ns, _step_polar(M, p))
     keep = np.abs(cf[:, 1:]).sum(axis=1) <= _SPECTRAL_BOUND
-    return [n for n, k in zip(wide, keep) if k], cf[keep]
+    return [n for n, k in zip(ns, keep) if k], cf[keep]
 
 
 @dataclass(frozen=True)
@@ -315,13 +322,23 @@ def trig_moments(wb: WrappedBinomial) -> TrigMoments:
 def tv_to_uniform(wb: WrappedBinomial) -> float:
     """Total variation distance between the slot law and uniform on M slots.
 
-    On the spectral route each slot's excess over 1/M is the inverse DFT
-    of the t != 0 coefficients, so no mass near 1/M is subtracted.
+    The route is the spectral test alone (_spectral_rows), at any n.  Since
+    cf(t) = sum_k (P_k - 1/M) e^{2*pi*i*t*k/M} for t != 0, |cf(t)| <= 2 TV,
+    so TV >= B/(2(M - 1)) when M >= 2 (at M = 1, B = 0 and TV = 0).
+    * Spectral (B <= 1/2): each slot's excess over 1/M is the inverse DFT
+      of the t != 0 coefficients, so no mass near 1/M is subtracted.  Each
+      coefficient carries a relative error delta of a few eps plus n*|arg w(t)|*eps
+      (module docstring), so TV is off by at most about B*delta/2: a
+      relative error of at most about (M - 1)*delta, down to underflow.
+    * Direct (B > 1/2): the M correctly rounded slots less 1/M, each
+      difference rounded once, then one fsum, are off by at most about
+      2**-53 * (1 + 2 TV).  As TV > 1/(4(M - 1)), that is a relative error
+      below about (4M - 2) * 2**-53.
     """
-    cf = _spectrum(wb)
-    if cf is None:
+    spectral, cf = _spectral_rows([wb.n], wb.M, wb.p)
+    if not spectral:
         return tv_distance(_direct_slots(wb), [1.0 / wb.M] * wb.M)
-    return spectral_tv(cf[None])[0]     # the uniform law's coefficients are 0 at t != 0
+    return spectral_tv(cf)[0]       # the uniform law's coefficients are 0 at t != 0
 
 
 def centered_angle(wb: WrappedBinomial, k: int) -> float:

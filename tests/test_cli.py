@@ -400,6 +400,19 @@ def test_sweep_names_the_flag_of_a_bad_row_count(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_sweep_row_list_starting_with_a_minus_reaches_the_row_check(tmp_path, capsys):
+    # argparse takes a bare -3,5 for an option; --n= passes it as the value
+    assert run(["sweep", "--M", 24, "--n=-3,5", "--out", tmp_path / "s.csv"]) == 1
+    assert_single_line_error(capsys, "error: ValueError: n must be >= 0, got -3\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_sweep_help_says_how_to_pass_a_list_starting_with_a_minus(capsys):
+    with pytest.raises(SystemExit):
+        run(["sweep", "--help"])
+    assert "--n=-3,5" in " ".join(capsys.readouterr().out.split())
+
+
 def test_sweep_names_the_flag_of_an_empty_row_list(tmp_path, capsys):
     assert run(["sweep", "--M", 24, "--n", "", "--out", tmp_path / "s.csv"]) == 1
     assert_single_line_error(
@@ -663,7 +676,8 @@ def test_plot_malformed_input_reports_line(tmp_path, capsys, rows, message):
 @pytest.mark.parametrize("probs,message", [
     ((0.75, -0.5, 0.75), "slot 1 has negative probability -0.5"),
     ((0.25, 0.5, 0.35), "slot probabilities sum to 1.1, not 1"),
-], ids=["negative", "sum"])
+    ((1e308, 1e308, 0.0), "slot probabilities sum to inf, not 1"),
+], ids=["negative", "sum", "overflow"])
 def test_plot_rejects_a_pmf_that_is_not_a_law(tmp_path, capsys, fmt, probs, message):
     bad = tmp_path / f"bad.{fmt}"
     if fmt == "json":

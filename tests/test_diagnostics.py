@@ -15,7 +15,8 @@ from cylgalton.diagnostics import (MIN_EXPECTED, _pool_cyclic, chi2_tail,
                                    tv_distance, wb_wn_tv)
 from cylgalton.walk_sim import WalkConfig, simulate, slot_counts
 from cylgalton.wrapped_binomial import WrappedBinomial, full_pmf, tv_to_uniform
-from oracles import binomial_fold_pmf, wb_wn_tv_ref, wn_interval_prob_ref
+from oracles import (binomial_fold_pmf, tv_to_uniform_ref, wb_wn_tv_ref,
+                     wn_interval_prob_ref)
 
 
 def _uniform(m):
@@ -205,6 +206,19 @@ def test_sweep_rows_are_the_one_law_distances_bit_for_bit(M):
             wb = WrappedBinomial(row.n, M, p)
             assert (row.tv_uniform.hex(), row.tv_wn.hex()) == (
                 tv_to_uniform(wb).hex(), wb_wn_tv(wb).hex())
+
+
+@pytest.mark.parametrize("M", [2, 3, 5, 12])
+def test_small_board_distances_against_the_oracles(M):
+    # at n <= 64 a row with sum_{t>=1} |cf(t)| <= 1/2 takes the spectral
+    # test too, so a distance far below 1/M keeps its relative accuracy
+    for p in (0.5, 0.3, 0.02):
+        for row in sweep_uniformity(M, p, [16, 32, 48, 64]):
+            assert row.tv_uniform.hex() == tv_to_uniform(
+                WrappedBinomial(row.n, M, p)).hex()
+            for got, want in ((row.tv_uniform, tv_to_uniform_ref(row.n, M, p)),
+                              (row.tv_wn, wb_wn_tv_ref(row.n, M, p))):
+                assert abs(got - want) <= 1e-13 * want, (row, want)
 
 
 @pytest.mark.parametrize("entries", [1, 3 * 24 + 40])

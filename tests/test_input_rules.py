@@ -92,10 +92,11 @@ def test_parameters_hold_their_least_value(error, call, name, least, bad):
 
 
 @pytest.mark.parametrize("qs, message", [
-    ((0.5, math.nan), "slot 1 has negative probability nan"),
+    ((0.5, math.nan), "slot 1 has probability nan, not a number"),
     ((0.7, 0.7), "slot probabilities sum to 1.4, not 1"),
     ((math.inf, 0.0), "slot probabilities sum to inf, not 1"),
-], ids=["nan", "sum", "inf"])
+    ((1e308, 1e308), "slot probabilities sum to inf, not 1"),
+], ids=["nan", "sum", "inf", "overflow"])
 def test_compare_takes_only_a_law(qs, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         compare((1, 2), qs)
