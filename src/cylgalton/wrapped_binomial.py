@@ -37,9 +37,12 @@ B = sum_{t=1}^{M-1} |cf(t)|.
     mode.  lgamma puts that term, or 2**-1075 if it is smaller (a slot
     below it rounds to 0), D bits below the mode's term, and the walk
     starts from 2**(D + 66 + f), where 2**f > n**2 exceeds the floor
-    loss.  At p = 1/2 with n no more than that many bits, it walks the
-    exact integers C(n, x) instead, with no shift, so that a slot such as
-    C(57, 25)/2**57, halfway between two doubles, needs no retry.
+    loss.  When the exact terms C(n, x) a**x b**(n - x), b = d - a, fit
+    in that many bits (d is a power of 2 and each term is below d**n, so
+    n*log2(d) bits do), it walks them instead, from the mode's, with no
+    floor loss, so that a slot halfway between two doubles needs no
+    retry: C(57, 25)/2**57 at p = 1/2, or at n = 1 slot 0, 1 - p = b/d
+    exactly, which for p = 0.3 needs 54 bits.
   - Window: each side stops once its remaining tail is below 2**-66 of
     the smallest slot, 2**f units.  Past a term t, j steps out, whose next
     step ratio r is below 1, the tail is at most (t + j)*r/(1 - r); the
@@ -56,9 +59,9 @@ B = sum_{t=1}^{M-1} |cf(t)|.
     returns its exact quotients, and a slot that no x reaches is 0.
   - Retry: if any bracket straddles, the law is walked again at full
     depth, until a term floors to 0, with twice the bits.  If that fails
-    too, as an exact tie does (at n = 1, slot 0 is 1 - p exactly, which
-    for p = 0.3 lies halfway between two doubles), the exact integer fold
-    over d**n decides.
+    too, as an exact tie too wide for the first walk's bits does, the same
+    walk is taken exactly over the whole support, with E = 0.  At p = 0
+    or 1 that exact walk, the point mass, is the only one.
   So every slot is the correctly rounded exact fold.
 
 A law is its parameters: every function of it computes what it needs.
@@ -119,19 +122,22 @@ def _precision(n: int, M: int, p: float) -> tuple[int, int]:
     return cut + 2 * n.bit_length(), cut
 
 
-def _binomial_terms(n: int, p: float, bits: int,
+def _binomial_terms(n: int, p: float, bits: int | None,
                     cut: int | None) -> tuple[int, list[int], int]:
     """(lo, terms, err): integers in proportion to the Binomial(n, p) terms
-    of x = lo, lo + 1, ..., walked from the mode's term, 2**bits or, at
-    p = 1/2 with n <= bits, C(n, mode); and err, a bound on what their sum
-    and each orbit sum miss of the exact terms in the same units.  Each
-    side stops at the end of the support, once its tail bound is at most
-    2**-cut of the mode's term, or, with cut None, once a term is 0."""
+    of x = lo, lo + 1, ..., walked from the mode's term; and err, a bound on
+    what their sum and each orbit sum miss of the exact terms in the same
+    units.  With p = a/d, the walk is exact, from C(n, mode) a**mode
+    b**(n - mode) with b = d - a and no floor loss, when bits is None or
+    every exact term, each below d**n, fits in bits; else it starts from
+    2**bits.  Each side stops at the end of the support, once its tail
+    bound is at most 2**-cut of the mode's term, or, with cut None, once a
+    term is 0."""
     a, d = p.as_integer_ratio()
     b = d - a
     mode = min(n, (n + 1) * a // d)
-    exact = a == b and n <= bits
-    start = math.comb(n, mode) if exact else 1 << bits
+    exact = bits is None or n * (d.bit_length() - 1) <= bits
+    start = math.comb(n, mode) * a**mode * b**(n - mode) if exact else 1 << bits
     slip = 0 if exact else 1            # a floored step loses less than one unit
     tau = 0 if cut is None else start >> cut
     up, up_err = _side(n, a, b, mode, start, slip, tau)
@@ -179,16 +185,18 @@ class WrappedBinomial:
 
 
 def _direct_slots(wb: WrappedBinomial) -> tuple[float, ...]:
-    """Slot masses from the integer walk, each the correctly rounded exact fold."""
+    """Slot masses from the integer walk, each the correctly rounded exact
+    fold: the window, full depth at twice the bits, then the exact walk,
+    whose err is 0, so it always certifies (the one walk at p = 0 or 1)."""
     n, M, p = wb.n, wb.M, wb.p
-    if p in (0.0, 1.0):
-        return tuple(float(k == (n if p else 0) % M) for k in range(M))
-    bits, cut = _precision(n, M, p)
-    for walk in ((bits, cut), (2 * bits, None)):    # the window, then full depth
+    walks = [(None, None)]
+    if 0.0 < p < 1.0:
+        bits, cut = _precision(n, M, p)
+        walks[:0] = (bits, cut), (2 * bits, None)
+    for walk in walks:
         slots = _certified(*_binomial_terms(n, p, *walk), n, M)
         if slots is not None:
             return slots
-    return _exact_fold(n, M, p)
 
 
 def _certified(lo: int, terms: list[int], err: int, n: int,
@@ -212,17 +220,6 @@ def _certified(lo: int, terms: list[int], err: int, n: int,
     return tuple(slots[r:] + slots[:r] if r else slots)
 
 
-def _exact_fold(n: int, M: int, p: float) -> tuple[float, ...]:
-    """The exact fold: orbit sums of C(n, x) a**x b**(n - x) over d**n."""
-    a, d = p.as_integer_ratio()
-    b = d - a
-    slots, t, total = [0] * M, b**n, d**n
-    for x in range(n + 1):
-        slots[x % M] += t
-        t = t * (n - x) * a // ((x + 1) * b)
-    return tuple(s / total for s in slots)
-
-
 def _spectrum(wb: WrappedBinomial) -> np.ndarray | None:
     """cf(t) for t = 0..M-1 when wb's slot law takes the spectral route, else None."""
     if wb.n <= _EXACT_LIMIT:
@@ -237,15 +234,15 @@ def full_pmf(wb: WrappedBinomial) -> tuple[float, ...]:
     return _direct_slots(wb) if cf is None else tuple(spectral_masses(cf).tolist())
 
 
-def _step_polar(M: int, p: float, t=None) -> tuple[np.ndarray, np.ndarray]:
+def _step_polar(M: int, p: float) -> tuple[np.ndarray, np.ndarray]:
     """log|w|**2 and arg w of the one-step factor w = 1 - p + p*exp(2*pi*i*t/M),
-    for t = 0..M-1 or the frequencies t given.
+    for t = 0..M-1.
 
     t above M/2 is taken as t - M, so cf(M - t) is exactly conj(cf(t)).
     |w|**2 = 1 - 4pq*sin(pi*t/M)**2, so its log1p is relative-accurate,
     and -inf where w = 0 (p = 1/2, t = M/2).
     """
-    t = np.arange(M) if t is None else t
+    t = np.arange(M)
     t = np.where(2 * t > M, t - M, t)
     q = 1.0 - p
     half = np.sin(np.pi * t / M)
@@ -258,7 +255,7 @@ def _step_polar(M: int, p: float, t=None) -> tuple[np.ndarray, np.ndarray]:
 def _cf_polar(ns, step: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """Modulus and unreduced argument of cf = w**n, one row per row count in ns.
 
-    Outer products of the row counts with step = _step_polar(M, p, t): the
+    Outer products of the row counts with step = _step_polar(M, p): the
     modulus exp(n/2 * log|w|**2) is relative-accurate down to underflow,
     and exactly 0 where w = 0.  A row with n = 0 is the point mass,
     modulus 1 and argument 0.
@@ -313,8 +310,8 @@ def trig_moments(wb: WrappedBinomial) -> TrigMoments:
     naive complex power would lose the winding.  For p = 1/2 this gives
     mu = pi*n/M mod 2*pi and rho = cos(pi/M)**n.
     """
-    rho, arg = _cf_polar([wb.n], _step_polar(wb.M, wb.p, np.array([1 % wb.M])))
-    rho, mu = float(rho[0, 0]), wrap_angle(float(arg[0, 0]))
+    rho, arg = _cf_polar([wb.n], _step_polar(wb.M, wb.p))
+    rho, mu = float(rho[0, 1 % wb.M]), wrap_angle(float(arg[0, 1 % wb.M]))
     return TrigMoments(alpha1=rho * math.cos(mu), beta1=rho * math.sin(mu),
                        rho=rho, mu=mu)
 

@@ -93,9 +93,8 @@ def density_wrapped(wn: WrappedNormal, theta) -> float | np.ndarray:
 def density_fourier(wn: WrappedNormal, theta) -> float | np.ndarray:
     """Density by the cosine series (1 + 2 sum e^{-m^2 s^2/2} cos m(th-mu)) / 2pi."""
     th = np.asarray(theta, dtype=float)
-    m = np.arange(1, math.ceil(_K / wn.sigma) + 1)
+    m = np.arange(1, _term_count(wn, TAIL) + 1)
     coef = np.exp(-0.5 * m**2 * wn.sigma2)
-    coef = coef[coef >= TAIL]
     out = np.zeros(th.shape)
     for mi, ci in zip(m, coef):     # term by term, in order: O(points) memory
         out += ci * np.cos((th - wn.mu) * mi)

@@ -89,12 +89,18 @@ def mp_fold_window(n: int, m: int, p: float, lo: int, hi: int) -> list[mpf]:
 
 
 def tv_to_uniform_ref(n: int, m: int, p: float) -> float:
-    """TV to uniform of the wrapped binomial by an mpmath fold at 60 digits.
+    """TV to uniform of the wrapped binomial by an mpmath fold.
 
-    60 digits leave about 20 after the cancellation against 1/m even when
-    the distance is near 1e-38.
+    The fold subtracts 1/m from each slot, so the working precision is 20
+    digits beyond the distance's bound, tv_to_uniform_bound_ref, and at
+    least 60: the distance is at least the bound over m - 1, so about 20
+    digits survive the cancellation however small it is.  It is 0 where
+    the bound is 0.
     """
-    with mp.workdps(60):
+    bound = tv_to_uniform_bound_ref(n, m, p)
+    if not bound:
+        return 0.0
+    with mp.workdps(max(60, 20 + math.ceil(-mp.log10(bound)))):
         slots = mp_fold_window(n, m, p, 0, n)
         return float(mp_fsum(abs(s - mpf(1) / m) for s in slots) / 2)
 

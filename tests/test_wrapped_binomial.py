@@ -143,23 +143,19 @@ def test_direct_route_is_the_exact_fold_rounded_once(n):
 def test_every_direct_slot_on_the_grid_is_the_correctly_rounded_exact_fold(monkeypatch):
     # n = 1..300 at M = 7, 24, 360; one exact row, the fold at any M > n,
     # serves all three
-    walks, folds = [], []
-    walk, fold = wrapped_binomial._binomial_terms, wrapped_binomial._exact_fold
+    walks = []
+    walk = wrapped_binomial._binomial_terms
     monkeypatch.setattr(wrapped_binomial, "_binomial_terms",
                         lambda n, p, *rest: walks.append((n, p)) or walk(n, p, *rest))
-    monkeypatch.setattr(wrapped_binomial, "_exact_fold",
-                        lambda n, m, p: folds.append((n, m, p)) or fold(n, m, p))
     for p in (0.5, 0.3, 0.02):
         for n, num, den in binomial_rows(p, 300):
             for m in (7, 24, 360):
                 want = tuple(sum(num[k::m]) / den for k in range(m))
                 assert _direct_slots(WrappedBinomial(n, m, p)) == want
-    # Each law certifies on its first walk but the exact ties: at n = 1,
+    # Each law certifies on its first walk, the exact ties too: at n = 1,
     # slot 0 is 1 - 0.3 = b/d exactly, which needs 54 bits, so it lies on a
-    # rounding midpoint; the retry cannot split it and the exact fold does.
-    ties = [(1, m, 0.3) for m in (7, 24, 360)]
-    assert len(walks) == 3 * 300 * 3 + len(ties)
-    assert folds == ties
+    # rounding midpoint, and the first walk's bits hold the exact terms.
+    assert len(walks) == 3 * 300 * 3
 
 
 def test_the_two_laws_the_floored_walk_rounded_wrong():
@@ -178,10 +174,48 @@ def test_a_bracket_that_straddles_is_walked_again_deeper(monkeypatch):
     monkeypatch.setattr(wrapped_binomial, "_precision", lambda n, m, p: (40, 38))
     monkeypatch.setattr(wrapped_binomial, "_binomial_terms",
                         lambda *args: walks.append(args[2:]) or walk(*args))
-    monkeypatch.setattr(wrapped_binomial, "_exact_fold", None)
     assert _direct_slots(WrappedBinomial(100, 24, 0.3)) == tuple(
         binomial_fold_pmf(100, 24, 0.3))
     assert walks == [(40, 38), (80, None)]
+
+
+def test_a_law_no_floored_walk_certifies_is_walked_exactly(monkeypatch):
+    # at 4 bits neither floored walk can bracket a slot of (100, 24, 0.3);
+    # the third walk is exact, with err 0, so it certifies
+    walks = []
+    walk = wrapped_binomial._binomial_terms
+    monkeypatch.setattr(wrapped_binomial, "_precision", lambda n, m, p: (4, 2))
+    monkeypatch.setattr(wrapped_binomial, "_binomial_terms",
+                        lambda *args: walks.append(args[2:]) or walk(*args))
+    assert _direct_slots(WrappedBinomial(100, 24, 0.3)) == tuple(
+        binomial_fold_pmf(100, 24, 0.3))
+    assert walks == [(4, 2), (8, None), (None, None)]
+
+
+@pytest.mark.parametrize("p", [0.0, 1.0])
+@pytest.mark.parametrize("m", [1, 2, 7, 24])
+def test_a_degenerate_p_is_the_point_mass_of_the_exact_walk(monkeypatch, m, p):
+    # all the mass at x = 0 or x = n: one exact walk, no precision
+    walks = []
+    walk = wrapped_binomial._binomial_terms
+    monkeypatch.setattr(wrapped_binomial, "_precision", None)
+    monkeypatch.setattr(wrapped_binomial, "_binomial_terms",
+                        lambda *args: walks.append(args[2:]) or walk(*args))
+    for n in (0, 1, 9, 10**6):
+        want = tuple(float(k == (n if p else 0) % m) for k in range(m))
+        assert _direct_slots(WrappedBinomial(n, m, p)) == want
+        assert full_pmf(WrappedBinomial(n, m, p)) == want
+    assert set(walks) == {(None, None)}
+
+
+@pytest.mark.parametrize("m", [7, 24])
+def test_a_quarter_walks_the_exact_terms(m):
+    # p = 1/4, so d = 4: the first walk takes the exact terms where 2n fits
+    # its bits (n <= 39 at M = 7, n <= 46 at M = 24) and floors them beyond
+    for n, num, den in binomial_rows(0.25, 64):
+        want = tuple(sum(num[k::m]) / den for k in range(m))
+        assert _direct_slots(WrappedBinomial(n, m, 0.25)) == want
+        assert full_pmf(WrappedBinomial(n, m, 0.25)) == want
 
 
 @pytest.mark.parametrize("m", [1, 2, 7, 24, 60])
@@ -224,6 +258,18 @@ def test_tv_to_uniform_against_mpmath(n, m, p, want):
     assert ref == pytest.approx(want, rel=1e-15, abs=0)
     got = tv_to_uniform(WrappedBinomial(n, m, p))
     assert got == pytest.approx(ref, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("n,m,p", [(200, 2, 0.3), (300, 3, 0.3)])
+def test_tv_to_uniform_below_the_oracles_old_precision(n, m, p):
+    # distances of 1.3e-80 and 1.0e-65, below what a 60-digit fold resolves
+    assert tv_to_uniform(WrappedBinomial(n, m, p)) == pytest.approx(
+        tv_to_uniform_ref(n, m, p), rel=1e-12, abs=0)
+
+
+def test_the_oracle_reads_an_exactly_uniform_law_as_zero():
+    # at M = 2 and p = 1/2 every law with n >= 1 is exactly uniform
+    assert tv_to_uniform_ref(300, 2, 0.5) == 0.0
 
 
 def test_tv_to_uniform_underflows_to_zero_at_a_million_rows():
